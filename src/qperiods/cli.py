@@ -212,6 +212,8 @@ def cmd_hilbert(args) -> int:
 def cmd_count(args) -> int:
     field = parse_field(args.field)
     B = _build_form(args, field)
+    if not args.zero and args.rho is None:
+        raise UsageError("need one of --rho, --zero")
     rho = field.elt(0) if args.zero else parse_element(args.rho, field)
     if args.method == "naive":
         value = count_level_naive(B, rho, args.ell)

@@ -1,9 +1,9 @@
 """Exact vectorized counting kernels over residue rings.
 
-Everything here is integer arithmetic: histograms are exact counts, and
-cyclic convolutions are done either by direct integer multiply-adds or by
-a two-prime number-theoretic transform with CRT reconstruction, so no
-floating point ever enters a measure.
+Each variable contributes a histogram of its values over the additive group
+of the ring, and a count is one entry of their convolution.  One engine
+computes that entry by number-theoretic transforms modulo as many primes as
+the count's bound needs, joined by CRT; every count is an exact integer.
 
 The ring objects consumed here are ResidueRing instances; only their
 moduli, field parameters, and canonical coordinate layout are used.
@@ -12,6 +12,10 @@ moduli, field parameters, and canonical coordinate layout are used.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
+from itertools import accumulate
+from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -64,199 +68,193 @@ def vec_add(ring, a, b):
 
 def nonunit_mask(ring, coords):
     """Boolean mask of elements with ord >= 1."""
-    f = ring.field
-    if f.ncoords == 1:
-        return coords[0] % f.p == 0
-    if f.variant == "ramified":
+    if ring.field.variant == "ramified":
         return coords[0] % 2 == 0
-    return (coords[0] % f.p == 0) & (coords[1] % f.p == 0)
+    return np.logical_and.reduce([c % ring.field.p == 0 for c in coords])
 
 
 def flat_index(ring, coords):
-    if len(ring.moduli) == 1:
-        return coords[0]
-    return coords[0] * ring.moduli[1] + coords[1]
+    return (coords[0] if len(coords) == 1
+            else coords[0] * ring.moduli[1] + coords[1])
 
 
 # ---------------------------------------------------------------------------
 # Histograms of quadratic values
 # ---------------------------------------------------------------------------
 
-def _bincount(ring, value_coords, weights=None):
-    n_buckets = 1
-    for m in ring.moduli:
-        n_buckets *= m
-    idx = flat_index(ring, value_coords)
-    h = np.bincount(np.asarray(idx).ravel(), weights=weights, minlength=n_buckets)
-    h = h.astype(np.int64) if weights is None else h
-    if len(ring.moduli) == 2:
-        h = h.reshape(ring.moduli)
-    return h
-
-
 def square_term_histogram(ring, coeff_coords, restrict_nonunit=False):
     """Histogram of coeff * x^2 as x runs over the ring (or over pi*o)."""
+    return square_histograms(ring, [coeff_coords], restrict_nonunit)[0]
+
+
+def square_histograms(ring, coeff_list, restrict_nonunit=False):
+    """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0."""
     xs = coord_arrays(ring)
     if restrict_nonunit:
         mask = nonunit_mask(ring, xs)
         xs = tuple(c[mask] for c in xs)
     sq = vec_mul(ring, xs, xs)
-    cc = vec_reduce(ring, coeff_coords)
-    vals = vec_mul(ring, cc, sq)
-    return _bincount(ring, vals)
+    cc = np.array([ring.reduce(c) for c in coeff_list], dtype=np.int64)
+    cc = cc.reshape(-1, len(ring.moduli)).T[:, :, None]
+    idx = flat_index(ring, vec_mul(ring, cc, sq))
+    idx += ring.size * np.arange(len(coeff_list))[:, None]
+    h = np.bincount(idx.ravel(), minlength=ring.size * len(coeff_list))
+    return h.reshape((len(coeff_list),) + ring.moduli)
 
 
 def plane_histogram(ring, restrict_nonunit=False):
-    """Histogram of 2xy over pairs (x, y); the hyperbolic-plane summand."""
-    size = ring.size
-    if size * size > (1 << 22):
-        raise EnumBudgetError("plane histogram needs %d pairs" % (size * size))
-    base = coord_arrays(ring)
-    if restrict_nonunit:
-        mask = nonunit_mask(ring, base)
-        base = tuple(c[mask] for c in base)
-    k = len(base[0])
-    xs = tuple(np.repeat(c, k) for c in base)
-    ys = tuple(np.tile(c, k) for c in base)
-    two = vec_reduce(ring, (2,) + (0,) * (ring.field.ncoords - 1))
-    vals = vec_mul(ring, vec_mul(ring, two, xs), ys)
-    return _bincount(ring, vals)
+    """Histogram of 2xy over pairs (x, y); the hyperbolic-plane summand.
+
+    Counted by valuations: a pair with ord x + ord y = s < level has a
+    product of ord s, spread uniformly over the elements of that ord (units
+    act transitively on them), and doubling shifts ord by e = ord 2.
+    """
+    f, level, grid = ring.field, ring.level, np.indices(ring.moduli)
+    ords = np.zeros(ring.moduli, dtype=np.int64)  # the ord of 0 is level
+    for k in range(1, level + 1):
+        steps = ((2 ** ((k + 1) // 2), 2 ** (k // 2)) if f.variant == "ramified"
+                 else (f.p ** k,) * f.ncoords)
+        ords += np.logical_and.reduce([c % st == 0 for c, st in zip(grid, steps)])
+    per_ord = np.bincount(ords.ravel(), minlength=level + 1)
+    s = np.arange(level + 1)
+    free = per_ord * (s >= min(restrict_nonunit, level))  # level 0: 0 is pi*o
+    pairs = np.zeros(level + 1, dtype=np.int64)
+    np.add.at(pairs, np.minimum(np.add.outer(s, s) + f.e, level),
+              np.outer(free, free))
+    return pairs[ords] // per_ord[ords]
 
 
 # ---------------------------------------------------------------------------
-# Exact cyclic convolution
+# Exact counting engine: multi-prime number-theoretic transforms
 # ---------------------------------------------------------------------------
 
-_NTT_PRIMES = ((2013265921, 31), (1811939329, 13))  # 15*2^27+1, 27*2^26+1
+class PrimeBoundError(EnumBudgetError):
+    """The prime table cannot reconstruct this count exactly."""
 
 
-def _is_pow2(n):
-    return n > 0 and n & (n - 1) == 0
+# Primes below 2^31 (residue products fit in int64), 2^23 | p - 1, largest first
+_NTT_PRIMES = (2130706433, 2113929217, 2088763393, 2013265921, 1811939329,
+               1711276033, 1484783617, 1300234241, 1224736769, 1107296257,
+               998244353, 469762049)
+_LEAF = 128  # blocks this long take one exact matrix product
 
 
-def _bitrev_indices(n):
-    rev = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for i in range(n):
-        rev[i] = int(format(i, "0%db" % bits)[::-1], 2) if bits else 0
-    return rev
+@lru_cache(maxsize=64)
+def _tables(p, n):
+    """Length-n tables mod p: radix-2 stage twiddles, the leaf DFT matrix as
+    low 16-bit and high float limbs, the negated frequency of each output
+    slot, and powers of an n-th root of unity (a power of one nonresidue,
+    so all lengths share one leaf matrix)."""
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    root = pow(c, (p - 1) // n, p)  # c is a nonresidue: order exactly n
+    pw = np.ones(1, dtype=np.int64)
+    while len(pw) < n:
+        pw = np.concatenate([pw, pw * pow(root, len(pw), p) % p])
+    idx = np.arange(n)
+    if n <= _LEAF:
+        mat = pw[np.outer(idx, idx) % n]
+        limbs = np.hstack([mat & 0xFFFF, mat >> 16]).astype(float)
+        return [], limbs, -idx % n, pw
+    bits = (n // _LEAF).bit_length() - 1
+    # the stages leave block b holding frequencies rev(b) + (n / leaf) * j
+    freq = n // _LEAF * (idx % _LEAF)
+    for b in range(bits):
+        freq |= (idx // _LEAF >> b & 1) << (bits - 1 - b)
+    stages = [pw[:n // 2:1 << s] for s in range(bits)]
+    return stages, _tables(p, _LEAF)[1], -freq % n, pw
 
 
-def _ntt_last_axis(a, p, g, invert=False):
-    """Iterative radix-2 NTT along the last axis; a is int64, length power of 2."""
-    n = a.shape[-1]
-    if n == 1:
-        return a % p
-    a = np.array(a % p, dtype=np.int64)
-    a = a[..., _bitrev_indices(n)]
-    length = 2
-    while length <= n:
-        half = length // 2
-        root = pow(g, (p - 1) // length, p)
-        if invert:
-            root = pow(root, p - 2, p)
-        w = np.empty(half, dtype=np.int64)
-        cur = 1
-        for i in range(half):
-            w[i] = cur
-            cur = cur * root % p
-        b = a.reshape(a.shape[:-1] + (n // length, length))
-        u = b[..., :half].copy()
-        v = b[..., half:] * w % p
-        b[..., :half] = (u + v) % p
-        b[..., half:] = (u - v) % p
-        a = b.reshape(a.shape)
-        length *= 2
-    if invert:
-        a = a * pow(n, p - 2, p) % p
-    return a
+def _ntt(a, p):
+    """Forward NTT mod p, in place, along the rows of a 2-D array of
+    residues; slot s then holds the frequency -negfreq[s] of _tables.
+
+    Radix-2 decimation-in-frequency stages cut each row into leaf blocks,
+    and float64 matrix products transform those.  Every partial sum is at
+    most p - 1 times a column sum of a leaf limb, below 2^53 for every
+    table prime (tests check it), so every sum is an exact integer.
+    """
+    stages, limbs = _tables(p, a.shape[1])[:2]
+    for w in stages:
+        blk = a.reshape(len(a), -1, 2 * len(w))
+        u, v = blk[..., :len(w)], blk[..., len(w):]
+        t = (u - v) * w % p
+        u += v
+        u %= p
+        v[...] = t
+    leaf = len(limbs)
+    x = a.reshape(-1, leaf)
+    for r in range(0, len(x), 32):  # 32 blocks at a time bound the temporaries
+        c = x[r:r + 32]
+        y = (c.astype(float) @ limbs).astype(np.int64)
+        c[...] = (y[:, :leaf] + (y[:, leaf:] % p << 16)) % p
 
 
-def _ntt_convolve_mod(h1, h2, p, g):
-    if h1.ndim == 1:
-        a = _ntt_last_axis(h1, p, g)
-        b = _ntt_last_axis(h2, p, g)
-        return _ntt_last_axis(a * b % p, p, g, invert=True)
-    a = _ntt_last_axis(h1, p, g)
-    a = _ntt_last_axis(np.swapaxes(a, 0, 1).copy(), p, g)
-    b = _ntt_last_axis(h2, p, g)
-    b = _ntt_last_axis(np.swapaxes(b, 0, 1).copy(), p, g)
-    c = a * b % p
-    c = _ntt_last_axis(c, p, g, invert=True)
-    c = _ntt_last_axis(np.swapaxes(c, 0, 1).copy(), p, g, invert=True)
-    return c
+def _entry_mod(p, stack, mults, lengths, target):
+    """The target entry mod p; see convolution_entry."""
+    shape = stack.shape[1:]
+    a = np.zeros((len(stack),) + lengths, dtype=np.int64)  # odd axes padded
+    np.remainder(stack, p, out=a[(slice(None),) + tuple(map(slice, shape))])
+    acc = None
+    for ax, (n, m, t) in enumerate(zip(lengths, shape, target)):
+        a = np.ascontiguousarray(a.swapaxes(1 + ax, -1))  # copy unless last
+        _ntt(a.reshape(-1, n), p)
+        a = a.swapaxes(1 + ax, -1)
+        negfreq, pw = _tables(p, n)[2:]
+        fold = sum(pw[negfreq * w & (n - 1)] for w in range(int(t) % m, n, m))
+        fold = fold.reshape((n,) + (1,) * (len(shape) - ax - 1)) % p
+        acc = fold if acc is None else acc * fold % p
+    for i, c in enumerate(mults):
+        for _ in range(c):
+            acc *= a[i]
+            acc %= p
+    return int(acc.sum()) * pow(prod(lengths), -1, p) % p
 
 
-def _crt2(r1, r2):
-    (p1, _), (p2, _) = _NTT_PRIMES
-    inv = pow(p1, p2 - 2, p2)
-    diff = (r2 - r1) % p2
-    return r1 + p1 * (diff * inv % p2)
+def convolution_entry(hists, target) -> int:
+    """Entry `target` of the convolution of integer histograms over the
+    group Z/m0 (x Z/m1), m the histogram shape.
 
-
-def _roll_convolve(h1, h2):
-    if np.count_nonzero(h2) < np.count_nonzero(h1):
-        h1, h2 = h2, h1
-    out = np.zeros_like(h2)
-    if h1.ndim == 1:
-        for i in np.flatnonzero(h1):
-            out += h1[i] * np.roll(h2, i)
-        return out
-    for i, j in zip(*np.nonzero(h1)):
-        out += h1[i, j] * np.roll(np.roll(h2, i, axis=0), j, axis=1)
-    return out
-
-
-def cyclic_convolve(h1, h2):
-    """Exact cyclic convolution over the additive group of the ring."""
-    s1 = int(h1.sum())
-    s2 = int(h2.sum())
-    big = s1 * s2 >= (1 << 61)
-    if big:
-        # exact but slow: fall back to object arithmetic
-        return _roll_convolve(h1.astype(object), h2.astype(object))
-    if h1.ndim == 1:
-        n = h1.shape[0]
-        if _is_pow2(n) and n >= (1 << 12):
-            r = [_ntt_convolve_mod(h1, h2, p, g) for p, g in _NTT_PRIMES]
-            return _crt2(r[0], r[1])
-        full = np.convolve(h1, h2)
-        out = full[:n].copy()
-        if n > 1:
-            out[:n - 1] += full[n:]
-        return out
-    size = h1.size
-    if all(_is_pow2(m) for m in h1.shape) and size >= (1 << 10):
-        r = [_ntt_convolve_mod(h1, h2, p, g) for p, g in _NTT_PRIMES]
-        return _crt2(r[0], r[1])
-    return _roll_convolve(h1, h2)
+    Each distinct histogram is transformed once per prime and the
+    transforms multiplied; one dot product per prime reads back the target
+    entry alone, and CRT joins the residues.  Power-of-two axes are cyclic;
+    an odd axis is zero-padded past n(m - 1), the support of the linear
+    convolution of n histograms, and the target folded over t, t + m, ...
+    """
+    groups = {}  # equal histograms share one transform
+    for h in hists:
+        groups.setdefault(h.tobytes(), [h, 0])[1] += 1
+    stack = np.array([h for h, _ in groups.values()], dtype=np.int64)
+    mults = [c for _, c in groups.values()]
+    bound = prod(int(h.sum()) ** c for h, c in zip(stack, mults))
+    k = next((i for i, m in enumerate(accumulate(_NTT_PRIMES, mul), 1)
+              if m > bound), 0)
+    lengths = tuple(m if m & (m - 1) == 0
+                    else 1 << (len(hists) * (m - 1)).bit_length()
+                    for m in stack.shape[1:])
+    if not k or max(lengths) > 1 << 23:  # every p has roots of order 2^23
+        raise PrimeBoundError("count bound %d or axis length %d is beyond "
+                              "the prime table" % (bound, max(lengths)))
+    count, modulus = 0, 1
+    for p in _NTT_PRIMES[:k]:
+        r = _entry_mod(p, stack, mults, lengths, target)
+        count += modulus * ((r - count) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return count
 
 
 # ---------------------------------------------------------------------------
 # Solution counting
 # ---------------------------------------------------------------------------
 
-def _all_histograms(ring, coeff_list, planes=0, restrict_nonunit=False):
-    hists = [square_term_histogram(ring, c, restrict_nonunit) for c in coeff_list]
-    for _ in range(planes):
-        hists.append(plane_histogram(ring, restrict_nonunit))
-    return hists
-
-
 def solution_count(ring, coeff_list, target_coords, planes=0,
                    restrict_nonunit=False) -> int:
     """Number of tuples over the ring with sum of terms equal to target."""
-    nvars = len(coeff_list) + 2 * planes
-    if nvars == 0:
+    if not (coeff_list or planes):
         return 1 if all(c == 0 for c in ring.reduce(target_coords)) else 0
-    hists = _all_histograms(ring, coeff_list, planes, restrict_nonunit)
-    total = hists[0]
-    for h in hists[1:]:
-        total = cyclic_convolve(total, h)
-    idx = tuple(ring.reduce(target_coords))
-    if len(ring.moduli) == 1:
-        return int(total[idx[0]])
-    return int(total[idx[0], idx[1]])
+    hists = list(square_histograms(ring, coeff_list, restrict_nonunit))
+    if planes:
+        hists += [plane_histogram(ring, restrict_nonunit)] * planes
+    return convolution_entry(hists, ring.reduce(target_coords))
 
 
 def primitive_zero_exists(ring, coeffs) -> bool:

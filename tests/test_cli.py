@@ -229,3 +229,10 @@ def test_usage_errors_exit_2(capsys):
     # closed form for an isotropic form is a usage-level rejection
     assert run(capsys, "xseries", "--field", "q2", "--form", "x^2-x^2",
                "--T", "0", "--L", "4", "--closed")[0] == 2
+
+
+def test_count_without_target_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--field", "Q2", "--form",
+                         "x1^2+x2^2+x3^2", "--ell", "3")
+    assert code == 2 and out == ""
+    assert err == "error: need one of --rho, --zero\n"

@@ -1,13 +1,22 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qperiods import kernels
+from qperiods.closedforms import closed_profile
+from qperiods.counting import count_level_histogram
 from qperiods.localfield import make_field
+from qperiods.qform import DiagonalForm, anisotropic_representative
 
 Q2 = make_field(2)
 Q4 = make_field(2, 2, "unramified")
 R2 = make_field(2, 1, "ramified", c1=0, c0=-2)
 F3 = make_field(3)
+F5 = make_field(5)
 
 
 def brute_square_histogram(ring, coeff, restrict_nonunit=False):
@@ -57,31 +66,114 @@ def test_plane_histogram_counts_2xy():
         assert [int(a) for a in got] == [int(a) for a in h]
 
 
-def brute_cyclic(h1, h2):
-    n = len(h1)
-    out = [0] * n
-    for i in range(n):
-        for j in range(n):
-            out[(i + j) % n] += int(h1[i]) * int(h2[j])
+def test_plane_histogram_matches_pairs_on_every_field():
+    for field in (Q2, Q4, R2, F3, F5):
+        for level in (0, 1, 2, 3):
+            ring = field.ring(level)
+            if ring.size > 64:
+                continue
+            two = ring.reduce(field.elt(2).coords)
+            for restrict in (False, True):
+                # at level 0 the one class is 0, which lies in pi*o
+                xs = [x for x in ring.elements()
+                      if not (restrict and level and ring.is_unit(x))]
+                want = np.zeros(ring.size, dtype=np.int64)
+                for x in xs:
+                    for y in xs:
+                        v = ring.mul(two, ring.mul(x, y))
+                        want[kernels.flat_index(
+                            ring, tuple(np.array([c]) for c in v))[0]] += 1
+                got = kernels.plane_histogram(ring, restrict)
+                assert got.shape == ring.moduli
+                assert list(got.ravel()) == list(want), (field, level, restrict)
+
+
+def brute_convolution(hists):
+    """Every entry of the convolution of the histograms, shift by shift."""
+    shape = hists[0].shape
+    axes = tuple(range(len(shape)))
+    out = np.zeros(shape, dtype=object)
+    out[(0,) * len(shape)] = 1
+    for h in hists:
+        nxt = np.zeros(shape, dtype=object)
+        for j in np.ndindex(shape):
+            nxt += np.roll(out, j, axis=axes) * int(h[j])
+        out = nxt
     return out
 
 
-def test_cyclic_convolve_matches_brute_force():
+def test_convolution_entry_matches_brute_force():
     rng = np.random.default_rng(7)
-    for n in (4, 8, 16, 9, 27):  # both power-of-two and odd lengths
-        a = rng.integers(0, 50, n).astype(object)
-        b = rng.integers(0, 50, n).astype(object)
-        got = kernels.cyclic_convolve(a, b)
-        assert [int(x) for x in got] == brute_cyclic(a, b)
+    # power-of-two axes are cyclic, odd axes are padded and folded
+    for shape in ((1,), (4,), (8,), (16,), (9,), (27,), (25,), (4, 8),
+                  (9, 3), (2, 1), (512,), (243,), (2, 256)):
+        for n in (1, 2, 3):
+            hists = [rng.integers(0, 50, shape) for _ in range(n)]
+            want = brute_convolution(hists)
+            for t in np.ndindex(shape):
+                assert kernels.convolution_entry(hists, t) == want[t]
 
 
-def test_cyclic_convolve_large_values_exact():
-    # entries big enough to overflow int64 must still come out exact
-    n = 8
-    a = np.array([10 ** 25 + i for i in range(n)], dtype=object)
-    b = np.array([10 ** 24 + 3 * i for i in range(n)], dtype=object)
-    got = kernels.cyclic_convolve(a, b)
-    assert [int(x) for x in got] == brute_cyclic(a, b)
+def test_convolution_entry_large_values_exact():
+    # counts far past 2^63 need several primes and must still come out exact
+    rng = np.random.default_rng(11)
+    for shape in ((8,), (9,)):
+        hists = [rng.integers(10 ** 12, 2 * 10 ** 12, shape) for _ in range(3)]
+        want = brute_convolution(hists)
+        assert max(want.ravel()) > 1 << 100
+        for t in np.ndindex(shape):
+            assert kernels.convolution_entry(hists, t) == want[t]
+
+
+def test_convolution_entry_exact_at_its_bound():
+    # a point mass makes the count equal the product of the histogram sums,
+    # so one prime too few would show as a wrong residue
+    for e in range(10, 62, 3):
+        w = (1 << e) + 1
+        hists = [np.array([w, 0, 0, 0]), np.array([0, 0, 3, 0])]
+        assert kernels.convolution_entry(hists, (2,)) == 3 * w
+        hists = [np.array([0, w, 0]), np.array([0, w, 0]), np.array([w, 0, 0])]
+        assert kernels.convolution_entry(hists, (2,)) == w ** 3
+        assert kernels.convolution_entry(hists, (0,)) == 0
+
+
+def test_convolution_entry_refuses_bound_past_prime_table():
+    hists = [np.full(4, 1 << 40, dtype=np.int64)] * 9
+    with pytest.raises(kernels.PrimeBoundError):
+        kernels.convolution_entry(hists, (0,))
+    assert issubclass(kernels.PrimeBoundError, kernels.EnumBudgetError)
+
+
+def test_ntt_is_exact_at_extreme_residues():
+    # residues near p drive the float partial sums of the leaf products to
+    # their largest values; compare with the defining sum
+    for p in (kernels._NTT_PRIMES[0], kernels._NTT_PRIMES[-1]):
+        for n in (8, 128, 256):
+            negfreq, pw = kernels._tables(p, n)[2:]
+            x = np.full((2, n), p - 1, dtype=np.int64)
+            x[1, 1::2] -= 1
+            got = x.copy()
+            kernels._ntt(got, p)
+            freq = -negfreq % n
+            powers = pw[np.outer(freq, np.arange(n)) % n]
+            want = (x[:, None, :] * powers[None] % p).sum(axis=2) % p
+            assert np.array_equal(got, want), (p, n)
+
+
+def test_leaf_products_stay_below_float_precision():
+    # a leaf-product partial sum is at most p - 1 times a limb column sum
+    for p in kernels._NTT_PRIMES:
+        for bits in range(kernels._LEAF.bit_length()):
+            limbs = kernels._tables(p, 1 << bits)[1]
+            assert (p - 1) * int(limbs.sum(axis=0).max()) < 1 << 53, (p, bits)
+
+
+def test_prime_table_is_ntt_friendly():
+    primes = kernels._NTT_PRIMES
+    assert len(set(primes)) == len(primes)
+    for p in primes:
+        assert p < 1 << 31 and (p - 1) % (1 << 23) == 0
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def test_solution_count_matches_naive():
@@ -101,6 +193,64 @@ def test_solution_count_matches_naive():
                 slow = kernels.naive_count(ring, coeff_coords, t,
                                            planes=planes)
                 assert fast == slow, (field.q, coeffs, planes, level)
+
+
+def brute_restricted_count(ring, coeffs, target, planes):
+    """Tuples of non-units solving the congruence, one by one."""
+    nonunits = [x for x in ring.elements() if not ring.is_unit(x)]
+    two = ring.reduce(ring.field.elt(2).coords)
+    want = ring.reduce(target)
+    count = 0
+    for xs in itertools.product(nonunits, repeat=len(coeffs) + 2 * planes):
+        acc = ring.reduce((0,) * ring.field.ncoords)
+        for c, x in zip(coeffs, xs):
+            acc = ring.add(acc, ring.mul(ring.reduce(c), ring.mul(x, x)))
+        for i in range(len(coeffs), len(xs), 2):
+            acc = ring.add(acc, ring.mul(two, ring.mul(xs[i], xs[i + 1])))
+        count += acc == want
+    return count
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_solution_count_matches_naive_on_every_field(data):
+    field = data.draw(st.sampled_from((Q2, Q4, R2, F3, F5)))
+    planes = data.draw(st.integers(0, 1))
+    ncoeffs = data.draw(st.integers(1 - planes, 3))
+    nvars = ncoeffs + 2 * planes
+    # keep the oracle's size^nvars enumeration near 2^16 points
+    top = max(1, min(3, int(16 // (nvars * math.log2(field.q)))))
+    ring = field.ring(data.draw(st.integers(1, top)))
+    elt = st.tuples(*[st.integers(-40, 40)] * field.ncoords)
+    coeffs = data.draw(st.lists(elt, min_size=ncoeffs, max_size=ncoeffs))
+    target = data.draw(elt)
+    restrict = data.draw(st.booleans())
+    got = kernels.solution_count(ring, coeffs, target, planes=planes,
+                                 restrict_nonunit=restrict)
+    if not restrict:
+        want = kernels.naive_count(ring, coeffs, target, planes=planes)
+    elif planes == 0:
+        # x = pi*x' covers each non-unit x exactly q times
+        pi2 = field._mul(field.uniformizer().coords, field.uniformizer().coords)
+        scaled = [field._mul(c, pi2) for c in coeffs]
+        total = kernels.naive_count(ring, scaled, target)
+        assert total % field.q ** nvars == 0
+        want = total // field.q ** nvars
+    else:
+        want = brute_restricted_count(ring, coeffs, target, planes)
+    assert got == want
+
+
+@pytest.mark.parametrize("field, ell", [(Q2, 15), (Q4, 7)])
+def test_quaternary_cliff_levels_match_closed_form(field, ell):
+    B = anisotropic_representative(field, 4)
+    want = closed_profile(B).series_at(0, field.q, ell)[ell]
+    assert count_level_histogram(B, field.one(), ell) == want
+
+
+def test_plane_at_level_11_counts_exactly():
+    B = DiagonalForm(Q2, [1], planes=1)
+    assert count_level_histogram(B, Q2.one(), 11) == Fraction(1, 2048)
 
 
 def test_primitive_zero_exists_matches_enumeration():
