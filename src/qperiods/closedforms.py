@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .ratfunc import (
     RF, VAR_AV, VAR_IQ, VAR_Z, AVv, IQv, Zv,
-    geometric_inverse_factor as _geom, ratio_if_proportional, rf_equal,
+    geometric_inverse_factor as _geom, ratio_if_proportional,
 )
 
 ONE = RF.const(1)
@@ -197,8 +197,8 @@ def _binary_odd_defect_minus(e, d):
         C = -_m(2 - e, 2 + s) * _geom(1, 1)
         return PiecewiseGeometric(2, e, _zeros_below(T0), T0,
                                   [(A, (0, 0)), (C, (2, 2))])
-    # d > e + 1: no supported field reaches this branch (d odd < 2e forces
-    # d <= e + 1 whenever e <= 2), kept for completeness
+    # d > e + 1: the assembly identities of criterion 4 reach this branch
+    # (e = 0 with d = 3, 5; e = 1 with d = 3, 5; e = 2 with d = 5)
     s = (1 - d) // 2
     A = (_unit_level_head(e)
          - _m(d - e + 1, (d + 1) // 2) * (ONE - IQv) * _geom(1, 1) * _geom(2, 1))

@@ -199,19 +199,7 @@ def residually_anisotropic_pair(field: LocalField):
 
 def _conic_kernel_trivial(field, u, v) -> bool:
     """True when u x^2 + xy + v y^2 = 0 mod 2 only for x = y = 0 mod 2."""
-    ring = field.ring(1)
-    uc = ring.reduce(u.coords)
-    vc = ring.reduce(v.coords)
-    zero = (0,) * field.ncoords
-    for xc in ring.elements():
-        for yc in ring.elements():
-            if xc == zero and yc == zero:
-                continue
-            val = ring.add(ring.mul(uc, ring.mul(xc, xc)), ring.mul(xc, yc))
-            val = ring.add(val, ring.mul(vc, ring.mul(yc, yc)))
-            if val == zero:
-                return False
-    return True
+    return conic_measure(field, u, v, 1) == Fraction(1, field.q ** 2)
 
 
 def conic_measure(field: LocalField, u, v, ell: int, C=1, bx=0, ay=0, d0=0) -> Fraction:
@@ -228,27 +216,15 @@ def conic_measure(field: LocalField, u, v, ell: int, C=1, bx=0, ay=0, d0=0) -> F
     ay = _as_element(field, ay)
     d0 = _as_element(field, d0)
     ring = field.ring(ell)
-    base = kernels.coord_arrays(ring)
     size = ring.size
-    idx = np.arange(size)
-    xi = np.repeat(idx, size)
-    yi = np.tile(idx, size)
-    xs = tuple(c[xi] for c in base)
-    ys = tuple(c[yi] for c in base)
-
-    def const(e):
-        return tuple(np.full(size * size, cc % m, dtype=np.int64)
-                     for cc, m in zip(e.coords, ring.moduli))
-
-    val = kernels.vec_mul(ring, const(u), kernels.vec_mul(ring, xs, xs))
-    val = kernels.vec_add(ring, val, kernels.vec_mul(
-        ring, const(C), kernels.vec_mul(ring, xs, ys)))
-    val = kernels.vec_add(ring, val, kernels.vec_mul(
-        ring, const(v), kernels.vec_mul(ring, ys, ys)))
-    val = kernels.vec_add(ring, val, kernels.vec_mul(ring, const(bx), xs))
-    val = kernels.vec_add(ring, val, kernels.vec_mul(ring, const(ay), ys))
-    val = kernels.vec_add(ring, val, const(d0))
-    mask = np.ones(size * size, dtype=bool)
-    for c in val:
-        mask &= (c == 0)
-    return Fraction(int(mask.sum()), size * size)
+    base = ring.coords()
+    xs = tuple(np.repeat(c, size) for c in base)
+    ys = tuple(np.tile(c, size) for c in base)
+    val = ring.mul(ring.reduce(u), ring.mul(xs, xs))
+    val = ring.add(val, ring.mul(ring.reduce(C), ring.mul(xs, ys)))
+    val = ring.add(val, ring.mul(ring.reduce(v), ring.mul(ys, ys)))
+    val = ring.add(val, ring.mul(ring.reduce(bx), xs))
+    val = ring.add(val, ring.mul(ring.reduce(ay), ys))
+    val = ring.add(val, ring.reduce(d0))
+    zero = np.logical_and.reduce([c == 0 for c in val])
+    return Fraction(int(zero.sum()), size * size)

@@ -5,8 +5,9 @@ of the ring, and a count is one entry of their convolution.  One engine
 computes that entry by number-theoretic transforms modulo as many primes as
 the count's bound needs, joined by CRT; every count is an exact integer.
 
-The ring objects consumed here are ResidueRing instances; only their
-moduli, field parameters, and canonical coordinate layout are used.
+Ring arithmetic is not repeated here: values come from the ResidueRing
+methods (coords, mul, add, ord_of, is_unit) applied to whole arrays of
+elements, and this module owns only the histogram layout (flat_index).
 """
 
 from __future__ import annotations
@@ -33,54 +34,13 @@ def enum_budget() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ring coordinates as flat arrays
+# Histograms of quadratic values
 # ---------------------------------------------------------------------------
-
-def coord_arrays(ring):
-    """One int64 array per coordinate, jointly listing every ring element."""
-    if len(ring.moduli) == 1:
-        return (np.arange(ring.moduli[0], dtype=np.int64),)
-    m0, m1 = ring.moduli
-    x = np.tile(np.arange(m0, dtype=np.int64), m1)
-    y = np.repeat(np.arange(m1, dtype=np.int64), m0)
-    return (x, y)
-
-
-def vec_reduce(ring, coords):
-    return tuple(np.asarray(c) % m for c, m in zip(coords, ring.moduli))
-
-
-def vec_mul(ring, a, b):
-    """Componentwise ring product of two coordinate-tuple arrays."""
-    f = ring.field
-    if f.ncoords == 1:
-        return ((a[0] * b[0]) % ring.moduli[0],)
-    x1, y1 = a
-    x2, y2 = b
-    m0, m1 = ring.moduli
-    return ((x1 * x2 - f.c0 * y1 * y2) % m0,
-            (x1 * y2 + x2 * y1 - f.c1 * y1 * y2) % m1)
-
-
-def vec_add(ring, a, b):
-    return tuple((x + y) % m for x, y, m in zip(a, b, ring.moduli))
-
-
-def nonunit_mask(ring, coords):
-    """Boolean mask of elements with ord >= 1."""
-    if ring.field.variant == "ramified":
-        return coords[0] % 2 == 0
-    return np.logical_and.reduce([c % ring.field.p == 0 for c in coords])
-
 
 def flat_index(ring, coords):
     return (coords[0] if len(coords) == 1
             else coords[0] * ring.moduli[1] + coords[1])
 
-
-# ---------------------------------------------------------------------------
-# Histograms of quadratic values
-# ---------------------------------------------------------------------------
 
 def square_term_histogram(ring, coeff_coords, restrict_nonunit=False):
     """Histogram of coeff * x^2 as x runs over the ring (or over pi*o)."""
@@ -89,14 +49,14 @@ def square_term_histogram(ring, coeff_coords, restrict_nonunit=False):
 
 def square_histograms(ring, coeff_list, restrict_nonunit=False):
     """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0."""
-    xs = coord_arrays(ring)
-    if restrict_nonunit:
-        mask = nonunit_mask(ring, xs)
-        xs = tuple(c[mask] for c in xs)
-    sq = vec_mul(ring, xs, xs)
+    xs = ring.coords()
+    if restrict_nonunit and ring.level:  # at level 0 the one class is in pi*o
+        keep = ~ring.is_unit(xs)
+        xs = tuple(c[keep] for c in xs)
+    sq = ring.mul(xs, xs)
     cc = np.array([ring.reduce(c) for c in coeff_list], dtype=np.int64)
     cc = cc.reshape(-1, len(ring.moduli)).T[:, :, None]
-    idx = flat_index(ring, vec_mul(ring, cc, sq))
+    idx = flat_index(ring, ring.mul(cc, sq))
     idx += ring.size * np.arange(len(coeff_list))[:, None]
     h = np.bincount(idx.ravel(), minlength=ring.size * len(coeff_list))
     return h.reshape((len(coeff_list),) + ring.moduli)
@@ -109,17 +69,13 @@ def plane_histogram(ring, restrict_nonunit=False):
     product of ord s, spread uniformly over the elements of that ord (units
     act transitively on them), and doubling shifts ord by e = ord 2.
     """
-    f, level, grid = ring.field, ring.level, np.indices(ring.moduli)
-    ords = np.zeros(ring.moduli, dtype=np.int64)  # the ord of 0 is level
-    for k in range(1, level + 1):
-        steps = ((2 ** ((k + 1) // 2), 2 ** (k // 2)) if f.variant == "ramified"
-                 else (f.p ** k,) * f.ncoords)
-        ords += np.logical_and.reduce([c % st == 0 for c, st in zip(grid, steps)])
+    level = ring.level
+    ords = ring.ord_of(np.indices(ring.moduli))  # the ord of 0 is level
     per_ord = np.bincount(ords.ravel(), minlength=level + 1)
     s = np.arange(level + 1)
     free = per_ord * (s >= min(restrict_nonunit, level))  # level 0: 0 is pi*o
     pairs = np.zeros(level + 1, dtype=np.int64)
-    np.add.at(pairs, np.minimum(np.add.outer(s, s) + f.e, level),
+    np.add.at(pairs, np.minimum(np.add.outer(s, s) + ring.field.e, level),
               np.outer(free, free))
     return pairs[ords] // per_ord[ords]
 
@@ -290,31 +246,27 @@ def naive_count(ring, coeff_list, target_coords, planes=0, budget=None) -> int:
         return 1 if all(c == 0 for c in target) else 0
 
     # per-variable value tables (each of length `size`, or size^2 per plane)
-    xs = coord_arrays(ring)
-    tables = []
-    for c in coeff_list:
-        cc = vec_reduce(ring, c)
-        tables.append(vec_mul(ring, cc, vec_mul(ring, xs, xs)))
+    xs = ring.coords()
+    sq = ring.mul(xs, xs)
+    tables = [ring.mul(ring.reduce(c), sq) for c in coeff_list]
+    two = ring.reduce(ring.field.elt(2))
     for _ in range(planes):
         k = len(xs[0])
         pair_x = tuple(np.repeat(c, k) for c in xs)
         pair_y = tuple(np.tile(c, k) for c in xs)
-        two = vec_reduce(ring, (2,) + (0,) * (ring.field.ncoords - 1))
-        tables.append(vec_mul(ring, vec_mul(ring, two, pair_x), pair_y))
+        tables.append(ring.mul(ring.mul(two, pair_x), pair_y))
 
     # build the running sum over a suffix of variables small enough to hold
     inner = tables[-1]
     i = len(tables) - 2
     while i >= 0 and len(inner[0]) * len(tables[i][0]) <= (1 << 22):
-        t = tables[i]
-        inner = tuple(
-            (t_c[:, None] + inner_c[None, :]).ravel() % m
-            for t_c, inner_c, m in zip(t, inner, ring.moduli))
+        sums = ring.add([c[:, None] for c in tables[i]], [c[None, :] for c in inner])
+        inner = tuple(c.ravel() for c in sums)
         i -= 1
     outer_tables = tables[:i + 1]
 
     def count_against(partial):
-        want = tuple((tc - pc) % m for tc, pc, m in zip(target, partial, ring.moduli))
+        want = ring.sub(target, partial)
         ok = inner[0] == want[0]
         for c, wc in zip(inner[1:], want[1:]):
             ok &= c == wc
@@ -328,8 +280,7 @@ def naive_count(ring, coeff_list, target_coords, planes=0, budget=None) -> int:
     while True:
         partial = tuple(0 for _ in ring.moduli)
         for t, j in zip(outer_tables, idx):
-            partial = tuple((p + int(tc[j])) % m
-                            for p, tc, m in zip(partial, t, ring.moduli))
+            partial = ring.add(partial, tuple(int(tc[j]) for tc in t))
         total += count_against(partial)
         k = len(idx) - 1
         while k >= 0:

@@ -23,6 +23,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 class InternalConsistencyError(RuntimeError):
     """Two independent routes to the same quantity disagreed."""
@@ -304,7 +306,13 @@ def elt_from_json(field: LocalField, obj) -> FieldElt:
 
 
 class ResidueRing:
-    """The quotient o/pi^L with componentwise canonical representatives."""
+    """The quotient o/pi^L with componentwise canonical representatives.
+
+    This is the one implementation of ring arithmetic.  A ring element is a
+    tuple of coordinates, and every operation works on coordinates that are
+    Python ints or equal-length int64 arrays alike, so one call handles a
+    single element or a whole batch (such as coords()).
+    """
 
     def __init__(self, field, level):
         self.field = field
@@ -316,7 +324,6 @@ class ResidueRing:
         else:
             self.moduli = (field.p ** level, field.p ** level)
         self.size = field.q ** level
-        self._elements = None
 
     def reduce(self, x):
         coords = x.coords if isinstance(x, FieldElt) else x
@@ -328,29 +335,39 @@ class ResidueRing:
     def sub(self, a, b):
         return tuple((x - y) % m for x, y, m in zip(a, b, self.moduli))
 
-    def neg(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
     def mul(self, a, b):
         return self.reduce(self.field._mul(a, b))
 
-    def ord_of(self, coords) -> int:
-        """Valuation of the residue class, capped at the ring level."""
-        o = self.field._ord(self.reduce(coords))
-        return self.level if o > self.level else int(o)
+    def ord_of(self, coords):
+        """Valuation of each class, capped at the ring level, as an int64
+        array: one divisibility step per level (a class of ord >= k has
+        every coordinate divisible by the k-th step)."""
+        f = self.field
+        o = np.zeros(np.broadcast(*coords).shape, dtype=np.int64)
+        for k in range(1, self.level + 1):
+            steps = ((2 ** ((k + 1) // 2), 2 ** (k // 2))
+                     if f.variant == "ramified" else (f.p ** k,) * f.ncoords)
+            o += np.logical_and.reduce([c % s == 0 for c, s in zip(coords, steps)])
+        return o
 
-    def is_unit(self, coords) -> bool:
-        return self.level == 0 or self.ord_of(coords) == 0
+    def is_unit(self, coords):
+        """ord == 0, read from the residues mod p in one pass.  Every class
+        of the zero ring (level 0) is a unit."""
+        f = self.field
+        unit = self.level == 0
+        for c in coords[:1] if f.variant == "ramified" else coords:
+            unit = unit | (c % f.p != 0)
+        return unit
+
+    def coords(self):
+        """One int64 array per coordinate, jointly listing every class; x
+        runs fastest, so the rational integers come first."""
+        axes = [np.arange(m, dtype=np.int64) for m in self.moduli]
+        return tuple(c.ravel() for c in np.meshgrid(*axes))
 
     def elements(self):
-        """All residue classes; rational integers come first."""
-        if self._elements is None:
-            if len(self.moduli) == 1:
-                self._elements = [(x,) for x in range(self.moduli[0])]
-            else:
-                m0, m1 = self.moduli
-                self._elements = [(x, y) for y in range(m1) for x in range(m0)]
-        return self._elements
+        """Every class as a tuple of ints, in coords() order."""
+        return list(zip(*(c.tolist() for c in self.coords())))
 
     def lift(self, coords) -> FieldElt:
         return self.field.elt(*coords)
@@ -410,13 +427,8 @@ def quadratic_defect(field: LocalField, rho, level: int = None) -> DefectResult:
     hit = field._defect_cache.get(key)
     if hit is not None:
         return hit
-    best = 0
-    for eta in ring.elements():
-        d = ring.ord_of(ring.sub(target, ring.mul(eta, eta)))
-        if d > best:
-            best = d
-            if best >= level:
-                break
+    xs = ring.coords()
+    best = int(ring.ord_of(ring.sub(target, ring.mul(xs, xs))).max())
     if best >= o + 2 * field.e + 1:
         result = DefectResult("square", None, o)
     else:
@@ -529,8 +541,7 @@ def _residue_char(field: LocalField, u) -> int:
 def _split_odd(field, x):
     """(parity of ord, unit part) for odd p, by exact coordinate division."""
     o = int(x.ord())
-    t = o if field.f == 1 else o  # ord counts pi = p powers directly
-    pt = field.p ** t
+    pt = field.p ** o  # ord counts pi = p powers directly
     unit = field.elt(*[c // pt for c in x.coords])
     return o, unit
 
@@ -578,15 +589,12 @@ def _symbol_by_rules(field: LocalField, a, b, akind, bkind, apar, bpar):
 def _one_plus_2c(field, u):
     """Residue pair of c where u * eta^2 = 1 + 2c; unramified dyadic only."""
     ring = field.ring(2 * field.e + 1)
-    for coords in ring.elements():
-        if not ring.is_unit(coords):
-            continue
-        prod = ring.mul(ring.reduce(u), ring.mul(coords, coords))
-        if prod[0] % 2 == 1 and prod[1] % 2 == 0:
-            shifted = ring.sub(prod, (1, 0))
-            if all(c % 2 == 0 for c in shifted):
-                return (shifted[0] // 2 % 2, shifted[1] // 2 % 2)
-    raise InternalConsistencyError("unit not expressible as square*(1+2c)")
+    xs = ring.coords()
+    x, y = ring.sub(ring.mul(ring.reduce(u), ring.mul(xs, xs)), (1, 0))
+    hits = np.flatnonzero(ring.is_unit(xs) & (x % 2 == 0) & (y % 2 == 0))
+    if not len(hits):
+        raise InternalConsistencyError("unit not expressible as square*(1+2c)")
+    return (int(x[hits[0]]) // 2 % 2, int(y[hits[0]]) // 2 % 2)
 
 
 def _symbol_by_search(field: LocalField, a, b) -> int:
@@ -685,18 +693,3 @@ def pick_companion_unit(field: LocalField, delta) -> FieldElt:
         if ukind == "unitd" and ud == 1 and hilbert_symbol(field, u, delta) == -1:
             return u
     raise InternalConsistencyError("companion search exhausted for %r" % (delta,))
-
-
-def element_with_symbol(field: LocalField, delta, sign: int,
-                        allow_nonunit: bool = True) -> FieldElt:
-    """First element (units first, then pi * units) pairing to sign with delta."""
-    delta = field.elt(delta) if isinstance(delta, int) else delta
-    for u in unit_class_reps(field):
-        if hilbert_symbol(field, u, delta) == sign:
-            return u
-    if allow_nonunit:
-        pi = field.uniformizer()
-        for u in unit_class_reps(field):
-            if hilbert_symbol(field, u * pi, delta) == sign:
-                return u * pi
-    raise ValueError("no element with (a, %r) = %d" % (delta, sign))

@@ -19,26 +19,12 @@ from fractions import Fraction
 from .ratfunc import (RF, IQv, AVv, VAR_Z, VAR_AV,
                       ratio_if_proportional, pretty_rf)
 from .closedforms import PiecewiseGeometric, closed_profile, pi_geometric, zeta_Z
+from .localfield import _is_prime
 from .qform import witt_profile
 
 ONE = RF.const(1)
 
 _PRETTY_NAMES = ("z", "1/q", "a")
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def primes_up_to(N: int):

@@ -417,10 +417,6 @@ IQv = RF.var(VAR_IQ)
 AVv = RF.var(VAR_AV)
 
 
-def rf_equal(f: RF, g: RF) -> bool:
-    return f == g
-
-
 def ratio_if_proportional(f: RF, g: RF, constant_free_of=(VAR_Z, VAR_IQ, VAR_AV)):
     """Return c with f = c*g where c avoids the listed variables, else None.
 

@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +16,10 @@ Q4 = make_field(2, 2, "unramified")
 R2 = make_field(2, 1, "ramified", c1=0, c0=-2)
 F3 = make_field(3)
 F9 = make_field(3, 2, "unramified")
+F5 = make_field(5)
 
 ALL_FIELDS = [Q2, Q4, R2, F3, F9]
+RING_FIELDS = [Q2, Q4, R2, F3, F5]
 
 
 def test_make_field_validation():
@@ -110,6 +114,70 @@ def test_ramified_defect_range():
         res = quadratic_defect(R2, u)
         seen.add(None if res.is_square else res.d)
     assert seen == {None, 1, 3, 4}
+
+
+@pytest.mark.parametrize("field", RING_FIELDS)
+@pytest.mark.parametrize("level", range(5))
+def test_ring_ops_on_arrays_match_field_arithmetic(field, level):
+    ring = field.ring(level)
+    m = ring.moduli
+    # x fastest, so the rational integers come first
+    order = [xy[::-1] for xy in itertools.product(*map(range, m[::-1]))]
+    assert ring.elements() == order
+    a = ring.coords()
+    assert all(c.dtype == np.int64 for c in a)
+    assert list(zip(*(c.tolist() for c in a))) == order
+    b = tuple(c[::-1] for c in a)  # pairs each element with another
+
+    def canon(elt):
+        return tuple(c % mod for c, mod in zip(elt.coords, m))
+
+    ops = {"mul": ring.mul(a, b), "add": ring.add(a, b), "sub": ring.sub(a, b)}
+    ords, units = ring.ord_of(a), ring.is_unit(a)
+    assert ords.shape == units.shape == (ring.size,)
+    for i, (x, y) in enumerate(zip(order, order[::-1])):
+        X, Y = field.elt(*x), field.elt(*y)
+        for name, want in (("mul", X * Y), ("add", X + Y), ("sub", X - Y)):
+            assert tuple(int(c[i]) for c in ops[name]) == canon(want), name
+        o = min(X.ord(), level)
+        assert ords[i] == o
+        assert units[i] == (o == 0) == ring.is_unit(x)
+
+
+def brute_defect(field, rho):
+    """quadratic_defect by hand: the largest ord(rho - eta^2), eta over
+    o/pi^L, in FieldElt arithmetic."""
+    o = int(rho.ord())
+    L = o + 2 * field.e + 2
+    best = 0
+    for eta in itertools.product(*map(range, field.ring(L).moduli)):
+        eta = field.elt(*eta)
+        best = max(best, min((rho - eta * eta).ord(), L))
+    if best >= o + 2 * field.e + 1:
+        return ("square", None, o)
+    return ("defect", best, o)
+
+
+@pytest.mark.parametrize("field", RING_FIELDS)
+def test_quadratic_defect_matches_brute_force_scan(field):
+    ring = field.ring(2 * field.e + 1)
+    units = [ring.lift(x) for x in ring.elements() if ring.is_unit(x)]
+    pi = field.uniformizer()
+    probes = units + [u * pi for u in units[:6]] + [u * pi * pi for u in units[:4]]
+    for rho in probes:
+        res = quadratic_defect(field, rho)
+        assert (res.kind, res.d, res.o) == brute_defect(field, rho), rho
+
+
+@pytest.mark.parametrize("field, reps", [
+    (Q2, [(1,), (3,), (5,), (7,)]),
+    (Q4, [(1, 0), (3, 0), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2), (1, 3)]),
+    (R2, [(1, 0), (3, 0), (5, 0), (7, 0), (1, 1), (3, 1), (1, 3), (3, 3)]),
+    (F3, [(1,), (2,)]),
+    (F5, [(1,), (2,)]),
+])
+def test_unit_class_reps_keep_the_traversal_order(field, reps):
+    assert [u.coords for u in unit_class_reps(field)] == reps
 
 
 def test_unit_class_rep_counts():
