@@ -1,0 +1,261 @@
+"""The verification suite behind `qperiods verify`.
+
+Each check holds a result against an independent route to it (closed form
+against direct counting, symbolic assembly against summation, measure
+against enumeration) or against a law it must obey, and reports (name,
+passed, detail).  Representative forms come from the closed-form case
+table through `case_representative`.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+from .localfield import (make_field, quadratic_defect, hilbert_symbol,
+                         count_square_roots, unit_class_reps)
+from .qform import DiagonalForm
+from .counting import (count_level_histogram, x_series, x_series_at,
+                       conic_measure, residually_anisotropic_pair)
+from .closedforms import (case_for_form, case_representative, x_closed,
+                          UnsupportedCase, ClosedFormCase, pi_geometric,
+                          pi_from_x, halfstep_sum)
+from .ratfunc import RF, Zv, IQv
+from .periods import verify_table_row
+
+SUBSETS = ("lemmas", "closedforms", "tables")
+
+
+def _matrix_configs(quick=False):
+    q2 = make_field(2)
+    q4 = make_field(2, 2, "unramified")
+    r2 = make_field(2, 1, "ramified", c1=0, c0=-2)
+    f3 = make_field(3)
+    all16 = [("empty", None), ("unit_square", None), ("unit_nonsquare", 1),
+             ("unit_nonsquare", 2), ("prime", None),
+             ("binary_prime_plus", None), ("binary_prime_minus", None),
+             ("binary_unit4_minus", None), ("binary_unit4_plus", None),
+             ("binary_odd_defect_minus", 1), ("binary_odd_defect_plus", 1),
+             ("ternary_prime", None), ("ternary_odd_defect", None),
+             ("ternary_square", None), ("ternary_unit4", None),
+             ("quaternary", None)]
+    out = [(q2, tag, d) for tag, d in all16]
+    if quick:
+        out += [(q4, "unit_square", None), (q4, "ternary_square", None),
+                (r2, "prime", None), (f3, "binary_unit4_minus", None)]
+        return out
+    out += [(q4, tag, d) for tag, d in all16]
+    out += [(r2, tag, d) for tag, d in
+            [("empty", None), ("unit_square", None), ("unit_nonsquare", 1),
+             ("unit_nonsquare", 3), ("unit_nonsquare", 4), ("prime", None),
+             ("binary_prime_plus", None), ("binary_prime_minus", None),
+             ("binary_unit4_minus", None), ("binary_odd_defect_minus", 1),
+             ("binary_odd_defect_minus", 3)]]
+    out += [(f3, tag, d) for tag, d in
+            [("empty", None), ("unit_square", None), ("unit_nonsquare", 0),
+             ("prime", None), ("binary_prime_plus", None),
+             ("binary_prime_minus", None), ("binary_unit4_minus", None)]]
+    return out
+
+
+def _checks_closedforms(quick=False):
+    out = []
+    L = 4 if quick else 6
+    Ts = range(2) if quick else range(4)
+    for field, tag, d in _matrix_configs(quick):
+        name = "closedform q=%d e=%d %s d=%s" % (field.q, field.e, tag, d)
+        B = case_representative(field, tag, d)
+        case = case_for_form(B)
+        if case.tag != tag:
+            out.append((name, False, "dispatched to %s" % case.tag))
+            continue
+        prof = x_closed(case)
+        ok, detail = True, ""
+        for T in Ts:
+            if prof.series_at(T, field.q, L) != list(x_series_at(B, T, L).coeffs):
+                ok, detail = False, "series mismatch at T=%d" % T
+                break
+        if ok and prof.zero_series(field.q, L) != list(x_series_at(B, None, L).coeffs):
+            ok, detail = False, "zero-target mismatch"
+        out.append((name, ok, detail))
+
+    # closed forms that require e = 1 must refuse other fields
+    refused = True
+    for tag in ("binary_unit4_plus", "ternary_square", "quaternary"):
+        try:
+            x_closed(ClosedFormCase(tag, 0, 2, d=1))
+            refused = False
+        except UnsupportedCase:
+            pass
+    out.append(("closedform unsupported-e refusal", refused, ""))
+
+    # the two Pi assemblies agree for every case
+    ok = True
+    for field, tag, d in _matrix_configs(True):
+        prof = x_closed(case_for_form(case_representative(field, tag, d)))
+        if pi_from_x(prof) != pi_geometric(prof):
+            ok = False
+    out.append(("pi assembly agreement", ok, ""))
+
+    # half-step sum identity
+    ok = True
+    for o in range(5):
+        for Ln in range(10):
+            direct = RF.const(0)
+            for l in range(Ln):
+                direct = direct + Zv ** l * IQv ** ((l + o + 1) // 2)
+            if halfstep_sum(Ln, o) != direct:
+                ok = False
+    out.append(("half-step sum identity", ok, ""))
+
+    # dimension reduction against direct counting, order 5
+    ok, detail = True, ""
+    order = 5
+    for p in (2, 3):
+        field = make_field(p)
+        for k in (1, 2):
+            for coeffs, rho in [([1], 1), ([1, -5], 1)]:
+                B = DiagonalForm(field, coeffs)
+                Bk = DiagonalForm(field, coeffs, planes=k)
+                small = x_series(B, field.elt(rho), order + 2 * k, direct=True)
+                big = x_series(Bk, field.elt(rho), order, direct=True)
+                iq = Fraction(1, field.q)
+                sub = [small[l] * iq ** (k * l) for l in range(len(small))]
+                pref = ((RF.const(1) - Zv * IQv ** (k + 1))
+                        / (RF.const(1) - Zv * IQv)).series_z(order, iq=iq)
+                rhs = [sum(pref[j] * sub[l - j] for j in range(l + 1))
+                       for l in range(order + 1)]
+                if rhs != list(big.coeffs):
+                    ok, detail = False, "p=%d k=%d %r" % (p, k, coeffs)
+    out.append(("dimension reduction vs counting", ok, detail))
+    return out
+
+
+def _square_counts(ring):
+    """How many x in the ring have each square x^2, keyed by coordinates."""
+    xs = ring.coords()
+    return Counter(zip(*(c.tolist() for c in ring.mul(xs, xs))))
+
+
+def _checks_lemmas(quick=False):
+    out = []
+    fields = [make_field(2)] if quick else [make_field(2),
+                                            make_field(2, 2, "unramified")]
+    for field in fields:
+        q, e = field.q, field.e
+        fname = "q=%d" % q
+
+        # one-step decay of the level counts past ord(2 rho)
+        ok, detail = True, ""
+        reps = [case_representative(field, tag) for tag in
+                ("unit_square", "prime", "binary_unit4_minus", "ternary_square")]
+        rhos = [field.elt(1), field.uniformizer(),
+                field.uniformizer() ** 2, field.elt(2) * field.elt(3)]
+        for B in reps:
+            for rho in rhos:
+                c = int(rho.ord()) + e + 1
+                for l in range(c, c + 3):
+                    a = count_level_histogram(B, rho, l)
+                    b = count_level_histogram(B, rho, l + 1)
+                    if b * q != a:
+                        ok, detail = False, "m=%d ord=%d l=%d" % (
+                            B.m, int(rho.ord()), l)
+        out.append(("stabilized decay %s" % fname, ok, detail))
+
+        # square-root counts against enumeration
+        ok, detail = True, ""
+        ring6 = field.ring(6)
+        squares = {l: _square_counts(field.ring(l)) for l in range(1, 5)}
+        seen = set()
+        for coords in ring6.elements():
+            rho = ring6.lift(coords)
+            if rho.is_zero():
+                continue
+            for l in range(1, 5):
+                rl = field.ring(l)
+                key = (tuple(rl.reduce(rho)), l)
+                if key in seen:
+                    continue
+                seen.add(key)
+                hits = squares[l][key[0]]
+                if count_square_roots(field, rho, l) != Fraction(hits, rl.size):
+                    ok, detail = False, "rho=%r l=%d" % (rho, l)
+        out.append(("square-root measure %s" % fname, ok, detail))
+
+        # unit-cross-term conic: measure q^-l + q^-(l-1)/q at every level
+        ok, detail = True, ""
+        u, v = residually_anisotropic_pair(field)
+        grid = [(1, 0, 0, 1), (1, 0, 0, 3), (3, 1, 0, 0), (1, 1, 1, 1),
+                (5, 0, 1, 2), (1, 2, 2, 1)]
+        for C, bx, ay, d0 in grid:
+            Ce, bxe, aye, d0e = (field.elt(C), field.elt(bx),
+                                 field.elt(ay), field.elt(d0))
+            probe = (u * aye * aye + (Ce + 2) * aye * bxe
+                     + v * bxe * bxe + d0e)
+            if not probe.is_unit():
+                continue
+            for l in range(1, 4 if quick else 5):
+                got = conic_measure(field, u, v, l, C=C, bx=bx, ay=ay, d0=d0)
+                want = Fraction(1, q ** l) + Fraction(1, q ** (l + 1))
+                if got != want:
+                    ok, detail = False, "C=%d bx=%d ay=%d d0=%d l=%d" % (
+                        C, bx, ay, d0, l)
+        out.append(("conic measure %s" % fname, ok, detail))
+
+        # symbol properties; the symbol itself cross-checks rules against
+        # solution search on every call
+        ok, detail = True, ""
+        w = field.uniformizer()
+        sample = list(unit_class_reps(field))
+        sample += [s * w for s in sample[:3]]
+        for a in sample:
+            for b in sample:
+                if hilbert_symbol(field, a, b) != hilbert_symbol(field, b, a):
+                    ok, detail = False, "symmetry"
+        for a in sample[:4]:
+            for b in sample[:4]:
+                for c in sample[:4]:
+                    lhs = hilbert_symbol(field, a * b, c)
+                    rhs = hilbert_symbol(field, a, c) * hilbert_symbol(field, b, c)
+                    if lhs != rhs:
+                        ok, detail = False, "bimultiplicativity"
+        delta = case_representative(field, "unit_nonsquare", 2 * e).coeffs[0]
+        for a in sample:
+            if hilbert_symbol(field, a, delta) != (-1) ** int(a.ord()):
+                ok, detail = False, "unit4 pairing at %r" % a
+        out.append(("symbol properties %s" % fname, ok, detail))
+
+        # defect classification: squares, odd defects below 2e, or 2e
+        ok, detail = True, ""
+        for uu in unit_class_reps(field):
+            res = quadratic_defect(field, uu)
+            if res.is_square:
+                continue
+            if not (res.d == 2 * e or (res.d % 2 == 1 and res.d < 2 * e)):
+                ok, detail = False, "unit defect %r -> %r" % (uu, res)
+        out.append(("defect classification %s" % fname, ok, detail))
+    return out
+
+
+def _checks_tables(ns):
+    out = []
+    for n in ns:
+        r = verify_table_row(n)
+        detail = " ".join("%s:%s" % (k, "ok" if v["pass"] else "FAIL")
+                          for k, v in sorted(r["checks"].items()))
+        if r["flags"]:
+            detail += "  [%d flag(s)]" % len(r["flags"])
+        out.append(("tables n=%d" % n, r["pass"], detail))
+    return out
+
+
+def run_checks(subsets, ns, quick):
+    """Run the named subsets of SUBSETS, in that order, with table rows ns;
+    quick trims the matrix and the levels.  Returns (name, passed, detail)
+    triples."""
+    out = []
+    if "lemmas" in subsets:
+        out += _checks_lemmas(quick)
+    if "closedforms" in subsets:
+        out += _checks_closedforms(quick)
+    if "tables" in subsets:
+        out += _checks_tables(ns)
+    return out

@@ -1,8 +1,10 @@
 """Batch command-line interface: classification, defects and symbols,
-counting, series, local factors, global periods, plus verification and
-benchmark drivers.
+counting, series, local factors, global periods, the verification suite of
+`qperiods.checks`, and a benchmark.
 
-Exit codes: 0 success (all checks pass), 1 check failure, 2 usage error.
+Exit codes: 0 success (all checks pass), 1 check failure, 2 usage error,
+3 internal consistency error (two independent routes to one result
+disagreed, which is a bug in qperiods).
 JSON output is deterministic: sorted keys, exact rationals as "p/q" strings,
 no timings.  The bench command prints human-readable timings only.
 """
@@ -16,18 +18,16 @@ import time
 from fractions import Fraction
 
 from .localfield import (make_field, quadratic_defect, hilbert_symbol,
-                         count_square_roots, unit_class_reps, unit_defect_kind)
+                         InternalConsistencyError)
 from .qform import (DiagonalForm, invariants, is_anisotropic,
                     anisotropic_representative)
 from .counting import (count_level_naive, count_level_histogram, x_series,
-                       x_series_at, pi_truncated, conic_measure,
-                       residually_anisotropic_pair)
+                       x_series_at, pi_truncated)
 from .kernels import EnumBudgetError
-from .closedforms import (case_for_form, x_closed, closed_profile,
-                          UnsupportedCase, ClosedFormCase, pi_geometric,
-                          pi_from_x, local_factor_chain, halfstep_sum)
-from .ratfunc import RF, Zv, IQv, pretty_rf, ratio_if_proportional, VAR_AV
-from .periods import table_row, verify_table_row, evaluate_period
+from .closedforms import (case_for_form, closed_profile, UnsupportedCase,
+                          pi_geometric, local_factor_chain)
+from .ratfunc import RF, pretty_rf, ratio_if_proportional, VAR_AV
+from .periods import table_row, evaluate_period
 
 _NAMES = ("z", "1/q", "a")
 
@@ -278,26 +278,16 @@ def cmd_pi(args) -> int:
     return 0
 
 
-def _rf_at(f: RF, iq: Fraction, av: Fraction):
-    try:
-        return f.eval_partial(iq=iq, av=av).as_fraction()
-    except ZeroDivisionError:
-        return None
-
-
 def _ratio_at_q2(f: RF, g: RF, alphas) -> Fraction:
     """Constant f/g sampled at iq = 1/2 over several a = 2^-alpha, or None.
 
     Some table entries absorb an integer 2 into powers of q, so they match
     the assembled forms as rational functions only once q is the number 2."""
-    ratios = []
-    for alpha in alphas:
-        av = Fraction(1, 2 ** alpha)
-        fv = _rf_at(f, Fraction(1, 2), av)
-        gv = _rf_at(g, Fraction(1, 2), av)
-        if fv is None or gv is None or gv == 0:
-            continue
-        ratios.append(fv / gv)
+    half = Fraction(1, 2)
+    values = [(f.eval_partial(iq=half, av=half ** a).as_fraction(),
+               g.eval_partial(iq=half, av=half ** a).as_fraction())
+              for a in alphas]
+    ratios = [fv / gv for fv, gv in values if gv != 0]
     if len(ratios) >= 2 and all(r == ratios[0] for r in ratios):
         return ratios[0]
     return None
@@ -323,8 +313,10 @@ def cmd_localfactor(args) -> int:
         "consistent": consistent,
     }
     if args.alpha is not None:
-        val = _rf_at(table, Fraction(1, 2), Fraction(1, 2 ** args.alpha))
-        if val is None:
+        try:
+            val = table.eval_partial(iq=Fraction(1, 2),
+                                     av=Fraction(1, 2 ** args.alpha)).as_fraction()
+        except ZeroDivisionError:
             raise UsageError("alpha = %d sits on a pole; needs alpha > %d"
                              % (args.alpha, args.n + 1))
         obj["alpha"] = args.alpha
@@ -348,294 +340,19 @@ def cmd_period(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification drivers
-# ---------------------------------------------------------------------------
-
-def _unit_with_defect(field, want_kind, want_d=None):
-    for u in unit_class_reps(field):
-        kind, d = unit_defect_kind(field, u)
-        if kind == want_kind and (want_d is None or d == want_d):
-            return u
-    raise UsageError("no unit class with defect kind %r" % want_kind)
-
-
-def _rep_for(field, tag, d):
-    e = field.e
-    if tag == "empty":
-        return DiagonalForm(field, [])
-    if tag == "unit_square":
-        return DiagonalForm(field, [1])
-    if tag == "unit_nonsquare":
-        kind = "unit4" if d == 2 * e else "unitd"
-        return DiagonalForm(
-            field, [_unit_with_defect(field, kind, None if d == 2 * e else d)])
-    if tag == "prime":
-        return DiagonalForm(field, [field.uniformizer()])
-    two = {"binary_prime_plus": ("prime", 1),
-           "binary_prime_minus": ("prime", -1),
-           "binary_unit4_minus": ("unit4", -1),
-           "binary_unit4_plus": ("unit4", 1),
-           "binary_odd_defect_minus": ("unitd", -1),
-           "binary_odd_defect_plus": ("unitd", 1)}
-    if tag in two:
-        kind, hmi = two[tag]
-        return anisotropic_representative(field, 2, disc_kind=kind, d=d, hmi=hmi)
-    three = {"ternary_prime": "prime", "ternary_odd_defect": "unitd",
-             "ternary_square": "square", "ternary_unit4": "unit4"}
-    if tag in three:
-        return anisotropic_representative(field, 3, disc_kind=three[tag])
-    return anisotropic_representative(field, 4)
-
-
-def _matrix_configs(quick=False):
-    q2 = make_field(2)
-    q4 = make_field(2, 2, "unramified")
-    r2 = make_field(2, 1, "ramified", c1=0, c0=-2)
-    f3 = make_field(3)
-    all16 = [("empty", None), ("unit_square", None), ("unit_nonsquare", 1),
-             ("unit_nonsquare", 2), ("prime", None),
-             ("binary_prime_plus", None), ("binary_prime_minus", None),
-             ("binary_unit4_minus", None), ("binary_unit4_plus", None),
-             ("binary_odd_defect_minus", 1), ("binary_odd_defect_plus", 1),
-             ("ternary_prime", None), ("ternary_odd_defect", None),
-             ("ternary_square", None), ("ternary_unit4", None),
-             ("quaternary", None)]
-    out = [(q2, tag, d) for tag, d in all16]
-    if quick:
-        out += [(q4, "unit_square", None), (q4, "ternary_square", None),
-                (r2, "prime", None), (f3, "binary_unit4_minus", None)]
-        return out
-    out += [(q4, tag, d) for tag, d in all16]
-    out += [(r2, tag, d) for tag, d in
-            [("empty", None), ("unit_square", None), ("unit_nonsquare", 1),
-             ("unit_nonsquare", 3), ("unit_nonsquare", 4), ("prime", None),
-             ("binary_prime_plus", None), ("binary_prime_minus", None),
-             ("binary_unit4_minus", None), ("binary_odd_defect_minus", 1),
-             ("binary_odd_defect_minus", 3)]]
-    out += [(f3, tag, d) for tag, d in
-            [("empty", None), ("unit_square", None), ("unit_nonsquare", 0),
-             ("prime", None), ("binary_prime_plus", None),
-             ("binary_prime_minus", None), ("binary_unit4_minus", None)]]
-    return out
-
-
-def _checks_closedforms(quick=False):
-    out = []
-    L = 4 if quick else 6
-    Ts = range(2) if quick else range(4)
-    for field, tag, d in _matrix_configs(quick):
-        name = "closedform q=%d e=%d %s d=%s" % (field.q, field.e, tag, d)
-        B = _rep_for(field, tag, d)
-        case = case_for_form(B)
-        if case.tag != tag:
-            out.append((name, False, "dispatched to %s" % case.tag))
-            continue
-        prof = x_closed(case)
-        ok, detail = True, ""
-        for T in Ts:
-            if prof.series_at(T, field.q, L) != list(x_series_at(B, T, L).coeffs):
-                ok, detail = False, "series mismatch at T=%d" % T
-                break
-        if ok and prof.zero_series(field.q, L) != list(x_series_at(B, None, L).coeffs):
-            ok, detail = False, "zero-target mismatch"
-        out.append((name, ok, detail))
-
-    # closed forms that require e = 1 must refuse other fields
-    refused = True
-    for tag in ("binary_unit4_plus", "ternary_square", "quaternary"):
-        try:
-            x_closed(ClosedFormCase(tag, 0, 2, d=1))
-            refused = False
-        except UnsupportedCase:
-            pass
-    out.append(("closedform unsupported-e refusal", refused, ""))
-
-    # the two Pi assemblies agree for every case
-    ok = True
-    for field, tag, d in _matrix_configs(True):
-        case = case_for_form(_rep_for(field, tag, d))
-        prof = x_closed(case)
-        if pi_from_x(prof) != pi_geometric(prof):
-            ok = False
-    out.append(("pi assembly agreement", ok, ""))
-
-    # half-step sum identity
-    ok = True
-    for o in range(5):
-        for Ln in range(10):
-            direct = RF.const(0)
-            for l in range(Ln):
-                direct = direct + Zv ** l * IQv ** ((l + o + 1) // 2)
-            if halfstep_sum(Ln, o) != direct:
-                ok = False
-    out.append(("half-step sum identity", ok, ""))
-
-    # dimension reduction against direct counting, order 5
-    ok, detail = True, ""
-    order = 5
-    for p in (2, 3):
-        field = make_field(p)
-        for k in (1, 2):
-            for coeffs, rho in [([1], 1), ([1, -5], 1)]:
-                B = DiagonalForm(field, coeffs)
-                Bk = DiagonalForm(field, coeffs, planes=k)
-                small = x_series(B, field.elt(rho), order + 2 * k, direct=True)
-                big = x_series(Bk, field.elt(rho), order, direct=True)
-                iq = Fraction(1, field.q)
-                sub = [small[l] * iq ** (k * l) for l in range(len(small))]
-                pref = ((RF.const(1) - Zv * IQv ** (k + 1))
-                        / (RF.const(1) - Zv * IQv)).series_z(order, iq=iq)
-                rhs = [sum(pref[j] * sub[l - j] for j in range(l + 1))
-                       for l in range(order + 1)]
-                if rhs != list(big.coeffs):
-                    ok, detail = False, "p=%d k=%d %r" % (p, k, coeffs)
-    out.append(("dimension reduction vs counting", ok, detail))
-    return out
-
-
-def _checks_lemmas(quick=False):
-    out = []
-    fields = [make_field(2)] if quick else [make_field(2),
-                                            make_field(2, 2, "unramified")]
-    for field in fields:
-        q, e = field.q, field.e
-        fname = "q=%d" % q
-
-        # one-step decay of the level counts past ord(2 rho)
-        ok, detail = True, ""
-        reps = [_rep_for(field, "unit_square", None),
-                _rep_for(field, "prime", None),
-                _rep_for(field, "binary_unit4_minus", None),
-                _rep_for(field, "ternary_square", None)]
-        rhos = [field.elt(1), field.uniformizer(),
-                field.uniformizer() ** 2, field.elt(2) * field.elt(3)]
-        for B in reps:
-            for rho in rhos:
-                c = int(rho.ord()) + e + 1
-                for l in range(c, c + 3):
-                    a = count_level_histogram(B, rho, l)
-                    b = count_level_histogram(B, rho, l + 1)
-                    if b * q != a:
-                        ok, detail = False, "m=%d ord=%d l=%d" % (
-                            B.m, int(rho.ord()), l)
-        out.append(("stabilized decay %s" % fname, ok, detail))
-
-        # square-root counts against enumeration
-        ok, detail = True, ""
-        ring6 = field.ring(6)
-        seen = set()
-        for coords in ring6.elements():
-            rho = ring6.lift(coords)
-            if rho.is_zero():
-                continue
-            for l in range(1, 5):
-                rl = field.ring(l)
-                key = (tuple(rl.reduce(rho)), l)
-                if key in seen:
-                    continue
-                seen.add(key)
-                target = tuple(rl.reduce(rho))
-                hits = sum(1 for x in rl.elements()
-                           if tuple(rl.mul(x, x)) == target)
-                if count_square_roots(field, rho, l) != Fraction(hits, rl.size):
-                    ok, detail = False, "rho=%r l=%d" % (rho, l)
-        out.append(("square-root measure %s" % fname, ok, detail))
-
-        # unit-cross-term conic: measure q^-l + q^-(l-1)/q at every level
-        ok, detail = True, ""
-        u, v = residually_anisotropic_pair(field)
-        grid = [(1, 0, 0, 1), (1, 0, 0, 3), (3, 1, 0, 0), (1, 1, 1, 1),
-                (5, 0, 1, 2), (1, 2, 2, 1)]
-        for C, bx, ay, d0 in grid:
-            Ce, bxe, aye, d0e = (field.elt(C), field.elt(bx),
-                                 field.elt(ay), field.elt(d0))
-            probe = (u * aye * aye + (Ce + 2) * aye * bxe
-                     + v * bxe * bxe + d0e)
-            if not probe.is_unit():
-                continue
-            for l in range(1, 4 if quick else 5):
-                got = conic_measure(field, u, v, l, C=C, bx=bx, ay=ay, d0=d0)
-                want = Fraction(1, q ** l) + Fraction(1, q ** (l + 1))
-                if got != want:
-                    ok, detail = False, "C=%d bx=%d ay=%d d0=%d l=%d" % (
-                        C, bx, ay, d0, l)
-        out.append(("conic measure %s" % fname, ok, detail))
-
-        # symbol properties; the symbol itself cross-checks rules against
-        # solution search on every call
-        ok, detail = True, ""
-        w = field.uniformizer()
-        sample = list(unit_class_reps(field))
-        sample += [s * w for s in sample[:3]]
-        for a in sample:
-            for b in sample:
-                if hilbert_symbol(field, a, b) != hilbert_symbol(field, b, a):
-                    ok, detail = False, "symmetry"
-        for a in sample[:4]:
-            for b in sample[:4]:
-                for c in sample[:4]:
-                    lhs = hilbert_symbol(field, a * b, c)
-                    rhs = hilbert_symbol(field, a, c) * hilbert_symbol(field, b, c)
-                    if lhs != rhs:
-                        ok, detail = False, "bimultiplicativity"
-        delta = _unit_with_defect(field, "unit4")
-        for a in sample:
-            if hilbert_symbol(field, a, delta) != (-1) ** int(a.ord()):
-                ok, detail = False, "unit4 pairing at %r" % a
-        out.append(("symbol properties %s" % fname, ok, detail))
-
-        # defect classification: squares, odd defects below 2e, or 2e
-        ok, detail = True, ""
-        for uu in unit_class_reps(field):
-            res = quadratic_defect(field, uu)
-            if res.is_square:
-                continue
-            if not (res.d == 2 * e or (res.d % 2 == 1 and res.d < 2 * e)):
-                ok, detail = False, "unit defect %r -> %r" % (uu, res)
-        out.append(("defect classification %s" % fname, ok, detail))
-    return out
-
-
-def _checks_tables(ns):
-    out = []
-    for n in ns:
-        r = verify_table_row(n)
-        detail = " ".join("%s:%s" % (k, "ok" if v["pass"] else "FAIL")
-                          for k, v in sorted(r["checks"].items()))
-        if r["flags"]:
-            detail += "  [%d flag(s)]" % len(r["flags"])
-        out.append(("tables n=%d" % n, r["pass"], detail))
-    return out
-
-
 def cmd_verify(args) -> int:
-    subsets = [s for s in ("lemmas", "closedforms", "tables")
-               if getattr(args, s)]
-    if not subsets:
-        subsets = ["lemmas", "closedforms", "tables"]
+    from . import checks  # loaded here only: no other command needs it
+    subsets = [s for s in checks.SUBSETS if getattr(args, s)] or checks.SUBSETS
     ns = parse_n_range(args.n) if args.n else range(3, 19)
-    checks = []
-    if "lemmas" in subsets:
-        checks += _checks_lemmas(args.quick)
-    if "closedforms" in subsets:
-        checks += _checks_closedforms(args.quick)
-    if "tables" in subsets:
-        checks += _checks_tables(ns)
-    ok = all(c[1] for c in checks)
-    if args.json:
-        obj = {"pass": ok,
-               "checks": [{"name": n, "pass": p, "detail": d}
-                          for n, p, d in checks]}
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        for name, p, detail in checks:
-            line = ("ok   " if p else "FAIL ") + name
-            if detail:
-                line += "  (%s)" % detail
-            print(line)
-        print("verify: %d/%d checks passed" % (sum(c[1] for c in checks),
-                                               len(checks)))
+    results = checks.run_checks(subsets, ns, args.quick)
+    ok = all(p for _, p, _ in results)
+    obj = {"pass": ok, "checks": [{"name": n, "pass": p, "detail": d}
+                                  for n, p, d in results]}
+    lines = [("ok   " if p else "FAIL ") + n + ("  (%s)" % d if d else "")
+             for n, p, d in results]
+    lines.append("verify: %d/%d checks passed"
+                 % (sum(p for _, p, _ in results), len(results)))
+    _emit(args, obj, "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -748,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target w^(2T) instead of --rho")
     p.add_argument("--zero", action="store_true", help="target 0")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="count directly (default)")
     p.add_argument("--closed", action="store_true",
                    help="use the closed form (needs --T or --zero)")
     p.add_argument("--direct", action="store_true",
@@ -800,12 +515,12 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except UsageError as ex:
+    except (UsageError, EnumBudgetError, ValueError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
-    except (UnsupportedCase, EnumBudgetError, ValueError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
+    except InternalConsistencyError as ex:
+        print("error: internal consistency: %s" % ex, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ T-independent part of the tail.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
+from .qform import anisotropic_representative, invariants, is_anisotropic
 from .ratfunc import (
     RF, VAR_AV, VAR_IQ, VAR_Z, AVv, IQv, Zv,
     geometric_inverse_factor as _geom, ratio_if_proportional,
@@ -113,7 +115,7 @@ class ClosedFormCase:
 
 
 # ---------------------------------------------------------------------------
-# The case registry.  First-method builders take any e >= 0; second-method
+# The case table.  First-method builders take any e >= 0; second-method
 # builders insist on e == 1.
 # ---------------------------------------------------------------------------
 
@@ -163,7 +165,7 @@ def _prime(e, d):
                               [(A, (0, 0)), (C, (2, 1))])
 
 
-def _binary_prime(e, d, sign):
+def _binary_prime(sign, e, d):
     A = _m(0, e) * _geom(1, 1)
     C = _m(e + 1, 2 * e + 1, sign) * _geom(1, 1)
     return PiecewiseGeometric(2, e, {}, 0, [(A, (0, 0)), (C, (2, 2))])
@@ -259,38 +261,48 @@ def _quaternary(e, d):
     return PiecewiseGeometric(4, e, exc, 1, [(A, (0, 0)), (C, (2, 4))])
 
 
-# tag -> (n, builder, second_method)
-_REGISTRY = {
-    "empty":                   (0, _empty, False),
-    "unit_square":             (1, _unit_square, False),
-    "unit_nonsquare":          (1, _unit_nonsquare, False),
-    "prime":                   (1, _prime, False),
-    "binary_prime_plus":       (2, lambda e, d: _binary_prime(e, d, 1), False),
-    "binary_prime_minus":      (2, lambda e, d: _binary_prime(e, d, -1), False),
-    "binary_unit4_minus":      (2, _binary_unit4_minus, False),
-    "binary_unit4_plus":       (2, _binary_unit4_plus, True),
-    "binary_odd_defect_minus": (2, _binary_odd_defect_minus, False),
-    "binary_odd_defect_plus":  (2, _binary_odd_defect_plus, True),
-    "ternary_prime":           (3, _ternary_prime, True),
-    "ternary_odd_defect":      (3, _ternary_odd_defect, True),
-    "ternary_square":          (3, _ternary_square, True),
-    "ternary_unit4":           (3, _ternary_unit4, True),
-    "quaternary":              (4, _quaternary, True),
+# tag -> (m, discriminant kind, symbol product, builder, needs e = 1).  The
+# first three columns are the key case_for_form looks up: kind "unit" covers
+# both nonsquare unit kinds in dimension 1, and only binary forms are split
+# by their symbol product.
+_CASES = {
+    "empty":                   (0, "square", None, _empty, False),
+    "unit_square":             (1, "square", None, _unit_square, False),
+    "unit_nonsquare":          (1, "unit", None, _unit_nonsquare, False),
+    "prime":                   (1, "prime", None, _prime, False),
+    "binary_prime_plus":       (2, "prime", 1, partial(_binary_prime, 1), False),
+    "binary_prime_minus":      (2, "prime", -1, partial(_binary_prime, -1), False),
+    "binary_unit4_minus":      (2, "unit4", -1, _binary_unit4_minus, False),
+    "binary_unit4_plus":       (2, "unit4", 1, _binary_unit4_plus, True),
+    "binary_odd_defect_minus": (2, "unitd", -1, _binary_odd_defect_minus, False),
+    "binary_odd_defect_plus":  (2, "unitd", 1, _binary_odd_defect_plus, True),
+    "ternary_prime":           (3, "prime", None, _ternary_prime, True),
+    "ternary_odd_defect":      (3, "unitd", None, _ternary_odd_defect, True),
+    "ternary_square":          (3, "square", None, _ternary_square, True),
+    "ternary_unit4":           (3, "unit4", None, _ternary_unit4, True),
+    "quaternary":              (4, "square", None, _quaternary, True),
 }
 
-CASE_TAGS = tuple(_REGISTRY)
+CASE_TAGS = tuple(_CASES)
+_TAG_OF = {row[:3]: tag for tag, row in _CASES.items()}
+
+
+def _row(tag, e):
+    """The table row of a tag, refusing a case without a closed form at e."""
+    if tag not in _CASES:
+        raise ValueError("unknown case tag %r" % (tag,))
+    row = _CASES[tag]
+    if row[4] and e != 1:
+        raise UnsupportedCase(
+            "%s has a closed form only for unramified dyadic fields (e = 1); "
+            "got e = %d" % (tag, e))
+    return row
 
 
 def x_closed(case: ClosedFormCase) -> PiecewiseGeometric:
     """The closed form for the case, as a piecewise-geometric profile
     in (z, iq) with symbolic T."""
-    if case.tag not in _REGISTRY:
-        raise ValueError("unknown case tag %r" % (case.tag,))
-    n, builder, second = _REGISTRY[case.tag]
-    if second and case.e != 1:
-        raise UnsupportedCase(
-            "%s has a closed form only for unramified dyadic fields (e = 1); "
-            "got e = %d" % (case.tag, case.e))
+    builder = _row(case.tag, case.e)[3]
     if case.e < 0:
         raise ValueError("negative e")
     return builder(case.e, case.d)
@@ -298,67 +310,32 @@ def x_closed(case: ClosedFormCase) -> PiecewiseGeometric:
 
 def case_for_form(B) -> ClosedFormCase:
     """Classify an anisotropic diagonal form into its closed-form case."""
-    from .qform import invariants, is_anisotropic
     if B.planes:
         raise ValueError("forms with hyperbolic planes are isotropic; "
                          "split them off first")
     if not is_anisotropic(B):
         raise ValueError("closed forms cover anisotropic forms only")
-    field = B.field
-    e = field.e
     inv = invariants(B)
-    m = inv.m
-    if m == 0:
-        return ClosedFormCase("empty", 0, e)
-    if m == 1:
-        a = B.coeffs[0]
-        if int(a.ord()) == 1:
-            return ClosedFormCase("prime", 1, e, disc_kind="prime")
-        from .localfield import unit_defect_kind
-        kind, d = unit_defect_kind(field, a)
-        if kind == "square":
-            return ClosedFormCase("unit_square", 1, e, disc_kind="square")
-        dd = 2 * e if kind == "unit4" else d
-        return ClosedFormCase("unit_nonsquare", 1, e, d=dd, disc_kind=kind)
-    if m == 2:
-        kind, hmi = inv.disc_kind, inv.hmi
-        if kind == "prime":
-            tag = "binary_prime_plus" if hmi == 1 else "binary_prime_minus"
-            return ClosedFormCase(tag, 2, e, disc_kind=kind, hmi=hmi)
-        if kind == "unit4":
-            if hmi == -1:
-                return ClosedFormCase("binary_unit4_minus", 2, e,
-                                      d=2 * e, disc_kind=kind, hmi=hmi)
-            if e != 1:
-                raise UnsupportedCase(
-                    "anisotropic binary form, defect-4o discriminant, symbol "
-                    "+1: no closed form outside e = 1")
-            return ClosedFormCase("binary_unit4_plus", 2, e,
-                                  d=2 * e, disc_kind=kind, hmi=hmi)
-        if kind == "unitd":
-            if hmi == -1:
-                return ClosedFormCase("binary_odd_defect_minus", 2, e,
-                                      d=inv.d, disc_kind=kind, hmi=hmi)
-            if e != 1:
-                raise UnsupportedCase(
-                    "anisotropic binary form, odd-defect discriminant, symbol "
-                    "+1: no closed form outside e = 1")
-            return ClosedFormCase("binary_odd_defect_plus", 2, e,
-                                  d=inv.d, disc_kind=kind, hmi=hmi)
-        raise ValueError("binary anisotropic form cannot have square disc")
-    if e != 1:
-        raise UnsupportedCase(
-            "forms of dimension %d have closed forms only for unramified "
-            "dyadic fields (e = 1); got e = %d" % (m, e))
-    if m == 3:
-        tag = {"prime": "ternary_prime", "unitd": "ternary_odd_defect",
-               "square": "ternary_square", "unit4": "ternary_unit4"}[inv.disc_kind]
-        return ClosedFormCase(tag, 3, e, d=inv.d, disc_kind=inv.disc_kind,
-                              hmi=inv.hmi)
-    if m == 4:
-        return ClosedFormCase("quaternary", 4, e, disc_kind=inv.disc_kind,
-                              hmi=inv.hmi)
-    raise ValueError("anisotropic forms have m <= 4, got %d" % m)
+    m, kind = inv.m, inv.disc_kind
+    if m == 1 and kind in ("unit4", "unitd"):
+        kind = "unit"
+    tag = _TAG_OF.get((m, kind, inv.hmi if m == 2 else None))
+    if tag is None:
+        raise ValueError("no closed-form case for an anisotropic form with "
+                         "m = %d and %s discriminant" % (m, inv.disc_kind))
+    _row(tag, B.field.e)
+    return ClosedFormCase(tag, m, B.field.e, d=inv.d, disc_kind=inv.disc_kind,
+                          hmi=inv.hmi if m >= 2 else None)
+
+
+def case_representative(field, tag, d=None):
+    """An anisotropic diagonal form over `field` whose case is (tag, d), d
+    picking the discriminant's defect exponent where the tag allows several.
+    UnsupportedCase if the tag has no closed form at this field's e."""
+    m, kind, hmi = _row(tag, field.e)[:3]
+    if kind == "unit":
+        kind = "unit4" if d == 2 * field.e else "unitd"
+    return anisotropic_representative(field, m, disc_kind=kind, d=d, hmi=hmi)
 
 
 def closed_profile(B) -> PiecewiseGeometric:

@@ -407,12 +407,8 @@ def _constant_ratio_over_T(f: PiecewiseGeometric, g: PiecewiseGeometric,
     only coincide at q = 2.
     """
     iq = Fraction(1, q)
-
-    def val(h, T):
-        r = h.value_at(T).eval_partial(iq=iq)
-        return r.num.as_fraction() / r.den.as_fraction()
-
-    pairs = [(val(f, T), val(g, T)) for T in T_range]
+    pairs = [(f.value_at(T).eval_partial(iq=iq).as_fraction(),
+              g.value_at(T).eval_partial(iq=iq).as_fraction()) for T in T_range]
     c = None
     for fv, gv in pairs:
         if gv != 0:
@@ -543,11 +539,6 @@ def _as_integer(alpha) -> int:
     raise ValueError("alpha must be an integer, got %r" % (alpha,))
 
 
-def _rf_value(f: RF, iq: Fraction, av: Fraction) -> Fraction:
-    g = f.eval_partial(iq=iq, av=av)
-    return g.num.as_fraction() / g.den.as_fraction()
-
-
 def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
     """The period expression for dimension n at a concrete integer alpha:
     the product over odd primes p <= p_max of the uncorrected local
@@ -567,7 +558,8 @@ def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
         raise ValueError("p_max must be at least 2")
     spec = table_row(n)
 
-    value = _rf_value(spec.local2_rf(), Fraction(1, 2), Fraction(1, 2 ** alpha))
+    value = spec.local2_rf().eval_partial(
+        iq=Fraction(1, 2), av=Fraction(1, 2 ** alpha)).as_fraction()
     for p in primes_up_to(p_max):
         if p == 2:
             continue

@@ -1,15 +1,18 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qperiods.cli import main, parse_field, parse_element, parse_form, \
     parse_n_range, UsageError
 from qperiods.counting import pi_truncated
-from qperiods.localfield import make_field
+from qperiods import cli
+from qperiods.localfield import make_field, InternalConsistencyError
 from qperiods.qform import DiagonalForm
 
 Q2 = make_field(2)
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -73,10 +76,13 @@ def test_parse_n_range():
 # ---------------------------------------------------------------------------
 
 def test_xseries_oracle_example(capsys):
-    code, out, _ = run(capsys, "xseries", "--field", "q2", "--form", "x^2",
-                       "--rho", "1", "--L", "4", "--oracle")
+    argv = ("xseries", "--field", "q2", "--form", "x^2", "--rho", "1",
+            "--L", "4")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.strip() == "coeffs 1/2,1/2,1/2,1/4,1/8"
+    # counting is the default mode; the flag that named it is gone
+    assert run(capsys, *argv, "--oracle")[0] == 2
 
 
 def test_xseries_closed_matches_oracle(capsys):
@@ -194,6 +200,14 @@ def test_verify_quick_full_suite(capsys):
     assert any(n.startswith("stabilized decay") for n in names)
 
 
+def test_verify_json_matches_golden_file(capsys):
+    # tests/data/verify.json is the full suite's output, pinned when the
+    # drivers moved out of the CLI; any change to it must be deliberate
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == 0
+    assert out == (DATA / "verify.json").read_text()
+
+
 def test_verify_bad_range(capsys):
     assert run(capsys, "verify", "--tables", "--n", "6..3")[0] == 2
 
@@ -236,3 +250,12 @@ def test_count_without_target_exits_2(capsys):
                          "x1^2+x2^2+x3^2", "--ell", "3")
     assert code == 2 and out == ""
     assert err == "error: need one of --rho, --zero\n"
+
+
+def test_internal_consistency_error_exits_3(capsys, monkeypatch):
+    def disagree(B):
+        raise InternalConsistencyError("rule and search disagree")
+    monkeypatch.setattr(cli, "is_anisotropic", disagree)
+    code, out, err = run(capsys, "classify", "--field", "q2", "--form", "x^2")
+    assert code == 3 and out == ""
+    assert err == "error: internal consistency: rule and search disagree\n"

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from qperiods import checks
 from qperiods.localfield import make_field
-from qperiods.qform import DiagonalForm
+from qperiods.qform import DiagonalForm, anisotropic_representative
 from qperiods.counting import count_level_histogram, x_series_at
 from qperiods.ratfunc import RF, Zv, IQv, AVv, VAR_Z, VAR_AV
 from qperiods.closedforms import (ClosedFormCase, PiecewiseGeometric,
                                   UnsupportedCase, CASE_TAGS, case_for_form,
-                                  x_closed, closed_profile, x_from_levels,
+                                  case_representative, x_closed, closed_profile, x_from_levels,
                                   x_from_levels_zero, pi_from_x, pi_geometric,
                                   dimension_reduce, zeta_Z, local_factor,
                                   local_factor_chain, halfstep_sum)
@@ -50,10 +51,35 @@ def test_case_for_form_rejections():
         case_for_form(DiagonalForm(Q2, [1], planes=1))
 
 
+SECOND_METHOD = ("binary_unit4_plus", "binary_odd_defect_plus",
+                 "ternary_prime", "ternary_odd_defect", "ternary_square",
+                 "ternary_unit4", "quaternary")
+
+
+def test_case_representative_round_trips_through_case_for_form():
+    # every verify configuration: Q2, Q4, ramified e = 2 and Q3
+    for field, tag, d in checks._matrix_configs():
+        c = case_for_form(case_representative(field, tag, d))
+        assert c.tag == tag and d in (None, c.d), (field.q, field.e, tag, d)
+
+
+def test_second_method_cases_refused_on_ramified_and_odd_fields():
+    for field in (R2, F3):
+        for tag in SECOND_METHOD:
+            with pytest.raises(UnsupportedCase):
+                x_closed(ClosedFormCase(tag, 0, field.e, d=1))
+            with pytest.raises(UnsupportedCase):
+                case_for_form(case_representative(field, tag))
+        # forms built without the case table meet the same refusal
+        for B in (anisotropic_representative(field, 2, disc_kind="unit4", hmi=1),
+                  anisotropic_representative(field, 3, disc_kind="prime"),
+                  anisotropic_representative(field, 4)):
+            with pytest.raises(UnsupportedCase):
+                case_for_form(B)
+
+
 def test_x_closed_second_method_needs_e_1():
-    for tag in ("binary_unit4_plus", "binary_odd_defect_plus",
-                "ternary_prime", "ternary_odd_defect", "ternary_square",
-                "ternary_unit4", "quaternary"):
+    for tag in SECOND_METHOD:
         for e in (0, 2):
             with pytest.raises(UnsupportedCase):
                 x_closed(ClosedFormCase(tag, 0, e, d=1))
