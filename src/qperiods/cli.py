@@ -1,12 +1,13 @@
 """Batch command-line interface: classification, defects and symbols,
-counting, series, local factors, global periods, the verification suite of
-`qperiods.checks`, and a benchmark.
+counting, series, local factors, global periods, and the verification suite
+of `qperiods.checks`.  Each command parses its arguments, calls the library
+and prints; the decisions it reports are made in the library.
 
 Exit codes: 0 success (all checks pass), 1 check failure, 2 usage error,
 3 internal consistency error (two independent routes to one result
 disagreed, which is a bug in qperiods).
 JSON output is deterministic: sorted keys, exact rationals as "p/q" strings,
-no timings.  The bench command prints human-readable timings only.
+no timings.
 """
 
 import argparse
@@ -14,30 +15,23 @@ import json
 import math
 import re
 import sys
-import time
 from fractions import Fraction
 
 from .localfield import (make_field, quadratic_defect, hilbert_symbol,
                          InternalConsistencyError)
-from .qform import (DiagonalForm, invariants, is_anisotropic,
-                    anisotropic_representative)
+from .qform import DiagonalForm, invariants, is_anisotropic
 from .counting import (count_level_naive, count_level_histogram, x_series,
                        x_series_at, pi_truncated)
 from .kernels import EnumBudgetError
 from .closedforms import (case_for_form, closed_profile, UnsupportedCase,
-                          pi_geometric, local_factor_chain)
-from .ratfunc import RF, pretty_rf, ratio_if_proportional, VAR_AV
-from .periods import table_row, evaluate_period
-
-_NAMES = ("z", "1/q", "a")
+                          pi_geometric)
+from .ratfunc import pretty_rf
+from .periods import (evaluate_period, local_factor_report, _PRETTY_NAMES,
+                      _frac_str)
 
 
 class UsageError(Exception):
     pass
-
-
-def _frac_str(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def _emit(args, obj, human: str):
@@ -261,8 +255,8 @@ def cmd_pi(args) -> int:
     B = _build_form(args, field)
     if args.symbolic:
         rf = pi_geometric(closed_profile(B))
-        _emit(args, {"pi": pretty_rf(rf, _NAMES)},
-              "Pi = %s" % pretty_rf(rf, _NAMES))
+        text = pretty_rf(rf, _PRETTY_NAMES)
+        _emit(args, {"pi": text}, "Pi = %s" % text)
         return 0
     if args.alpha_value is None:
         raise UsageError("need --symbolic or --alpha-value with --L/--T-max")
@@ -278,60 +272,21 @@ def cmd_pi(args) -> int:
     return 0
 
 
-def _ratio_at_q2(f: RF, g: RF, alphas) -> Fraction:
-    """Constant f/g sampled at iq = 1/2 over several a = 2^-alpha, or None.
-
-    Some table entries absorb an integer 2 into powers of q, so they match
-    the assembled forms as rational functions only once q is the number 2."""
-    half = Fraction(1, 2)
-    values = [(f.eval_partial(iq=half, av=half ** a).as_fraction(),
-               g.eval_partial(iq=half, av=half ** a).as_fraction())
-              for a in alphas]
-    ratios = [fv / gv for fv, gv in values if gv != 0]
-    if len(ratios) >= 2 and all(r == ratios[0] for r in ratios):
-        return ratios[0]
-    return None
-
-
 def cmd_localfactor(args) -> int:
-    spec = table_row(args.n)
-    prof = closed_profile(spec.witt.kernel_form)
-    chain = local_factor_chain(prof, args.n, spec.witt.k)
-    table = spec.local2_rf()
-    ratio = ratio_if_proportional(chain, table, constant_free_of=(VAR_AV,))
-    if ratio is not None:
-        consistent, ratio_repr = True, pretty_rf(ratio, _NAMES)
-    else:
-        r2 = _ratio_at_q2(chain, table, range(args.n + 2, args.n + 7))
-        consistent = r2 is not None
-        ratio_repr = _frac_str(r2) if r2 is not None else None
-    obj = {
-        "n": args.n,
-        "local_factor": pretty_rf(chain, _NAMES),
-        "normalized": pretty_rf(table, _NAMES),
-        "ratio": ratio_repr,
-        "consistent": consistent,
-    }
-    if args.alpha is not None:
-        try:
-            val = table.eval_partial(iq=Fraction(1, 2),
-                                     av=Fraction(1, 2 ** args.alpha)).as_fraction()
-        except ZeroDivisionError:
-            raise UsageError("alpha = %d sits on a pole; needs alpha > %d"
-                             % (args.alpha, args.n + 1))
-        obj["alpha"] = args.alpha
-        obj["value"] = _frac_str(val)
+    obj = local_factor_report(args.n, args.alpha)
     human = "local factor at 2 (n=%d): %s  [consistent=%s]" % (
         args.n, obj["normalized"], obj["consistent"])
     if "value" in obj:
         human += "  value(alpha=%d)=%s" % (args.alpha, obj["value"])
     _emit(args, obj, human)
-    return 0 if consistent else 1
+    return 0 if obj["consistent"] else 1
 
 
 def cmd_period(args) -> int:
     pv = evaluate_period(args.n, args.alpha, args.pmax)
-    obj = pv.to_json(args.digits)
+    # only --json spells out the exact value: for a large pmax it has more
+    # digits than Python converts from int to str by default
+    obj = pv.to_json(args.digits) if args.json else None
     human = ("period(n=%d, alpha=%d, pmax=%d) ~ %s  tail <= %.3e\n"
              "  %s  [up to a multiplicative constant]"
              % (args.n, args.alpha, args.pmax, pv.decimal(args.digits),
@@ -354,64 +309,6 @@ def cmd_verify(args) -> int:
                  % (sum(p for _, p, _ in results), len(results)))
     _emit(args, obj, "\n".join(lines))
     return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# Benchmarks
-# ---------------------------------------------------------------------------
-
-def _time_once(fn):
-    t0 = time.perf_counter()
-    val = fn()
-    return val, time.perf_counter() - t0
-
-
-def _time_best(fn, repeats=5):
-    best = None
-    val = None
-    for _ in range(repeats):
-        val, dt = _time_once(fn)
-        best = dt if best is None else min(best, dt)
-    return val, best
-
-
-def cmd_bench(args) -> int:
-    field = parse_field(args.field)
-    B = anisotropic_representative(field, 4)
-    rho = field.elt(1)
-    ell = args.ell
-    deep = args.deep
-    rows = []
-
-    hv, ht = _time_best(lambda: count_level_histogram(B, rho, ell))
-    rows.append(("histogram", "ell=%d" % ell, _frac_str(hv), "%.5fs" % ht))
-
-    points = field.q ** ((ell + field.e) * 4)
-    nv, nt = _time_once(
-        lambda: count_level_naive(B, rho, ell, budget=max(points, 1 << 26)))
-    speed = nt / ht if ht > 0 else float("inf")
-    rows.append(("naive", "ell=%d" % ell, _frac_str(nv),
-                 "%.3fs (%.0fx slower)" % (nt, speed)))
-
-    dv, dt = _time_best(lambda: count_level_histogram(B, rho, deep), 3)
-    rows.append(("histogram", "ell=%d" % deep, _frac_str(dv), "%.5fs" % dt))
-    deep_points = field.q ** ((deep + field.e) * 4)
-    rows.append(("naive", "ell=%d" % deep, "-",
-                 "infeasible (%d points)" % deep_points))
-
-    sv, st = _time_once(lambda: x_series(B, rho, deep))
-    rows.append(("stabilized", "L=%d" % deep, _frac_str(sv[ell]), "%.5fs" % st))
-
-    wid = [max(len(r[i]) for r in rows) for i in range(4)]
-    for r in rows:
-        print("  ".join(r[i].ljust(wid[i]) for i in range(4)))
-    ok = nv == hv and sv[ell] == hv
-    if not ok:
-        print("bench: COUNT MISMATCH")
-        return 1
-    print("bench: counts agree; histogram speedup %.0fx at ell=%d"
-          % (speed, ell))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables", action="store_true")
     p.add_argument("--n", default=None, help="table rows, e.g. 3..18")
     p.add_argument("--quick", action="store_true")
-
-    p = sub.add_parser("bench", help="time naive vs histogram vs stabilized")
-    p.set_defaults(func=cmd_bench)
-    p.add_argument("--field", default="q2")
-    p.add_argument("--ell", type=int, default=6)
-    p.add_argument("--deep", type=int, default=10)
 
     return ap
 

@@ -18,13 +18,40 @@ from fractions import Fraction
 
 from .ratfunc import (RF, IQv, AVv, VAR_Z, VAR_AV,
                       ratio_if_proportional, pretty_rf)
-from .closedforms import PiecewiseGeometric, closed_profile, pi_geometric, zeta_Z
+from .closedforms import (PiecewiseGeometric, closed_profile, pi_geometric,
+                          zeta_Z, local_factor_chain)
 from .localfield import _is_prime
 from .qform import witt_profile
 
 ONE = RF.const(1)
+HALF = Fraction(1, 2)
 
 _PRETTY_NAMES = ("z", "1/q", "a")
+
+
+def _frac_str(x: Fraction) -> str:
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _at_q2(f: RF, alpha: int) -> Fraction:
+    """f at q = 2 and a = 2^-alpha; ZeroDivisionError at a pole."""
+    return f.eval_partial(iq=HALF, av=HALF ** alpha).as_fraction()
+
+
+def constant_ratio_at_q2(pairs):
+    """The constant c with fv == c*gv on every sampled pair (fv, gv) of
+    values of f and g at q = 2, or None (also when every gv is 0).
+
+    The samples are taken at q = 2 because some table entries fold the
+    two-element square-root multiplicity, an integer 2, into powers of q:
+    they match the assembled forms only once q is the number 2, not as
+    rational functions in q.
+    """
+    pairs = list(pairs)
+    c = next((fv / gv for fv, gv in pairs if gv != 0), None)
+    if c is None or any(fv != c * gv for fv, gv in pairs):
+        return None
+    return c
 
 
 def primes_up_to(N: int):
@@ -398,30 +425,6 @@ def specialize_profile(prof: PiecewiseGeometric, k: int) -> PiecewiseGeometric:
                               sub(prof.zero_value))
 
 
-def _constant_ratio_over_T(f: PiecewiseGeometric, g: PiecewiseGeometric,
-                           T_range=range(4), q: int = 2):
-    """The constant c with f(T) = c g(T) across T_range, or None.
-
-    The comparison runs at the concrete prime q: the table entries fold
-    the two-element square-root multiplicity into the q-powers, and those
-    only coincide at q = 2.
-    """
-    iq = Fraction(1, q)
-    pairs = [(f.value_at(T).eval_partial(iq=iq).as_fraction(),
-              g.value_at(T).eval_partial(iq=iq).as_fraction()) for T in T_range]
-    c = None
-    for fv, gv in pairs:
-        if gv != 0:
-            c = fv / gv
-            break
-    if c is None:
-        return None
-    for fv, gv in pairs:
-        if fv != c * gv:
-            return None
-    return c
-
-
 def verify_table_row(n: int) -> dict:
     """Three symbolic checks of the row for dimension n.
 
@@ -441,10 +444,13 @@ def verify_table_row(n: int) -> dict:
     prof = specialize_profile(closed_profile(wp.kernel_form), wp.k)
     checks = {}
 
-    ca = _constant_ratio_over_T(prof, spec.x1)
+    ca = constant_ratio_at_q2(
+        (prof.value_at(T).eval_partial(iq=HALF).as_fraction(),
+         spec.x1.value_at(T).eval_partial(iq=HALF).as_fraction())
+        for T in range(4))
     checks["a"] = {
         "pass": ca is not None,
-        "ratio": None if ca is None else "%d/%d" % (ca.numerator, ca.denominator),
+        "ratio": None if ca is None else _frac_str(ca),
     }
 
     pi_sym = pi_geometric(spec.x1)
@@ -474,6 +480,44 @@ def verify_rows(ns=range(3, 19)):
     """verify_table_row over a range; returns (all_pass, reports)."""
     reports = [verify_table_row(n) for n in ns]
     return all(r["pass"] for r in reports), reports
+
+
+def local_factor_report(n: int, alpha: int = None) -> dict:
+    """The even-prime local factor for dimension n: the chain assembled
+    from the kernel's closed form, the table's normalized entry, and the
+    verdict whether they agree up to a constant free of alpha, with that
+    constant as "ratio".  Given alpha, also the entry's value at q = 2.
+
+    The constant is sought symbolically first, then by sampling at q = 2
+    over alpha = n+2..n+6 (see constant_ratio_at_q2).
+    """
+    spec = table_row(n)
+    chain = local_factor_chain(closed_profile(spec.witt.kernel_form), n,
+                               spec.witt.k)
+    table = spec.local2_rf()
+    ratio = ratio_if_proportional(chain, table, constant_free_of=(VAR_AV,))
+    if ratio is not None:
+        ratio_repr = pretty_rf(ratio, _PRETTY_NAMES)
+    else:
+        c = constant_ratio_at_q2((_at_q2(chain, a), _at_q2(table, a))
+                                 for a in range(n + 2, n + 7))
+        ratio_repr = None if c is None else _frac_str(c)
+    report = {
+        "n": n,
+        "local_factor": pretty_rf(chain, _PRETTY_NAMES),
+        "normalized": pretty_rf(table, _PRETTY_NAMES),
+        "ratio": ratio_repr,
+        "consistent": ratio_repr is not None,
+    }
+    if alpha is not None:
+        try:
+            value = _at_q2(table, alpha)
+        except ZeroDivisionError:
+            raise ValueError("alpha = %d sits on a pole; needs alpha > %d"
+                             % (alpha, n + 1))
+        report["alpha"] = alpha
+        report["value"] = _frac_str(value)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +558,8 @@ class PeriodValue:
             "n": self.n,
             "alpha": self.alpha,
             "p_max": self.p_max,
-            "value": "%d/%d" % (self.value.numerator, self.value.denominator),
-            "tail_bound": "%d/%d" % (self.tail_bound.numerator,
-                                     self.tail_bound.denominator),
+            "value": _frac_str(self.value),
+            "tail_bound": _frac_str(self.tail_bound),
             "decimal": self.decimal(digits),
             "precision": "%d decimal digits; exact value above" % digits,
             "expression": self.expression,
@@ -558,8 +601,7 @@ def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
         raise ValueError("p_max must be at least 2")
     spec = table_row(n)
 
-    value = spec.local2_rf().eval_partial(
-        iq=Fraction(1, 2), av=Fraction(1, 2 ** alpha)).as_fraction()
+    value = _at_q2(spec.local2_rf(), alpha)
     for p in primes_up_to(p_max):
         if p == 2:
             continue

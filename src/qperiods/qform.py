@@ -21,7 +21,7 @@ from . import kernels
 class DiagonalForm:
     """Immutable diagonal form; `planes` counts extra 2xy summands."""
 
-    __slots__ = ("field", "coeffs", "planes", "original_coeffs")
+    __slots__ = ("field", "coeffs", "planes", "original_coeffs", "_anisotropic")
 
     def __init__(self, field: LocalField, coeffs, planes: int = 0):
         self.field = field
@@ -34,6 +34,7 @@ class DiagonalForm:
                 raise ValueError("zero coefficient")
         self.original_coeffs = given
         self.coeffs = tuple(_normalize_coeff(field, a) for a in given)
+        self._anisotropic = None  # is_anisotropic's checked verdict
 
     @property
     def m(self) -> int:
@@ -179,13 +180,16 @@ def _anisotropic_by_search(B: DiagonalForm):
 
 
 def is_anisotropic(B: DiagonalForm) -> bool:
-    """Rule-based verdict, always cross-checked by enumeration."""
-    rule = _anisotropic_by_rule(B)
-    search = _anisotropic_by_search(B)
-    if rule != search:
-        raise InternalConsistencyError(
-            "anisotropy mismatch for %r: rule %s, search %s" % (B, rule, search))
-    return rule
+    """Rule-based verdict, cross-checked by enumeration on the first call
+    for each form; the form is immutable, so later calls reuse it."""
+    if B._anisotropic is None:
+        rule = _anisotropic_by_rule(B)
+        search = _anisotropic_by_search(B)
+        if rule != search:
+            raise InternalConsistencyError(
+                "anisotropy mismatch for %r: rule %s, search %s" % (B, rule, search))
+        B._anisotropic = rule
+    return B._anisotropic
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from qperiods import checks
+from qperiods import checks, qform
 from qperiods.localfield import make_field
-from qperiods.qform import DiagonalForm, anisotropic_representative
+from qperiods.qform import (DiagonalForm, anisotropic_representative,
+                            is_anisotropic)
+from qperiods.localfield import InternalConsistencyError
 from qperiods.counting import count_level_histogram, x_series_at
 from qperiods.ratfunc import RF, Zv, IQv, AVv, VAR_Z, VAR_AV
 from qperiods.closedforms import (ClosedFormCase, PiecewiseGeometric,
@@ -242,3 +244,35 @@ def test_halfstep_sum_identity():
             assert halfstep_sum(L, o) == direct
     with pytest.raises(ValueError):
         halfstep_sum(-1, 0)
+
+
+def _count_searches(monkeypatch):
+    searched = []
+    search = qform._anisotropic_by_search
+
+    def counted(B):
+        searched.append(B)
+        return search(B)
+    monkeypatch.setattr(qform, "_anisotropic_by_search", counted)
+    return searched
+
+
+def test_one_anisotropy_search_per_form(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    B = case_representative(Q2, "binary_unit4_minus", d=2)
+    assert case_for_form(B).tag == "binary_unit4_minus"
+    for T in (0, 1, 2, 3, None):
+        x_series_at(B, T, 4)
+    assert searched == [B]
+    # an equal but distinct form runs its own cross-check
+    twin = DiagonalForm(Q2, B.coeffs)
+    assert twin == B and is_anisotropic(twin)
+    assert len(searched) == 2 and searched[1] is twin
+
+
+def test_anisotropy_disagreement_raises_on_first_call(monkeypatch):
+    monkeypatch.setattr(qform, "_anisotropic_by_search", lambda B: False)
+    B = DiagonalForm(Q2, [1, 1])
+    for _ in range(2):  # a failed cross-check stores no verdict
+        with pytest.raises(InternalConsistencyError):
+            is_anisotropic(B)

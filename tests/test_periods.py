@@ -4,13 +4,14 @@ import pytest
 
 from qperiods.ratfunc import RF, IQv, AVv, VAR_AV, ratio_if_proportional
 from qperiods.closedforms import (PiecewiseGeometric, closed_profile,
-                                  pi_geometric, zeta_Z)
+                                  pi_geometric, zeta_Z, local_factor_chain)
 from qperiods.qform import witt_profile
 from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
                               uncorrected_factors, rejected_variants,
                               GlobalPeriodSpec, PeriodValue, table_row,
                               verify_table_row, verify_rows,
-                              specialize_profile, evaluate_period)
+                              specialize_profile, evaluate_period,
+                              constant_ratio_at_q2, local_factor_report)
 
 ONE = RF.const(1)
 
@@ -297,3 +298,41 @@ def test_period_value_decimal():
         == "-0.6667"
     assert PeriodValue(3, 9, 2, Fraction(5), Fraction(0), "x").decimal(2) \
         == "5.00"
+
+
+# ---------------------------------------------------------------------------
+# The q = 2 constant-ratio test and the local-factor verdict
+# ---------------------------------------------------------------------------
+
+def test_constant_ratio_at_q2_accepts_the_folded_rows():
+    # n = 7 mod 8: the table folds a 2 into powers of q, so the symbolic
+    # test finds no constant and only sampling at q = 2 does
+    half = Fraction(1, 2)
+    for n in (7, 15, 23):
+        spec = table_row(n)
+        chain = local_factor_chain(closed_profile(spec.witt.kernel_form), n,
+                                   spec.witt.k)
+        table = spec.local2_rf()
+        assert ratio_if_proportional(chain, table,
+                                     constant_free_of=(VAR_AV,)) is None
+        pairs = [tuple(f.eval_partial(iq=half, av=half ** a).as_fraction()
+                       for f in (chain, table)) for a in range(n + 2, n + 7)]
+        c = constant_ratio_at_q2(pairs)
+        assert c is not None and c != 0
+        report = local_factor_report(n)
+        assert report["consistent"] is True
+        assert Fraction(report["ratio"]) == c
+
+
+def test_constant_ratio_at_q2_values():
+    assert constant_ratio_at_q2([(6, 3), (0, 0), (-4, -2)]) == 2
+    F = Fraction
+    assert constant_ratio_at_q2(iter([(F(1), F(3)), (F(2), F(6))])) == F(1, 3)
+    # a non-constant ratio
+    assert constant_ratio_at_q2([(2, 1), (3, 1)]) is None
+    # gv == 0 with fv != 0 breaks proportionality
+    assert constant_ratio_at_q2([(2, 1), (5, 0)]) is None
+    # no pair with gv != 0 leaves no constant to report
+    assert constant_ratio_at_q2([(0, 0), (1, 0)]) is None
+    assert constant_ratio_at_q2([]) is None
+
