@@ -7,7 +7,7 @@ the count's bound needs, joined by CRT; every count is an exact integer.
 
 Ring arithmetic is not repeated here: values come from the ResidueRing
 methods (coords, mul, add, ord_of, is_unit) applied to whole arrays of
-elements, and this module owns only the histogram layout (flat_index).
+elements, and histograms use the ring's flat layout (flat_index).
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ class EnumBudgetError(RuntimeError):
 
 DEFAULT_ENUM_BUDGET = 1 << 26
 
+# Residue classes one exhaustive table or search may visit; every p <= 101
+# fits the anisotropy search over o/pi^(3e+3) (101^3 classes).
+SEARCH_BUDGET = 1 << 20
+
 
 def enum_budget() -> int:
     raw = os.environ.get("QPERIODS_ENUM_BUDGET")
@@ -36,11 +40,6 @@ def enum_budget() -> int:
 # ---------------------------------------------------------------------------
 # Histograms of quadratic values
 # ---------------------------------------------------------------------------
-
-def flat_index(ring, coords):
-    return (coords[0] if len(coords) == 1
-            else coords[0] * ring.moduli[1] + coords[1])
-
 
 def square_term_histogram(ring, coeff_coords, restrict_nonunit=False):
     """Histogram of coeff * x^2 as x runs over the ring (or over pi*o)."""
@@ -56,7 +55,7 @@ def square_histograms(ring, coeff_list, restrict_nonunit=False):
     sq = ring.mul(xs, xs)
     cc = np.array([ring.reduce(c) for c in coeff_list], dtype=np.int64)
     cc = cc.reshape(-1, len(ring.moduli)).T[:, :, None]
-    idx = flat_index(ring, ring.mul(cc, sq))
+    idx = ring.flat_index(ring.mul(cc, sq))
     idx += ring.size * np.arange(len(coeff_list))[:, None]
     h = np.bincount(idx.ravel(), minlength=ring.size * len(coeff_list))
     return h.reshape((len(coeff_list),) + ring.moduli)

@@ -11,19 +11,29 @@ Three families are implemented:
 
 Elements carry exact integer coordinates, so valuations are exact and all
 measures come out as Fractions.  On top of the ring layer sit the
-quadratic-defect classifier, the Hilbert symbol (rule-based answers are
-always cross-checked against a primitive-solution search), square-root
-counting, and the companion-unit search used by the binary and ternary
-form constructions.
+square-class table, the quadratic defect, the Hilbert symbol (rule-based
+answers are cross-checked against a primitive-solution search wherever
+that search is affordable), square-root counting, and the companion-unit
+search used by the binary and ternary form constructions.
+
+Square classes and defects come from one table per field over
+o/pi^(2e+1): by the local square theorem (O'Meara, Introduction to
+Quadratic Forms, section 63) a unit is a square exactly when its residue
+there is one.  An element is split as pi^ord times a unit (unit_part), and its
+class and defect are read from the table, so no call scans the ring once
+the table exists.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+from . import kernels
 
 
 class InternalConsistencyError(RuntimeError):
@@ -93,9 +103,7 @@ class LocalField:
             self.eram = 1
         self._rings = {}
         self._defect_cache = {}
-        self._class_cache = {}
         self._symbol_cache = {}
-        self._unit_reps = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -121,6 +129,11 @@ class LocalField:
 
     def zero(self) -> "FieldElt":
         return self.elt(0)
+
+    @cached_property
+    def square_classes(self) -> "SquareClasses":
+        """The unit square-class table, built on first use."""
+        return SquareClasses(self)
 
     def ring(self, level: int) -> "ResidueRing":
         if level < 0:
@@ -350,6 +363,13 @@ class ResidueRing:
             o += np.logical_and.reduce([c % s == 0 for c, s in zip(coords, steps)])
         return o
 
+    def flat_index(self, coords):
+        """Position of each class in the one flat layout of the ring's
+        histograms and tables: x-major, so y runs fastest there, unlike
+        in coords()."""
+        return (coords[0] if len(coords) == 1
+                else coords[0] * self.moduli[1] + coords[1])
+
     def is_unit(self, coords):
         """ord == 0, read from the residues mod p in one pass.  Every class
         of the zero ring (level 0) is a unit."""
@@ -378,7 +398,7 @@ class ResidueRing:
 # ---------------------------------------------------------------------------
 
 class DefectResult:
-    """Outcome of the defect scan: kind "square" or "defect" with exponent d.
+    """Outcome of quadratic_defect: kind "square" or "defect" with exponent d.
 
     d is the absolute exponent (the defect ideal is pi^d * o), and o is the
     valuation of the input, so d - o is the defect of the unit part.
@@ -405,36 +425,78 @@ class DefectResult:
                 and (self.kind, self.d, self.o) == (other.kind, other.d, other.o))
 
 
-def quadratic_defect(field: LocalField, rho, level: int = None) -> DefectResult:
+def unit_part(field: LocalField, x):
+    """(ord x, u) with u a unit in the square class of x / pi^ord(x), by
+    exact coordinate arithmetic."""
+    x = field.elt(x) if isinstance(x, int) else x
+    if x.is_zero():
+        raise ValueError("zero has no square class")
+    o = int(x.ord())
+    if field.variant == "ramified":
+        # x / pi^o = x conj(pi)^o / c0^o, and c0 = 2 * (c0/2) with c0/2 odd;
+        # times the square (c0/2)^(2o) only 2^o is left to divide, exactly
+        conj = field.elt(-field.c1, -1) * (field.c0 // 2)
+        x, den = x * conj ** o, 2 ** o
+    else:
+        den = field.p ** o  # pi = p
+    return o, field.elt(*[c // den for c in x.coords])
+
+
+class SquareClasses:
+    """The unit square classes of a field, from one pass over o/pi^(2e+1).
+
+    index maps each unit residue, in the ring's flat layout, to its class
+    (-1 for non-units).  reps holds the first unit of each class in
+    elements() order, so class 0 is the squares; defects holds each class's
+    defect, max ord(r - x^2) at that level, or None for the squares.
+    """
+
+    def __init__(self, field):
+        ring = field.ring(2 * field.e + 1)
+        if ring.size > kernels.SEARCH_BUDGET:
+            raise kernels.EnumBudgetError(
+                "square-class table over %d residues exceeds the budget of %d"
+                % (ring.size, kernels.SEARCH_BUDGET))
+        xs = ring.coords()
+        sq = ring.mul(xs, xs)
+        unit = ring.is_unit(xs)
+        units, unit_sq = (tuple(c[unit] for c in v) for v in (xs, sq))
+        order = ring.flat_index(units)
+        self.ring = ring
+        self.index = np.full(ring.size, -1, dtype=np.int64)
+        self.reps, self.defects = [], []
+        free = np.flatnonzero(self.index[order] < 0)
+        while len(free):
+            r = tuple(int(c[free[0]]) for c in units)
+            self.index[ring.flat_index(ring.mul(r, unit_sq))] = len(self.reps)
+            best = int(ring.ord_of(ring.sub(r, sq)).max())
+            self.reps.append(ring.lift(r))
+            self.defects.append(None if best > 2 * field.e else best)
+            free = np.flatnonzero(self.index[order] < 0)
+
+    def of(self, u) -> int:
+        """Class index of the unit u."""
+        return int(self.index[self.ring.flat_index(self.ring.reduce(u))])
+
+
+def quadratic_defect(field: LocalField, rho) -> DefectResult:
     """Classify rho = eta^2 + b by the largest attainable ord(b).
 
-    The scan is exhaustive over o/pi^L with L = ord(rho) + 2e + 2 by
-    default; a caller-supplied smaller level is rejected since it cannot
-    separate the classes.
+    With rho = pi^o u: for odd o that is o itself; for even o it is o
+    plus the defect of u's class, and rho is a square when u's class is.
     """
     rho = field.elt(rho) if isinstance(rho, int) else rho
     if rho.is_zero():
         raise ValueError("quadratic defect of 0 is undefined here")
-    o = int(rho.ord())
-    min_level = o + 2 * field.e + 2
-    if level is None:
-        level = min_level
-    elif level < min_level:
-        raise ValueError("working level %d too small, need >= %d" % (level, min_level))
-    ring = field.ring(level)
-    target = ring.reduce(rho)
-    key = (target, level)
-    hit = field._defect_cache.get(key)
-    if hit is not None:
-        return hit
-    xs = ring.coords()
-    best = int(ring.ord_of(ring.sub(target, ring.mul(xs, xs))).max())
-    if best >= o + 2 * field.e + 1:
-        result = DefectResult("square", None, o)
-    else:
-        result = DefectResult("defect", best, o)
-    field._defect_cache[key] = result
-    return result
+    hit = field._defect_cache.get(rho.coords)
+    if hit is None:
+        o, u = unit_part(field, rho)
+        table = field.square_classes
+        du = 0 if o % 2 else table.defects[table.of(u)]
+        hit = (DefectResult("square", None, o) if du is None
+               else DefectResult("defect", o + du, o))
+        field._defect_cache[rho.coords] = hit
+    return hit
 
 
 def is_square(field: LocalField, rho) -> bool:
@@ -448,9 +510,7 @@ def unit_defect_kind(field: LocalField, rho):
         raise ValueError("unit expected")
     if res.is_square:
         return ("square", None)
-    if res.d == 2 * field.e:
-        return ("unit4", res.d)
-    return ("unitd", res.d)
+    return ("unit4" if res.d == 2 * field.e else "unitd", res.d)
 
 
 # ---------------------------------------------------------------------------
@@ -458,53 +518,16 @@ def unit_defect_kind(field: LocalField, rho):
 # ---------------------------------------------------------------------------
 
 def unit_class_reps(field: LocalField):
-    """Canonical unit square-class representatives, in traversal order.
-
-    The traversal is the fixed elements() order of the ring at level
-    2e + 1 (unit squares are exactly the classes of 1 there), so the
-    representative list and everything searched through it is
-    deterministic.
-    """
-    if field._unit_reps is not None:
-        return field._unit_reps
-    ring = field.ring(2 * field.e + 1)
-    reps = []
-    for coords in ring.elements():
-        if not ring.is_unit(coords):
-            continue
-        cand = ring.lift(coords)
-        if any(is_square(field, cand * r) for r in reps):
-            continue
-        reps.append(cand)
-    field._unit_reps = reps
-    return reps
+    """Canonical unit square-class representatives: the first unit of each
+    class in the fixed elements() order of the ring at level 2e + 1, so
+    the list and everything searched through it is deterministic."""
+    return field.square_classes.reps
 
 
 def square_class_key(field: LocalField, x):
     """(ord mod 2, index of the unit-class representative) for nonzero x."""
-    x = field.elt(x) if isinstance(x, int) else x
-    if x.is_zero():
-        raise ValueError("zero has no square class")
-    o = int(x.ord())
-    # strip even uniformizer powers where coordinate division is exact;
-    # the ramified model keeps the full element and pays with a larger scan
-    if field.variant != "ramified":
-        t = (o // 2) * (2 // field.eram)  # p-exponent of the square part
-        pt = field.p ** t
-        x = field.elt(*[c // pt for c in x.coords])
-        o = int(x.ord())
-    key0 = (x.coords, o)
-    hit = field._class_cache.get(key0)
-    if hit is not None:
-        return hit
-    reps = unit_class_reps(field)
-    pio = field.uniformizer() ** o
-    for i, r in enumerate(reps):
-        if is_square(field, x * pio * r):
-            out = (o % 2, i)
-            field._class_cache[key0] = out
-            return out
-    raise InternalConsistencyError("unit class of %r not found" % (x,))
+    o, u = unit_part(field, x)
+    return o % 2, field.square_classes.of(u)
 
 
 def square_class_rep(field: LocalField, x) -> FieldElt:
@@ -525,81 +548,45 @@ def square_class_reps(field: LocalField):
 # Hilbert symbol
 # ---------------------------------------------------------------------------
 
-def _residue_char(field: LocalField, u) -> int:
-    """Quadratic character of the residue of a unit, odd p only."""
-    p = field.p
-    if field.f == 1:
-        t = pow(u.coords[0] % p, (p - 1) // 2, p)
-    else:
-        a, b = u.coords[0] % p, u.coords[1] % p
-        r = -field.c0  # generator relation g^2 = r
-        norm = (a * a - r * b * b) % p
-        t = pow(norm, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+def _symbol_tame(field: LocalField, ka, kb) -> int:
+    """Odd p, for a = pi^s u and b = pi^t v with class keys (s, i) and
+    (t, j): (a, b) = chi(-1)^(st) chi(u)^t chi(v)^s, where chi, the
+    residue character, is -1 exactly off the square class 0."""
+    (s, i), (t, j) = ka, kb
+    m = square_class_key(field, field.elt(-1))[1]
+    return -1 if (s * t * m + t * i + s * j) % 2 else 1
 
 
-def _split_odd(field, x):
-    """(parity of ord, unit part) for odd p, by exact coordinate division."""
-    o = int(x.ord())
-    pt = field.p ** o  # ord counts pi = p powers directly
-    unit = field.elt(*[c // pt for c in x.coords])
-    return o, unit
-
-
-def _symbol_tame(field: LocalField, a, b) -> int:
-    s, u = _split_odd(field, a)
-    t, v = _split_odd(field, b)
-    chi_u = _residue_char(field, u)
-    chi_v = _residue_char(field, v)
-    if field.f == 2:
-        chi_m1 = 1  # -1 is a square in the residue field of order p^2
-    else:
-        chi_m1 = 1 if field.p % 4 == 1 else -1
-    out = 1
-    if s % 2 and t % 2:
-        out *= chi_m1
-    if t % 2:
-        out *= chi_u
-    if s % 2:
-        out *= chi_v
-    return out
-
-
-def _symbol_by_rules(field: LocalField, a, b, akind, bkind, apar, bpar):
-    """Closed-form value where the case analysis is solid, else None."""
-    if akind[0] == "square" and apar == 0:
-        return 1
-    if bkind[0] == "square" and bpar == 0:
-        return 1
+def _symbol_by_rules(field: LocalField, ka, kb):
+    """Closed-form value from the two square-class keys where the case
+    analysis is solid, else None."""
+    if ka == (0, 0) or kb == (0, 0):
+        return 1  # class 0 is the squares
     if field.p != 2:
-        return _symbol_tame(field, a, b)
-    if akind[0] == "unit4" and apar == 0:
-        return -1 if bpar else 1
-    if bkind[0] == "unit4" and bpar == 0:
-        return -1 if apar else 1
-    if field.f == 2 and apar == 0 and bpar == 0:
+        return _symbol_tame(field, ka, kb)
+    unit4 = [d == 2 * field.e for d in field.square_classes.defects]
+    if ka[0] == 0 and unit4[ka[1]]:
+        return -1 if kb[0] else 1
+    if kb[0] == 0 and unit4[kb[1]]:
+        return -1 if ka[0] else 1
+    if field.f == 2 and ka[0] == 0 and kb[0] == 0:
         # express each unit as square * (1 + 2c); the symbol is (-1)^Tr(c d)
-        c = _one_plus_2c(field, a)
-        d = _one_plus_2c(field, b)
-        prod = field._mul(c, d)
+        prod = field._mul(_one_plus_2c(field, ka), _one_plus_2c(field, kb))
         return -1 if prod[1] % 2 else 1
     return None
 
 
-def _one_plus_2c(field, u):
-    """Residue pair of c where u * eta^2 = 1 + 2c; unramified dyadic only."""
-    ring = field.ring(2 * field.e + 1)
-    xs = ring.coords()
-    x, y = ring.sub(ring.mul(ring.reduce(u), ring.mul(xs, xs)), (1, 0))
-    hits = np.flatnonzero(ring.is_unit(xs) & (x % 2 == 0) & (y % 2 == 0))
-    if not len(hits):
-        raise InternalConsistencyError("unit not expressible as square*(1+2c)")
-    return (int(x[hits[0]]) // 2 % 2, int(y[hits[0]]) // 2 % 2)
+def _one_plus_2c(field, key):
+    """Residue pair of c mod 2 with 1 + 2c in the unit class `key`, which
+    fixes it; unramified dyadic only."""
+    for c in itertools.product(range(4), repeat=2):
+        if square_class_key(field, field.elt(1 + 2 * c[0], 2 * c[1])) == key:
+            return c[0] % 2, c[1] % 2
+    raise InternalConsistencyError("unit not expressible as square*(1+2c)")
 
 
 def _symbol_by_search(field: LocalField, a, b) -> int:
     """Ground truth: does a x^2 + b y^2 - z^2 have a primitive zero?"""
-    from . import kernels
     level = 2 * field.e + 3
     ring = field.ring(level)
     found = kernels.primitive_zero_exists(ring, [a, b, field.elt(-1)])
@@ -626,9 +613,7 @@ def hilbert_symbol(field: LocalField, a, b) -> int:
         return hit
     ra = square_class_rep(field, a)
     rb = square_class_rep(field, b)
-    akind = unit_defect_kind(field, unit_class_reps(field)[ka[1]])
-    bkind = unit_defect_kind(field, unit_class_reps(field)[kb[1]])
-    rule = _symbol_by_rules(field, ra, rb, akind, bkind, ka[0], kb[0])
+    rule = _symbol_by_rules(field, ka, kb)
     search = None
     if field.q ** (2 * field.e + 3) <= 1 << 13:
         search = _symbol_by_search(field, ra, rb)

@@ -510,14 +510,26 @@ def local_factor_report(n: int, alpha: int = None) -> dict:
         "consistent": ratio_repr is not None,
     }
     if alpha is not None:
+        _check_alpha(n, alpha, table)
+        report["alpha"] = alpha
+        report["value"] = _frac_str(_at_q2(table, alpha))
+    return report
+
+
+def _check_alpha(n: int, alpha: int, entry: RF = None):
+    """Reject alpha outside the convergence range alpha > n + 1.  Given
+    the even-prime entry, say so when alpha is a pole of it; that is
+    tested for alpha >= 0 only, where a = 2^-alpha stays small."""
+    if alpha > n + 1:
+        return
+    if entry is not None and alpha >= 0:
         try:
-            value = _at_q2(table, alpha)
+            _at_q2(entry, alpha)
         except ZeroDivisionError:
             raise ValueError("alpha = %d sits on a pole; needs alpha > %d"
                              % (alpha, n + 1))
-        report["alpha"] = alpha
-        report["value"] = _frac_str(value)
-    return report
+    raise ValueError("need alpha > n + 1 = %d for convergence, got %d"
+                     % (n + 1, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +606,7 @@ def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
     (1-S)^-K - 1, which covers both directions.
     """
     alpha = _as_integer(alpha)
-    if alpha <= n + 1:
-        raise ValueError("need alpha > n + 1 = %d for convergence, got %d"
-                         % (n + 1, alpha))
+    _check_alpha(n, alpha)
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     spec = table_row(n)

@@ -14,6 +14,7 @@ from .localfield import (
     FieldElt, InternalConsistencyError, LocalField, elt_from_json,
     hilbert_symbol, is_square, pick_companion_unit, quadratic_defect,
     square_class_key, square_class_rep, unit_class_reps, unit_defect_kind,
+    unit_part,
 )
 from . import kernels
 
@@ -82,15 +83,14 @@ class DiagonalForm:
 
 
 def _normalize_coeff(field, a) -> FieldElt:
-    o = int(a.ord())
+    o, u = unit_part(field, a)
     if o <= 1:
         return a
-    if field.variant != "ramified":
-        pt = field.p ** ((o // 2) * (2 // field.eram))
-        return field.elt(*[c // pt for c in a.coords])
-    # ramified model: swap in the canonical square-class representative,
-    # which differs from a by a square times an even uniformizer power
-    return square_class_rep(field, a)
+    if field.variant == "ramified":
+        # u is not a / pi^o there: swap in the canonical square-class
+        # representative, which differs from a by a square
+        return square_class_rep(field, a)
+    return u * field.uniformizer() ** (o % 2)
 
 
 class FormInvariants:
@@ -171,11 +171,14 @@ def _anisotropic_by_search(B: DiagonalForm):
     field = B.field
     if B.n == 0:
         return True
-    level = 3 * field.e + 3  # modulus 2 pi^(2e+3)
-    ring = field.ring(level)
     if B.planes:
         # a plane already carries the primitive zero (1, 0, ..)
         return False
+    ring = field.ring(3 * field.e + 3)  # modulus 2 pi^(2e+3)
+    if ring.size > kernels.SEARCH_BUDGET:
+        raise kernels.EnumBudgetError(
+            "anisotropy search over %d residue classes exceeds the budget "
+            "of %d" % (ring.size, kernels.SEARCH_BUDGET))
     return not kernels.primitive_zero_exists(ring, B.coeffs)
 
 

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -171,6 +172,12 @@ def test_localfactor_rows(capsys):
     code, out, err = run(capsys, "localfactor", "--n", "3", "--alpha", "3")
     assert code == 2 and out == ""
     assert err == "error: alpha = 3 sits on a pole; needs alpha > 4\n"
+    # off the poles, alpha <= n + 1 is still outside the convergence range
+    for alpha in ("0", "4"):
+        code, out, err = run(capsys, "localfactor", "--n", "3", "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert err == ("error: need alpha > n + 1 = 4 for convergence, got %s\n"
+                       % alpha)
 
 
 def test_period_json(capsys):
@@ -261,6 +268,32 @@ def test_usage_errors_exit_2(capsys):
     # closed form for an isotropic form is a usage-level rejection
     assert run(capsys, "xseries", "--field", "q2", "--form", "x^2-x^2",
                "--T", "0", "--L", "4", "--closed")[0] == 2
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("hilbert", "--field", "1009", "--a", "3", "--b", "5"), "(3, 5) = +1\n"),
+    (("hilbert", "--field", "10007", "--a", "3", "--b", "5"), "(3, 5) = +1\n"),
+    (("hilbert", "--field", "10007", "--a", "w", "--b", "5"), "(w, 5) = -1\n"),
+    (("defect", "--field", "10007", "--value", "5"),
+     "defect(5): kind=defect d=0 ideal=pi^0*o (ord 0)\n"),
+], ids=["hilbert-1009", "hilbert-10007", "hilbert-10007-w", "defect-10007"])
+def test_large_prime_fields_answer_in_bounded_time(capsys, argv, want):
+    # 5 is a nonresidue mod 10007; the classes come from the field's table
+    t0 = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - t0 < 5
+    assert (code, out) == (0, want), err
+
+
+def test_searches_past_their_budget_exit_2(capsys):
+    for argv in (("classify", "--field", "1009", "--form", "x1^2+x2^2+x3^2"),
+                 # the unramified field of degree 2 over Q_10007
+                 ("hilbert", "--field", "q100140049", "--a", "3", "--b", "5")):
+        t0 = perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert perf_counter() - t0 < 5
+        assert code == 2 and out == ""
+        assert "exceeds the budget" in err
 
 
 def test_count_without_target_exits_2(capsys):

@@ -9,7 +9,7 @@ from qperiods.localfield import (make_field, quadratic_defect, is_square,
                                  unit_defect_kind, unit_class_reps,
                                  square_class_key, square_class_rep,
                                  square_class_reps, hilbert_symbol,
-                                 count_square_roots)
+                                 count_square_roots, ResidueRing)
 
 Q2 = make_field(2)
 Q4 = make_field(2, 2, "unramified")
@@ -20,6 +20,9 @@ F5 = make_field(5)
 
 ALL_FIELDS = [Q2, Q4, R2, F3, F9]
 RING_FIELDS = [Q2, Q4, R2, F3, F5]
+# c0 = 6 has an odd part, so unit parts must not divide by c0^ord
+CLASS_FIELDS = RING_FIELDS + [make_field(2, 1, "ramified", c1=0, c0=6),
+                              make_field(2, 1, "ramified", c1=2, c0=2), F9]
 
 
 def test_make_field_validation():
@@ -158,15 +161,61 @@ def brute_defect(field, rho):
     return ("defect", best, o)
 
 
-@pytest.mark.parametrize("field", RING_FIELDS)
-def test_quadratic_defect_matches_brute_force_scan(field):
+def probes(field):
+    """Every unit residue at level 2e + 1, and a few of them times pi, pi^2,
+    2 and 2 pi.  With c0 = 6, 2 / pi^2 = -1/3 is not in Z[w]."""
     ring = field.ring(2 * field.e + 1)
     units = [ring.lift(x) for x in ring.elements() if ring.is_unit(x)]
     pi = field.uniformizer()
-    probes = units + [u * pi for u in units[:6]] + [u * pi * pi for u in units[:4]]
-    for rho in probes:
+    return units + [u * pi for u in units[:6]] + [
+        u * t for t in (pi * pi, field.elt(2), 2 * pi) for u in units[:4]]
+
+
+@pytest.mark.parametrize("field", CLASS_FIELDS)
+def test_quadratic_defect_matches_brute_force_scan(field):
+    for rho in probes(field):
         res = quadratic_defect(field, rho)
         assert (res.kind, res.d, res.o) == brute_defect(field, rho), rho
+
+
+@pytest.mark.parametrize("field", CLASS_FIELDS)
+def test_square_class_key_matches_brute_force_classes(field):
+    # x joins the class of the first earlier probe m with x * m a square;
+    # every unit class has a unit probe and those come first, so each
+    # class's first member has ord 0 or 1 and the scans stay small
+    firsts, labels = [], []
+    for x in probes(field):
+        for i, m in enumerate(firsts):
+            if ((x.ord() - m.ord()) % 2 == 0
+                    and brute_defect(field, x * m)[0] == "square"):
+                labels.append(i)
+                break
+        else:
+            labels.append(len(firsts))
+            firsts.append(x)
+    keys = [square_class_key(field, x) for x in probes(field)]
+    assert len(set(keys)) == len(firsts)
+    for x, key, label in zip(probes(field), keys, labels):
+        assert key[0] == int(x.ord()) % 2
+        assert key == keys[labels.index(label)], x
+
+
+def test_classes_are_read_without_scans(monkeypatch):
+    for field in CLASS_FIELDS:
+        field.square_classes
+
+    def scan(ring):
+        raise AssertionError("ring scanned after the table was built")
+    monkeypatch.setattr(ResidueRing, "coords", scan)
+    monkeypatch.setattr(ResidueRing, "elements", scan)
+    for field in CLASS_FIELDS:
+        pi = field.uniformizer()
+        unit_class_reps(field)
+        for k in range(5):
+            # a unit no earlier test memoized, times pi^k
+            x = field.elt(*(1000003, 7)[:field.ncoords]) * pi ** k
+            assert quadratic_defect(field, x).o == k
+            assert square_class_key(field, x)[0] == k % 2
 
 
 @pytest.mark.parametrize("field, reps", [
