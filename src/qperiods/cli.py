@@ -282,11 +282,28 @@ def cmd_localfactor(args) -> int:
     return 0 if obj["consistent"] else 1
 
 
+def _decimal_digits(m: int) -> int:
+    """The number of decimal digits of |m|, without converting it to str."""
+    m = abs(m)
+    # 2^(b-1) <= m < 2^b leaves two candidates, d and d + 1
+    d = int(m.bit_length() * math.log10(2))
+    return d + 1 if 10 ** d <= m else max(d, 1)
+
+
 def cmd_period(args) -> int:
     pv = evaluate_period(args.n, args.alpha, args.pmax)
-    # only --json spells out the exact value: for a large pmax it has more
-    # digits than Python converts from int to str by default
-    obj = pv.to_json(args.digits) if args.json else None
+    obj = None
+    if args.json:
+        # only --json spells out the exact value: for a large pmax it has
+        # more digits than Python converts from int to str by default
+        try:
+            obj = pv.to_json(args.digits)
+        except ValueError:
+            digits = max(_decimal_digits(pv.value.numerator),
+                         _decimal_digits(pv.value.denominator))
+            raise UsageError(
+                "--json prints the exact value, which has %d digits here, "
+                "so drop --json or lower --pmax" % digits) from None
     human = ("period(n=%d, alpha=%d, pmax=%d) ~ %s  tail <= %.3e\n"
              "  %s  [up to a multiplicative constant]"
              % (args.n, args.alpha, args.pmax, pv.decimal(args.digits),

@@ -115,12 +115,18 @@ class ZLFactor:
 
     def value_at_prime(self, p: int, alpha: int) -> Fraction:
         """The local factor (1 - chi(p) p^-s)^(-power) as an exact rational."""
+        chi = 1 if self.kind == "zeta" else chi1(p)
+        return Fraction(*self.local_terms(p, alpha, chi))
+
+    def local_terms(self, p: int, alpha: int, chi: int):
+        """The local factor at p as an unreduced pair (numerator,
+        denominator), given this factor's character value chi at p:
+        p^s/(p^s - chi), or its inverse when power is -1."""
         s = self.exponent(alpha)
         if s <= 0:
             raise ValueError("factor exponent %d not in the convergence range" % s)
-        chi = 1 if self.kind == "zeta" else chi1(p)
-        base = 1 - Fraction(chi, p ** s)
-        return Fraction(1) / base if self.power == 1 else base
+        ps = p ** s
+        return (ps, ps - chi) if self.power == 1 else (ps - chi, ps)
 
     def dyadic_rf(self) -> RF:
         """The same factor at p = 2 as a rational function in (iq, av);
@@ -594,16 +600,62 @@ def _as_integer(alpha) -> int:
     raise ValueError("alpha must be an integer, got %r" % (alpha,))
 
 
+def _local_product(factors, p: int, alpha: int) -> Fraction:
+    """The product of the factors' local factors at the odd prime p, one
+    reduced Fraction; p must be prime, so the mod-4 character is chi1(p)."""
+    chi = mod4_character(p)
+    num = den = 1
+    for f in factors:
+        a, b = f.local_terms(p, alpha, 1 if f.kind == "zeta" else chi)
+        num, den = num * a, den * b
+    return Fraction(num, den)
+
+
+def _tree_product(xs, lo: int, hi: int) -> Fraction:
+    """The product of xs[lo:hi] (a nonempty range), by recursive halving.
+    Each multiplication meets operands of similar size, so the big ones are
+    few, and only O(log(hi - lo)) partial products are alive at once; a
+    running product would instead multiply and reduce the whole accumulated
+    Fraction once per element."""
+    if hi - lo == 1:
+        return xs[lo]
+    mid = (lo + hi) // 2
+    return _tree_product(xs, lo, mid) * _tree_product(xs, mid, hi)
+
+
+def _round_up_64(x: Fraction) -> Fraction:
+    """x >= 0 rounded up to 64 significant bits: m/2^k with m the ceiling
+    of x 2^k, for the k with 2^63 <= x 2^k < 2^64, so larger than x by a
+    relative factor below 2^-63; x itself when its numerator and
+    denominator fit in 64 bits."""
+    num, den = x.numerator, x.denominator
+    if num.bit_length() <= 64 and den.bit_length() <= 64:
+        return x
+    # x 2^k lies in (2^63, 2^65) for this k, and in [2^63, 2^64) after the
+    # correction
+    k = 64 - (num.bit_length() - den.bit_length())
+    num, den = (num << k, den) if k >= 0 else (num, den << -k)
+    if num >= den << 64:
+        k -= 1
+        den <<= 1
+    m = -(-num // den)
+    return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
+
+
 def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
     """The period expression for dimension n at a concrete integer alpha:
     the product over odd primes p <= p_max of the uncorrected local
-    factors, times the exact even-prime factor.
+    factors, times the exact even-prime factor.  value is that exact
+    rational; the odd primes are multiplied in a balanced product tree,
+    which gives the same reduced Fraction as a running product.
 
     The omitted odd primes p > p_max multiply the value by R with
     (1-S)^K <= R <= (1-S)^-K, where K is the number of zeta/L factors,
     s = alpha - n the smallest exponent, and S = p_max^(1-s)/(s-1) bounds
-    sum_{p > p_max} p^-s.  The reported tail_bound is |value| times
-    (1-S)^-K - 1, which covers both directions.
+    sum_{p > p_max} p^-s.  The reported tail_bound covers both directions:
+    it is |value| times (1-S)^-K - 1, rounded up to 64 significant bits
+    (m/2^k) when that product has a numerator or denominator of more than
+    64 bits, which loosens it by a relative factor below 2^-63.
     """
     alpha = _as_integer(alpha)
     _check_alpha(n, alpha)
@@ -612,17 +664,16 @@ def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
     spec = table_row(n)
 
     value = _at_q2(spec.local2_rf(), alpha)
-    for p in primes_up_to(p_max):
-        if p == 2:
-            continue
-        for f in spec.uncorrected:
-            value *= f.value_at_prime(p, alpha)
+    leaves = [_local_product(spec.uncorrected, p, alpha)
+              for p in primes_up_to(p_max)[1:]]
+    if leaves:
+        value *= _tree_product(leaves, 0, len(leaves))
 
     K = len(spec.uncorrected)
     s = alpha - n
     S = Fraction(1, (s - 1) * p_max ** (s - 1))
     rel = (Fraction(1) / (1 - S)) ** K - 1
-    tail = abs(value) * rel
+    tail = _round_up_64(abs(value) * rel)
 
     expression = "%s * C2,  C2 = %s" % (spec.uncorrected_str(),
                                         spec.correction2_str)

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -8,6 +10,7 @@ import pytest
 from qperiods.cli import main, parse_field, parse_element, parse_form, \
     parse_n_range, UsageError
 from qperiods.counting import pi_truncated
+from qperiods.periods import evaluate_period
 from qperiods import cli
 from qperiods.localfield import make_field, InternalConsistencyError
 from qperiods.qform import DiagonalForm
@@ -242,6 +245,24 @@ def test_period_plain_output_with_large_pmax(capsys):
                          "--pmax", "3000")
     assert code == 0, err
     assert "tail <=" in out
+
+
+def test_period_json_past_the_digit_limit_names_the_cause(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length to str")
+    code, out, err = run(capsys, "period", "--n", "6", "--alpha", "9",
+                         "--pmax", "3000", "--json")
+    assert code == 2 and out == ""
+    m = re.fullmatch(r"error: --json prints the exact value, which has "
+                     r"(\d+) digits here, so drop --json or lower --pmax\n",
+                     err)
+    assert m, err
+    value = evaluate_period(6, 9, 3000).value
+    longest = max(value.numerator, value.denominator)
+    digits = int(m.group(1))
+    assert digits > limit
+    assert 10 ** (digits - 1) <= longest < 10 ** digits
 
 
 def test_json_output_is_deterministic(capsys):

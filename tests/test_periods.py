@@ -11,7 +11,8 @@ from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
                               GlobalPeriodSpec, PeriodValue, table_row,
                               verify_table_row, verify_rows,
                               specialize_profile, evaluate_period,
-                              constant_ratio_at_q2, local_factor_report)
+                              constant_ratio_at_q2, local_factor_report,
+                              _round_up_64)
 
 ONE = RF.const(1)
 
@@ -289,6 +290,52 @@ def test_tail_bound_at_least_halves_when_cutoff_doubles():
             big = evaluate_period(n, alpha, P).tail_bound
             small = evaluate_period(n, alpha, 2 * P).tail_bound
             assert small <= big / 2
+
+
+def _sequential_period(n, alpha, p_max):
+    """The running product that evaluate_period's product tree replaced,
+    kept here as its oracle: (value, exact tail bound)."""
+    spec = table_row(n)
+    half = Fraction(1, 2)
+    value = spec.local2_rf().eval_partial(
+        iq=half, av=half ** alpha).as_fraction()
+    for p in primes_up_to(p_max):
+        if p == 2:
+            continue
+        for f in spec.uncorrected:
+            chi = 1 if f.kind == "zeta" else chi1(p)
+            base = 1 - Fraction(chi, p ** f.exponent(alpha))
+            value *= Fraction(1) / base if f.power == 1 else base
+    K = len(spec.uncorrected)
+    s = alpha - n
+    S = Fraction(1, (s - 1) * p_max ** (s - 1))
+    return value, abs(value) * ((Fraction(1) / (1 - S)) ** K - 1)
+
+
+def test_product_tree_matches_the_sequential_product():
+    cases = [(n, n + d, P) for n in range(3, 19) for d in (2, 3, 7)
+             for P in (2, 3, 5, 97, 1000)] + [(66, 69, 1000)]
+    assert {table_row(n).chi for n, _, _ in cases} == {"chi0", "chi1"}
+    for n, alpha, P in cases:
+        pv = evaluate_period(n, alpha, P)
+        value, exact = _sequential_period(n, alpha, P)
+        assert pv.value == value, (n, alpha, P)
+        assert exact <= pv.tail_bound <= exact * (1 + Fraction(1, 2 ** 63)), \
+            (n, alpha, P)
+
+
+def test_round_up_64():
+    small = Fraction(3, 2 ** 64 - 1)
+    assert _round_up_64(small) is small
+    for x in (Fraction(3 ** 100 + 1, 7), Fraction(7, 3 ** 100),
+              Fraction(2 ** 64 + 1, 3 ** 41), Fraction(2 ** 65 + 1, 2 ** 65),
+              Fraction(2 ** 200)):
+        r = _round_up_64(x)
+        m = r.numerator
+        while m % 2 == 0:
+            m //= 2
+        assert m.bit_length() <= 64 and r.denominator & (r.denominator - 1) == 0
+        assert x <= r <= x * (1 + Fraction(1, 2 ** 63)), x
 
 
 def test_period_value_decimal():
