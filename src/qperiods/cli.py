@@ -294,16 +294,18 @@ def cmd_period(args) -> int:
     pv = evaluate_period(args.n, args.alpha, args.pmax)
     obj = None
     if args.json:
-        # only --json spells out the exact value: for a large pmax it has
-        # more digits than Python converts from int to str by default
+        # only --json spells out value and tail_bound as fractions; for a
+        # large alpha they have more digits than Python converts from int to
+        # str by default
         try:
             obj = pv.to_json(args.digits)
         except ValueError:
-            digits = max(_decimal_digits(pv.value.numerator),
-                         _decimal_digits(pv.value.denominator))
+            digits = max(_decimal_digits(m) for x in (pv.value, pv.tail_bound)
+                         for m in (x.numerator, x.denominator))
             raise UsageError(
-                "--json prints the exact value, which has %d digits here, "
-                "so drop --json or lower --pmax" % digits) from None
+                "--json prints value and tail_bound as exact fractions, "
+                "which have up to %d digits at alpha = %d; drop --json to "
+                "print the decimal" % (digits, args.alpha)) from None
     human = ("period(n=%d, alpha=%d, pmax=%d) ~ %s  tail <= %.3e\n"
              "  %s  [up to a multiplicative constant]"
              % (args.n, args.alpha, args.pmax, pv.decimal(args.digits),

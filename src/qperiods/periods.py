@@ -26,6 +26,10 @@ from .qform import witt_profile
 ONE = RF.const(1)
 HALF = Fraction(1, 2)
 
+# evaluate_period refuses a larger p_max before its sieve allocates
+# p_max + 1 bytes; at this limit it takes a few seconds
+P_MAX_LIMIT = 10 ** 7
+
 _PRETTY_NAMES = ("z", "1/q", "a")
 
 
@@ -551,11 +555,12 @@ def _decimal_str(x: Fraction, digits: int) -> str:
 
 
 class PeriodValue:
-    """A truncated Euler-product value with a proven relative tail bound.
+    """An Euler-product value with a proven absolute error bound.
 
-    value is exact for the primes included; the full product differs from
-    it by a factor within [1/(1+r), 1+r] where r = tail_bound/|value|.
-    Meaningful up to a multiplicative constant independent of alpha.
+    value is a rational approximation, not the truncated product itself:
+    the full product lies in [value - tail_bound, value + tail_bound],
+    which covers both the omitted primes and the rounding of the included
+    ones.  Meaningful up to a multiplicative constant independent of alpha.
     """
 
     __slots__ = ("n", "alpha", "p_max", "value", "tail_bound", "expression")
@@ -579,7 +584,8 @@ class PeriodValue:
             "value": _frac_str(self.value),
             "tail_bound": _frac_str(self.tail_bound),
             "decimal": self.decimal(digits),
-            "precision": "%d decimal digits; exact value above" % digits,
+            "precision": ("%d decimal digits; the full product lies within "
+                          "tail_bound of value" % digits),
             "expression": self.expression,
             "normalization": "up to a multiplicative constant",
         }
@@ -600,27 +606,28 @@ def _as_integer(alpha) -> int:
     raise ValueError("alpha must be an integer, got %r" % (alpha,))
 
 
-def _local_product(factors, p: int, alpha: int) -> Fraction:
-    """The product of the factors' local factors at the odd prime p, one
-    reduced Fraction; p must be prime, so the mod-4 character is chi1(p)."""
+def _local_product(factors, p: int, alpha: int):
+    """The product of the factors' local factors at the odd prime p as an
+    unreduced pair (numerator, denominator); p must be prime, so the mod-4
+    character is chi1(p)."""
     chi = mod4_character(p)
     num = den = 1
     for f in factors:
         a, b = f.local_terms(p, alpha, 1 if f.kind == "zeta" else chi)
         num, den = num * a, den * b
-    return Fraction(num, den)
+    return num, den
 
 
-def _tree_product(xs, lo: int, hi: int) -> Fraction:
-    """The product of xs[lo:hi] (a nonempty range), by recursive halving.
-    Each multiplication meets operands of similar size, so the big ones are
-    few, and only O(log(hi - lo)) partial products are alive at once; a
-    running product would instead multiply and reduce the whole accumulated
-    Fraction once per element."""
-    if hi - lo == 1:
-        return xs[lo]
-    mid = (lo + hi) // 2
-    return _tree_product(xs, lo, mid) * _tree_product(xs, mid, hi)
+def _enclosing_product(pairs, B: int):
+    """(lo, hi) with lo <= 2^B prod(num/den) <= hi over positive fractions
+    given as pairs (num, den): a running product of numbers scaled by 2^B,
+    lo rounded down and hi rounded up at every step."""
+    lo = hi = 1 << B
+    for num, den in pairs:
+        q, r = divmod(num << B, den)
+        lo = (lo * q) >> B
+        hi = -((-hi * (q + (r > 0))) >> B)
+    return lo, hi
 
 
 def _round_up_64(x: Fraction) -> Fraction:
@@ -644,36 +651,53 @@ def _round_up_64(x: Fraction) -> Fraction:
 
 def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
     """The period expression for dimension n at a concrete integer alpha:
-    the product over odd primes p <= p_max of the uncorrected local
-    factors, times the exact even-prime factor.  value is that exact
-    rational; the odd primes are multiplied in a balanced product tree,
-    which gives the same reduced Fraction as a running product.
+    the exact even-prime factor c2 times the product over odd primes
+    p <= p_max of the uncorrected local factors, with p_max at most
+    P_MAX_LIMIT.
 
-    The omitted odd primes p > p_max multiply the value by R with
+    The odd primes go into one outward-rounded fixed-point product: two
+    integers lo <= hi scaled by 2^B, each leaf num/den taken as
+    q = floor(num 2^B / den), lo rounded down with q and hi rounded up with
+    q + 1 when the division is inexact.  Every leaf is positive, so the
+    exact truncated product T lies in c2 [lo, hi]/2^B.  value is c2 times
+    the midpoint and rho = |c2| (hi - lo)/2^(B+1) its rounding radius.
+
+    The omitted odd primes p > p_max multiply T by R with
     (1-S)^K <= R <= (1-S)^-K, where K is the number of zeta/L factors,
     s = alpha - n the smallest exponent, and S = p_max^(1-s)/(s-1) bounds
-    sum_{p > p_max} p^-s.  The reported tail_bound covers both directions:
-    it is |value| times (1-S)^-K - 1, rounded up to 64 significant bits
-    (m/2^k) when that product has a numerator or denominator of more than
-    64 bits, which loosens it by a relative factor below 2^-63.
+    sum_{p > p_max} p^-s; let rel = (1-S)^-K - 1.  tail_bound is
+    (|value| + rho) rel + rho rounded up to 64 significant bits, so the
+    full product lies in [value - tail_bound, value + tail_bound].  B is
+    chosen so that rho stays below 2^-64 |T| rel, and with no odd prime
+    (p_max = 2) value is c2 exactly and rho = 0.
     """
     alpha = _as_integer(alpha)
     _check_alpha(n, alpha)
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
+    if p_max > P_MAX_LIMIT:
+        raise ValueError("p_max must be at most %d, got %d"
+                         % (P_MAX_LIMIT, p_max))
     spec = table_row(n)
-
-    value = _at_q2(spec.local2_rf(), alpha)
-    leaves = [_local_product(spec.uncorrected, p, alpha)
-              for p in primes_up_to(p_max)[1:]]
-    if leaves:
-        value *= _tree_product(leaves, 0, len(leaves))
+    c2 = _at_q2(spec.local2_rf(), alpha)
 
     K = len(spec.uncorrected)
     s = alpha - n
     S = Fraction(1, (s - 1) * p_max ** (s - 1))
     rel = (Fraction(1) / (1 - S)) ** K - 1
-    tail = _round_up_64(abs(value) * rel)
+
+    primes = primes_up_to(p_max)[1:]
+    # 2^-L <= rel.  Each step moves lo and hi by at most 2^-B/x + 2^-B/X
+    # relative, where the leaf x and the partial product X both stay above
+    # 1/2, so rho <= 4 len(primes) 2^-B |T| <= 2^-64 |T| rel.
+    L = rel.denominator.bit_length() - rel.numerator.bit_length() + 1
+    B = 66 + max(128, L) + len(primes).bit_length()
+    lo, hi = _enclosing_product(
+        (_local_product(spec.uncorrected, p, alpha) for p in primes), B)
+
+    value = c2 * Fraction(lo + hi, 1 << (B + 1))
+    rho = abs(c2) * Fraction(hi - lo, 1 << (B + 1))
+    tail = _round_up_64((abs(value) + rho) * rel + rho)
 
     expression = "%s * C2,  C2 = %s" % (spec.uncorrected_str(),
                                         spec.correction2_str)

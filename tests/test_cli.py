@@ -247,22 +247,53 @@ def test_period_plain_output_with_large_pmax(capsys):
     assert "tail <=" in out
 
 
-def test_period_json_past_the_digit_limit_names_the_cause(capsys):
+def test_period_json_with_large_pmax(capsys):
+    # value is a short certified approximation, so --json no longer grows
+    # with pmax
+    j = run_json(capsys, "period", "--n", "6", "--alpha", "9",
+                 "--pmax", "100000", "--json")
+    assert j["decimal"] == "1.203794101447"
+    value, tail = Fraction(j["value"]), Fraction(j["tail_bound"])
+    assert 0 < tail < Fraction(1, 10 ** 9)
+    assert abs(value - Fraction(j["decimal"])) <= Fraction(1, 2 * 10 ** 12)
+
+
+def test_period_json_past_the_digit_limit_names_alpha(capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this interpreter converts ints of any length to str")
-    code, out, err = run(capsys, "period", "--n", "6", "--alpha", "9",
-                         "--pmax", "3000", "--json")
+    # no odd prime: the exact even factor alone has the digits
+    code, out, err = run(capsys, "period", "--n", "6", "--alpha", "20000",
+                         "--pmax", "2", "--json")
     assert code == 2 and out == ""
-    m = re.fullmatch(r"error: --json prints the exact value, which has "
-                     r"(\d+) digits here, so drop --json or lower --pmax\n",
+    m = re.fullmatch(r"error: --json prints value and tail_bound as exact "
+                     r"fractions, which have up to (\d+) digits at "
+                     r"alpha = 20000; drop --json to print the decimal\n",
                      err)
     assert m, err
-    value = evaluate_period(6, 9, 3000).value
-    longest = max(value.numerator, value.denominator)
+    pv = evaluate_period(6, 20000, 2)
+    longest = max(k for x in (pv.value, pv.tail_bound)
+                  for k in (x.numerator, x.denominator))
     digits = int(m.group(1))
     assert digits > limit
     assert 10 ** (digits - 1) <= longest < 10 ** digits
+
+
+def test_period_pmax_past_the_limit_exits_2_at_once(capsys):
+    t0 = perf_counter()
+    code, out, err = run(capsys, "period", "--n", "6", "--alpha", "9",
+                         "--pmax", "1000000000")
+    assert perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: p_max must be at most 10000000, got 1000000000\n"
+
+
+def test_period_json_at_pmax_1e6_in_bounded_time(capsys):
+    t0 = perf_counter()
+    j = run_json(capsys, "period", "--n", "6", "--alpha", "9",
+                 "--pmax", "1000000", "--json")
+    assert perf_counter() - t0 < 10.0
+    assert j["decimal"] == "1.203794101452"
 
 
 def test_json_output_is_deterministic(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,14 @@ from qperiods.ratfunc import RF, IQv, AVv, VAR_AV, ratio_if_proportional
 from qperiods.closedforms import (PiecewiseGeometric, closed_profile,
                                   pi_geometric, zeta_Z, local_factor_chain)
 from qperiods.qform import witt_profile
+from qperiods import periods
 from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
                               uncorrected_factors, rejected_variants,
                               GlobalPeriodSpec, PeriodValue, table_row,
                               verify_table_row, verify_rows,
                               specialize_profile, evaluate_period,
                               constant_ratio_at_q2, local_factor_report,
-                              _round_up_64)
+                              _round_up_64, _enclosing_product)
 
 ONE = RF.const(1)
 
@@ -293,8 +295,9 @@ def test_tail_bound_at_least_halves_when_cutoff_doubles():
 
 
 def _sequential_period(n, alpha, p_max):
-    """The running product that evaluate_period's product tree replaced,
-    kept here as its oracle: (value, exact tail bound)."""
+    """The exact truncated product T by a running product of Fractions, the
+    oracle for evaluate_period's fixed-point product: (T, rel, S, K) with
+    the full product inside T [(1-S)^K, (1-S)^-K] and rel = (1-S)^-K - 1."""
     spec = table_row(n)
     half = Fraction(1, 2)
     value = spec.local2_rf().eval_partial(
@@ -309,19 +312,73 @@ def _sequential_period(n, alpha, p_max):
     K = len(spec.uncorrected)
     s = alpha - n
     S = Fraction(1, (s - 1) * p_max ** (s - 1))
-    return value, abs(value) * ((Fraction(1) / (1 - S)) ** K - 1)
+    return value, (Fraction(1) / (1 - S)) ** K - 1, S, K
 
 
-def test_product_tree_matches_the_sequential_product():
+def test_fixed_point_product_encloses_the_exact_product():
     cases = [(n, n + d, P) for n in range(3, 19) for d in (2, 3, 7)
              for P in (2, 3, 5, 97, 1000)] + [(66, 69, 1000)]
     assert {table_row(n).chi for n, _, _ in cases} == {"chi0", "chi1"}
     for n, alpha, P in cases:
         pv = evaluate_period(n, alpha, P)
-        value, exact = _sequential_period(n, alpha, P)
-        assert pv.value == value, (n, alpha, P)
-        assert exact <= pv.tail_bound <= exact * (1 + Fraction(1, 2 ** 63)), \
+        T, rel, S, K = _sequential_period(n, alpha, P)
+        tail = abs(T) * rel
+        # the rounding stays far below the truncation tail
+        assert abs(pv.value - T) <= tail / 2 ** 64, (n, alpha, P)
+        # the full product's range lies inside the reported interval
+        ends = (T * (1 - S) ** K, T / (1 - S) ** K)
+        assert pv.value - pv.tail_bound <= min(ends), (n, alpha, P)
+        assert max(ends) <= pv.value + pv.tail_bound, (n, alpha, P)
+        assert tail <= pv.tail_bound <= tail * (1 + Fraction(1, 2 ** 62)), \
             (n, alpha, P)
+        oracle = PeriodValue(n, alpha, P, T, tail, "")
+        assert pv.decimal(12) == oracle.decimal(12), (n, alpha, P)
+
+
+def test_enclosing_product_rounds_outward():
+    rng = random.Random(7)
+    for B in (0, 1, 4, 16, 64):
+        for _ in range(200):
+            pairs = [(rng.randint(1, 50), rng.randint(1, 50))
+                     for _ in range(rng.randint(0, 6))]
+            exact = Fraction(1 << B)
+            for num, den in pairs:
+                exact *= Fraction(num, den)
+            lo, hi = _enclosing_product(iter(pairs), B)
+            assert lo <= exact <= hi, (B, pairs)
+    # no rounding when every partial product is a multiple of 2^-B
+    assert _enclosing_product([(3, 2), (5, 4)], 4) == (30, 30)
+    # leaves near 1: each end moves by a few units per step
+    pairs = [(p ** 3, p ** 3 - 1) for p in primes_up_to(1000)[1:]]
+    lo, hi = _enclosing_product(pairs, 64)
+    assert hi - lo <= 4 * len(pairs)
+
+
+def test_tail_bound_covers_the_rounding_radius(monkeypatch):
+    # lower lo far past the truncation tail: the midpoint moves off T by
+    # about T/128, and only the rounding radius in tail_bound still covers T
+    real = periods._enclosing_product
+
+    def lopsided(pairs, B):
+        lo, hi = real(pairs, B)
+        return lo - (1 << (B - 6)), hi
+    monkeypatch.setattr(periods, "_enclosing_product", lopsided)
+    for n, alpha, P in ((6, 10, 97), (7, 10, 97), (3, 6, 1000)):
+        pv = evaluate_period(n, alpha, P)
+        T, rel, S, K = _sequential_period(n, alpha, P)
+        assert abs(pv.value - T) > abs(T) * rel
+        ends = (T * (1 - S) ** K, T / (1 - S) ** K)
+        assert pv.value - pv.tail_bound <= min(ends), (n, alpha, P)
+        assert max(ends) <= pv.value + pv.tail_bound, (n, alpha, P)
+
+
+def test_evaluate_period_refuses_p_max_past_the_limit(monkeypatch):
+    def no_sieve(N):
+        raise AssertionError("the sieve ran for p_max = %d" % N)
+    monkeypatch.setattr(periods, "primes_up_to", no_sieve)
+    with pytest.raises(ValueError, match="p_max must be at most %d"
+                       % periods.P_MAX_LIMIT):
+        evaluate_period(6, 9, periods.P_MAX_LIMIT + 1)
 
 
 def test_round_up_64():
