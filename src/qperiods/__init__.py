@@ -22,12 +22,12 @@ from .counting import (TruncatedSeries, count_level_naive,
                        count_level_histogram, x_series, x_series_at,
                        pi_truncated, conic_measure,
                        residually_anisotropic_pair)
-from .kernels import EnumBudgetError, PrimeBoundError, enum_budget
+from .kernels import EnumBudgetError, PrimeBoundError
 from .ratfunc import RF, Poly, pretty_rf, ratio_if_proportional
 from .closedforms import (ClosedFormCase, PiecewiseGeometric, UnsupportedCase,
                           CASE_TAGS, case_for_form, x_closed, closed_profile,
                           x_from_levels, x_from_levels_zero, pi_from_x,
-                          pi_geometric, dimension_reduce, local_factor,
+                          pi_geometric, dimension_reduce,
                           local_factor_chain, halfstep_sum, zeta_Z)
 from .periods import (GlobalPeriodSpec, PeriodValue, chi1, mod4_character,
                       table_row, verify_table_row, verify_rows,
@@ -43,12 +43,12 @@ __all__ = [
     "TruncatedSeries", "count_level_naive", "count_level_histogram",
     "x_series", "x_series_at", "pi_truncated", "conic_measure",
     "residually_anisotropic_pair",
-    "EnumBudgetError", "PrimeBoundError", "enum_budget",
+    "EnumBudgetError", "PrimeBoundError",
     "RF", "Poly", "pretty_rf", "ratio_if_proportional",
     "ClosedFormCase", "PiecewiseGeometric", "UnsupportedCase", "CASE_TAGS",
     "case_for_form", "x_closed", "closed_profile", "x_from_levels",
     "x_from_levels_zero", "pi_from_x", "pi_geometric", "dimension_reduce",
-    "local_factor", "local_factor_chain", "halfstep_sum", "zeta_Z",
+    "local_factor_chain", "halfstep_sum", "zeta_Z",
     "GlobalPeriodSpec", "PeriodValue", "chi1", "mod4_character", "table_row",
     "verify_table_row", "verify_rows", "evaluate_period",
 ]

@@ -262,7 +262,7 @@ def cmd_pi(args) -> int:
         raise UsageError("need --symbolic or --alpha-value with --L/--T-max")
     try:
         a_val = Fraction(args.alpha_value)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError("cannot parse --alpha-value %r" % args.alpha_value)
     coeffs = pi_truncated(B, a_val, args.L, args.T_max)
     strs = [_frac_str(c) for c in coeffs]
@@ -292,6 +292,11 @@ def _decimal_digits(m: int) -> int:
 
 def cmd_period(args) -> int:
     pv = evaluate_period(args.n, args.alpha, args.pmax)
+    # first, so a bad --digits is reported as such and not as a digit limit
+    human = ("period(n=%d, alpha=%d, pmax=%d) ~ %s  tail <= %.3e\n"
+             "  %s  [up to a multiplicative constant]"
+             % (args.n, args.alpha, args.pmax, pv.decimal(args.digits),
+                float(pv.tail_bound), pv.expression))
     obj = None
     if args.json:
         # only --json spells out value and tail_bound as fractions; for a
@@ -306,10 +311,6 @@ def cmd_period(args) -> int:
                 "--json prints value and tail_bound as exact fractions, "
                 "which have up to %d digits at alpha = %d; drop --json to "
                 "print the decimal" % (digits, args.alpha)) from None
-    human = ("period(n=%d, alpha=%d, pmax=%d) ~ %s  tail <= %.3e\n"
-             "  %s  [up to a multiplicative constant]"
-             % (args.n, args.alpha, args.pmax, pv.decimal(args.digits),
-                float(pv.tail_bound), pv.expression))
     _emit(args, obj, human)
     return 0
 

@@ -19,13 +19,11 @@ from functools import partial
 
 from .qform import anisotropic_representative, invariants, is_anisotropic
 from .ratfunc import (
-    RF, VAR_AV, VAR_IQ, VAR_Z, AVv, IQv, Zv,
-    geometric_inverse_factor as _geom, ratio_if_proportional,
+    RF, VAR_AV, VAR_Z, AVv, IQv, Zv, geometric_inverse_factor as _geom,
 )
 
 ONE = RF.const(1)
 ZERO = RF.const(0)
-W = Zv * IQv
 
 
 class UnsupportedCase(ValueError):
@@ -374,16 +372,13 @@ def x_from_levels_zero(levels, e: int, n: int) -> RF:
     return acc + tail * _geom(2, n)
 
 
-def pi_from_x(X: PiecewiseGeometric, e: int = None, n: int = None) -> RF:
+def pi_from_x(X: PiecewiseGeometric) -> RF:
     """Pi(alpha, beta) assembled from X at T < e, T = e, and the zero target:
 
         sum_{T<e} av^T X(T) + av^e X(e)/(1-av u)
                             + av^e (av - av u) X(0-target)/((1-av)(1-av u)).
     """
-    if e is None:
-        e = X.e
-    if n is None:
-        n = X.n
+    e, n = X.e, X.n
     u_inv = _geom(2, n, 1)            # 1/(1 - av u), u = z^2 iq^n
     acc = ZERO
     for T in range(e):
@@ -408,24 +403,18 @@ def pi_geometric(X: PiecewiseGeometric) -> RF:
     return acc
 
 
-def dimension_reduce(f: RF, k: int, direction: str = "up") -> RF:
-    """Pass between m-variable and (m+2k)-variable expressions:
+def dimension_reduce(f: RF, k: int) -> RF:
+    """Add k hyperbolic planes to an m-variable expression:
 
         X or Pi for m+2k variables  =  [Z(beta+1)/Z(beta+k+1)] times the
         m-variable expression with beta replaced by beta+k (z -> z iq^k).
-
-    direction="up" adds the k planes; "down" undoes that.
     """
     if k < 0:
         raise ValueError("negative plane count")
     if k == 0:
         return f
     pref = (ONE - _m(1, k + 1)) * _geom(1, 1)
-    if direction == "up":
-        return pref * f.subst_monomial(VAR_Z, 1, (1, k, 0))
-    if direction == "down":
-        return (f / pref).subst_monomial(VAR_Z, 1, (1, -k, 0))
-    raise ValueError("direction must be 'up' or 'down'")
+    return pref * f.subst_monomial(VAR_Z, 1, (1, k, 0))
 
 
 def zeta_Z(alpha_mult: int = 1, shift: int = 0, extra: RF = None) -> RF:
@@ -438,19 +427,12 @@ def zeta_Z(alpha_mult: int = 1, shift: int = 0, extra: RF = None) -> RF:
     return ONE / (ONE - arg)
 
 
-def local_factor(pi_rf: RF, n: int, e: int) -> RF:
-    """Pi^n(alpha-beta-n, beta) / (|2|^alpha Z(alpha)), with the
-    substitution av -> av z^-1 iq^-n carrying alpha to alpha-beta-n.
-    Valid up to a multiplicative constant."""
-    shifted = pi_rf.subst_monomial(VAR_AV, 1, (-1, -n, 1))
-    return shifted * (ONE - AVv) * RF.monomial(0, 0, -e)
-
-
-def local_factor_chain(X: PiecewiseGeometric, n: int, k: int) -> RF:
+def local_factor_chain(pi: RF, n: int, k: int) -> RF:
     """The beta = 0 local factor of the n-variable split form whose
-    anisotropic kernel has profile X: Pi^m(alpha - n, k)/(av Z(alpha)),
-    up to a multiplicative constant (e = 1 throughout the chain)."""
-    pi = pi_geometric(X)
+    anisotropic kernel has generating function Pi = pi:
+    Pi(alpha - n, k)/(av Z(alpha)), up to a multiplicative constant (e = 1
+    throughout the chain).  av -> av iq^-n comes before z -> iq^k; RF is
+    not gcd-reduced, so that order fixes the printed form."""
     pi = pi.subst_monomial(VAR_AV, 1, (0, -n, 1))
     pi = pi.subst_monomial(VAR_Z, 1, (0, k, 0))
     return pi * (ONE - AVv) * RF.monomial(0, 0, -1)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .localfield import FieldElt, InternalConsistencyError, LocalField
+from .localfield import InternalConsistencyError, LocalField
 from .qform import DiagonalForm, is_anisotropic
 
 
@@ -52,9 +52,6 @@ class TruncatedSeries:
     def __repr__(self):
         return "TruncatedSeries(%s)" % (", ".join(str(c) for c in self.coeffs))
 
-    def to_json(self):
-        return {"L": self.L, "coeffs": [str(c) for c in self.coeffs]}
-
 
 def _as_element(field, rho):
     if rho is None:
@@ -68,7 +65,8 @@ def _coeff_coords(B: DiagonalForm):
     return [a.coords for a in B.coeffs]
 
 
-def count_level_naive(B: DiagonalForm, rho, ell: int, budget=None) -> Fraction:
+def count_level_naive(B: DiagonalForm, rho, ell: int,
+                      budget=kernels.DEFAULT_ENUM_BUDGET) -> Fraction:
     """Measure of {a : B(a) = rho mod 2 pi^ell} by full enumeration."""
     if ell < 0:
         raise ValueError("negative level")
@@ -153,18 +151,19 @@ def x_series_at(B: DiagonalForm, T: Optional[int], L: int, **kw) -> TruncatedSer
     return x_series(B, B.field.uniformizer() ** (2 * T), L, **kw)
 
 
-def pi_truncated(B: DiagonalForm, a_value, L: int, T_max: int,
-                 direct: bool = False):
+def pi_truncated(B: DiagonalForm, a_value, L: int, T_max: int):
     """Coefficientwise truncation sum_{T <= T_max} a^T x_series(B, T, L),
     returned as a tuple of L + 1 exact rationals (a polynomial in z).
 
     `a_value` stands for q^(-alpha); the caller owns the tail bound.
     """
+    if T_max < 0:
+        raise ValueError("negative T_max")
     a = Fraction(a_value)
     total = [Fraction(0)] * (L + 1)
     apow = Fraction(1)
     for T in range(T_max + 1):
-        s = x_series_at(B, T, L, direct=direct)
+        s = x_series_at(B, T, L)
         for i, c in enumerate(s.coeffs):
             total[i] += apow * c
         apow *= a

@@ -12,7 +12,6 @@ elements, and histograms use the ring's flat layout (flat_index).
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
@@ -32,19 +31,9 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 SEARCH_BUDGET = 1 << 20
 
 
-def enum_budget() -> int:
-    raw = os.environ.get("QPERIODS_ENUM_BUDGET")
-    return int(raw) if raw else DEFAULT_ENUM_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # Histograms of quadratic values
 # ---------------------------------------------------------------------------
-
-def square_term_histogram(ring, coeff_coords, restrict_nonunit=False):
-    """Histogram of coeff * x^2 as x runs over the ring (or over pi*o)."""
-    return square_histograms(ring, [coeff_coords], restrict_nonunit)[0]
-
 
 def square_histograms(ring, coeff_list, restrict_nonunit=False):
     """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0."""
@@ -144,6 +133,19 @@ def _ntt(a, p):
         c[...] = (y[:, :leaf] + (y[:, leaf:] % p << 16)) % p
 
 
+def _padded_lengths(shape, count):
+    """Transform length of each axis for a convolution of `count` histograms
+    of this shape: a power of two stays cyclic, any other m is padded past
+    count (m - 1); PrimeBoundError past 2^23, the order of the roots of
+    unity every table prime has."""
+    lengths = tuple(m if m & (m - 1) == 0
+                    else 1 << (count * (m - 1)).bit_length() for m in shape)
+    if max(lengths) > 1 << 23:
+        raise PrimeBoundError("axis length %d is beyond the prime table"
+                              % max(lengths))
+    return lengths
+
+
 def _entry_mod(p, stack, mults, lengths, target):
     """The target entry mod p; see convolution_entry."""
     shape = stack.shape[1:]
@@ -183,12 +185,10 @@ def convolution_entry(hists, target) -> int:
     bound = prod(int(h.sum()) ** c for h, c in zip(stack, mults))
     k = next((i for i, m in enumerate(accumulate(_NTT_PRIMES, mul), 1)
               if m > bound), 0)
-    lengths = tuple(m if m & (m - 1) == 0
-                    else 1 << (len(hists) * (m - 1)).bit_length()
-                    for m in stack.shape[1:])
-    if not k or max(lengths) > 1 << 23:  # every p has roots of order 2^23
-        raise PrimeBoundError("count bound %d or axis length %d is beyond "
-                              "the prime table" % (bound, max(lengths)))
+    if not k:
+        raise PrimeBoundError("count bound %d is beyond the prime table"
+                              % bound)
+    lengths = _padded_lengths(stack.shape[1:], len(hists))
     count, modulus = 0, 1
     for p in _NTT_PRIMES[:k]:
         r = _entry_mod(p, stack, mults, lengths, target)
@@ -206,6 +206,8 @@ def solution_count(ring, coeff_list, target_coords, planes=0,
     """Number of tuples over the ring with sum of terms equal to target."""
     if not (coeff_list or planes):
         return 1 if all(c == 0 for c in ring.reduce(target_coords)) else 0
+    # refuse an axis the primes cannot transform before allocating anything
+    _padded_lengths(ring.moduli, len(coeff_list) + planes)
     hists = list(square_histograms(ring, coeff_list, restrict_nonunit))
     if planes:
         hists += [plane_histogram(ring, restrict_nonunit)] * planes
@@ -225,14 +227,13 @@ def primitive_zero_exists(ring, coeffs) -> bool:
 # Naive chunked enumeration (the slow ground-truth baseline)
 # ---------------------------------------------------------------------------
 
-def naive_count(ring, coeff_list, target_coords, planes=0, budget=None) -> int:
+def naive_count(ring, coeff_list, target_coords, planes=0,
+                budget=DEFAULT_ENUM_BUDGET) -> int:
     """Full enumeration over all coordinate tuples, in vectorized chunks.
 
     Work is proportional to size^(n + 2*planes); the budget guard fails
     loudly instead of thrashing.
     """
-    if budget is None:
-        budget = enum_budget()
     size = ring.size
     nvars = len(coeff_list) + 2 * planes
     total_points = size ** nvars

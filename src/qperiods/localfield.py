@@ -173,13 +173,6 @@ class LocalField:
                 "c1": self.c1 if self.variant == "ramified" else None,
                 "c0": self.c0 if self.variant == "ramified" else None}
 
-    @staticmethod
-    def from_json(obj) -> "LocalField":
-        if obj["variant"] == "ramified":
-            return make_field(obj["p"], obj["f"], "ramified",
-                              c1=obj["c1"], c0=obj["c0"])
-        return make_field(obj["p"], obj["f"], obj["variant"])
-
 
 @lru_cache(maxsize=None)
 def _field_cached(p, f, variant, c1, c0):
@@ -306,16 +299,6 @@ class FieldElt:
         if x == 0:
             return "%d%s" % (y, gen) if y != 1 else gen
         return "%d%+d%s" % (x, y, gen)
-
-    def to_json(self, level: int = None):
-        obj = {"coords": [str(c) for c in self.coords]}
-        if level is not None:
-            obj["level"] = level
-        return obj
-
-
-def elt_from_json(field: LocalField, obj) -> FieldElt:
-    return field.elt(*[int(s) for s in obj["coords"]])
 
 
 class ResidueRing:
@@ -447,8 +430,9 @@ class SquareClasses:
 
     index maps each unit residue, in the ring's flat layout, to its class
     (-1 for non-units).  reps holds the first unit of each class in
-    elements() order, so class 0 is the squares; defects holds each class's
-    defect, max ord(r - x^2) at that level, or None for the squares.
+    elements() order, so class 0 is the squares (rep 1).  kinds holds each
+    class's kind: ("square", None), or for a nonsquare class its defect d,
+    max ord(r - x^2) at that level, as ("unit4", 2e) or ("unitd", odd d).
     """
 
     def __init__(self, field):
@@ -464,14 +448,16 @@ class SquareClasses:
         order = ring.flat_index(units)
         self.ring = ring
         self.index = np.full(ring.size, -1, dtype=np.int64)
-        self.reps, self.defects = [], []
+        self.reps, self.kinds = [], []
         free = np.flatnonzero(self.index[order] < 0)
         while len(free):
             r = tuple(int(c[free[0]]) for c in units)
             self.index[ring.flat_index(ring.mul(r, unit_sq))] = len(self.reps)
             best = int(ring.ord_of(ring.sub(r, sq)).max())
             self.reps.append(ring.lift(r))
-            self.defects.append(None if best > 2 * field.e else best)
+            self.kinds.append(
+                ("square", None) if best > 2 * field.e
+                else ("unit4" if best == 2 * field.e else "unitd", best))
             free = np.flatnonzero(self.index[order] < 0)
 
     def of(self, u) -> int:
@@ -492,7 +478,7 @@ def quadratic_defect(field: LocalField, rho) -> DefectResult:
     if hit is None:
         o, u = unit_part(field, rho)
         table = field.square_classes
-        du = 0 if o % 2 else table.defects[table.of(u)]
+        du = 0 if o % 2 else table.kinds[table.of(u)][1]
         hit = (DefectResult("square", None, o) if du is None
                else DefectResult("defect", o + du, o))
         field._defect_cache[rho.coords] = hit
@@ -505,12 +491,10 @@ def is_square(field: LocalField, rho) -> bool:
 
 def unit_defect_kind(field: LocalField, rho):
     """("square", None) | ("unit4", 2e) | ("unitd", odd d) for a unit rho."""
-    res = quadratic_defect(field, rho)
-    if res.o != 0:
+    rho = field.elt(rho) if isinstance(rho, int) else rho
+    if not rho.is_unit():
         raise ValueError("unit expected")
-    if res.is_square:
-        return ("square", None)
-    return ("unit4" if res.d == 2 * field.e else "unitd", res.d)
+    return square_class_kind(field, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +528,25 @@ def square_class_reps(field: LocalField):
     return list(units) + [u * pi for u in units]
 
 
+def square_class_kind(field: LocalField, x):
+    """The kind of the square class of nonzero x: ("prime", None) for odd
+    ord x, else the kind of the unit class of x / pi^ord(x), ("square",
+    None), ("unit4", 2e) or ("unitd", odd d) with d its defect exponent."""
+    par, i = square_class_key(field, x)
+    return ("prime", None) if par else field.square_classes.kinds[i]
+
+
+def first_class_of_kind(field: LocalField, kind, d=None):
+    """The first class in square_class_reps order whose kind is `kind` and,
+    when d is given, whose defect exponent is d; None if there is none.
+    So "square" gives 1 and "prime" gives pi."""
+    for x in square_class_reps(field):
+        k, xd = square_class_kind(field, x)
+        if k == kind and d in (None, xd):
+            return x
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Hilbert symbol
 # ---------------------------------------------------------------------------
@@ -557,17 +560,17 @@ def _symbol_tame(field: LocalField, ka, kb) -> int:
     return -1 if (s * t * m + t * i + s * j) % 2 else 1
 
 
-def _symbol_by_rules(field: LocalField, ka, kb):
-    """Closed-form value from the two square-class keys where the case
-    analysis is solid, else None."""
+def _symbol_by_rules(field: LocalField, a, b):
+    """Closed-form value of (a, b) from the square classes of a and b where
+    the case analysis is solid, else None."""
+    ka, kb = square_class_key(field, a), square_class_key(field, b)
     if ka == (0, 0) or kb == (0, 0):
         return 1  # class 0 is the squares
     if field.p != 2:
         return _symbol_tame(field, ka, kb)
-    unit4 = [d == 2 * field.e for d in field.square_classes.defects]
-    if ka[0] == 0 and unit4[ka[1]]:
+    if square_class_kind(field, a)[0] == "unit4":
         return -1 if kb[0] else 1
-    if kb[0] == 0 and unit4[kb[1]]:
+    if square_class_kind(field, b)[0] == "unit4":
         return -1 if ka[0] else 1
     if field.f == 2 and ka[0] == 0 and kb[0] == 0:
         # express each unit as square * (1 + 2c); the symbol is (-1)^Tr(c d)
@@ -613,7 +616,7 @@ def hilbert_symbol(field: LocalField, a, b) -> int:
         return hit
     ra = square_class_rep(field, a)
     rb = square_class_rep(field, b)
-    rule = _symbol_by_rules(field, ka, kb)
+    rule = _symbol_by_rules(field, ra, rb)
     search = None
     if field.q ** (2 * field.e + 3) <= 1 << 13:
         search = _symbol_by_search(field, ra, rb)
@@ -674,7 +677,7 @@ def pick_companion_unit(field: LocalField, delta) -> FieldElt:
             raise InternalConsistencyError("(pi, delta) != -1 for defect-4o delta")
         return pi
     for u in unit_class_reps(field):
-        ukind, ud = unit_defect_kind(field, u)
-        if ukind == "unitd" and ud == 1 and hilbert_symbol(field, u, delta) == -1:
+        if (square_class_kind(field, u) == ("unitd", 1)
+                and hilbert_symbol(field, u, delta) == -1):
             return u
     raise InternalConsistencyError("companion search exhausted for %r" % (delta,))

@@ -117,21 +117,6 @@ class ZLFactor:
     def exponent(self, alpha: int) -> int:
         return self.a_mult * alpha + self.shift
 
-    def value_at_prime(self, p: int, alpha: int) -> Fraction:
-        """The local factor (1 - chi(p) p^-s)^(-power) as an exact rational."""
-        chi = 1 if self.kind == "zeta" else chi1(p)
-        return Fraction(*self.local_terms(p, alpha, chi))
-
-    def local_terms(self, p: int, alpha: int, chi: int):
-        """The local factor at p as an unreduced pair (numerator,
-        denominator), given this factor's character value chi at p:
-        p^s/(p^s - chi), or its inverse when power is -1."""
-        s = self.exponent(alpha)
-        if s <= 0:
-            raise ValueError("factor exponent %d not in the convergence range" % s)
-        ps = p ** s
-        return (ps, ps - chi) if self.power == 1 else (ps - chi, ps)
-
     def dyadic_rf(self) -> RF:
         """The same factor at p = 2 as a rational function in (iq, av);
         chi1 kills the even prime, so L factors contribute 1."""
@@ -470,10 +455,10 @@ def verify_table_row(n: int) -> dict:
         "ratio": None if cb is None else pretty_rf(cb, _PRETTY_NAMES),
     }
 
-    shifted = spec.pi2.subst_monomial(VAR_AV, 1, (0, -n, 1))
-    local2 = shifted * (ONE - AVv) / AVv
-    target = spec.local2_rf()
-    cc = ratio_if_proportional(local2, target, constant_free_of=(VAR_AV,))
+    # the table's Pi is already at beta = k, so the z substitution is a no-op
+    local2 = local_factor_chain(spec.pi2, n, wp.k)
+    cc = ratio_if_proportional(local2, spec.local2_rf(),
+                               constant_free_of=(VAR_AV,))
     checks["c"] = {
         "pass": cc is not None,
         "ratio": None if cc is None else pretty_rf(cc, _PRETTY_NAMES),
@@ -502,8 +487,8 @@ def local_factor_report(n: int, alpha: int = None) -> dict:
     over alpha = n+2..n+6 (see constant_ratio_at_q2).
     """
     spec = table_row(n)
-    chain = local_factor_chain(closed_profile(spec.witt.kernel_form), n,
-                               spec.witt.k)
+    chain = local_factor_chain(
+        pi_geometric(closed_profile(spec.witt.kernel_form)), n, spec.witt.k)
     table = spec.local2_rf()
     ratio = ratio_if_proportional(chain, table, constant_free_of=(VAR_AV,))
     if ratio is not None:
@@ -547,6 +532,8 @@ def _check_alpha(n: int, alpha: int, entry: RF = None):
 # ---------------------------------------------------------------------------
 
 def _decimal_str(x: Fraction, digits: int) -> str:
+    if digits < 1:
+        raise ValueError("digits must be at least 1, got %d" % digits)
     sign = "-" if x < 0 else ""
     y = abs(x)
     scaled = (y.numerator * 10 ** digits + y.denominator // 2) // y.denominator
@@ -608,13 +595,16 @@ def _as_integer(alpha) -> int:
 
 def _local_product(factors, p: int, alpha: int):
     """The product of the factors' local factors at the odd prime p as an
-    unreduced pair (numerator, denominator); p must be prime, so the mod-4
-    character is chi1(p)."""
+    unreduced pair (numerator, denominator): p^s/(p^s - chi(p)) for each,
+    inverted when its power is -1, with chi trivial for zeta and the mod-4
+    character for L.  p must be prime and every s = exponent(alpha) >= 2,
+    as _check_alpha ensures."""
     chi = mod4_character(p)
     num = den = 1
     for f in factors:
-        a, b = f.local_terms(p, alpha, 1 if f.kind == "zeta" else chi)
-        num, den = num * a, den * b
+        ps = p ** f.exponent(alpha)
+        d = ps - (1 if f.kind == "zeta" else chi)
+        num, den = (num * ps, den * d) if f.power == 1 else (num * d, den * ps)
     return num, den
 
 

@@ -11,18 +11,20 @@ double-checked against a primitive-zero enumeration.
 from __future__ import annotations
 
 from .localfield import (
-    FieldElt, InternalConsistencyError, LocalField, elt_from_json,
-    hilbert_symbol, is_square, pick_companion_unit, quadratic_defect,
-    square_class_key, square_class_rep, unit_class_reps, unit_defect_kind,
-    unit_part,
+    FieldElt, InternalConsistencyError, LocalField, first_class_of_kind,
+    hilbert_symbol, is_square, make_field, pick_companion_unit,
+    square_class_key, square_class_kind, square_class_rep, square_class_reps,
+    unit_class_reps, unit_part,
 )
+# unused here, but perfbench's tracer test asserts this alias is rewrapped
+from .localfield import quadratic_defect  # noqa: F401
 from . import kernels
 
 
 class DiagonalForm:
     """Immutable diagonal form; `planes` counts extra 2xy summands."""
 
-    __slots__ = ("field", "coeffs", "planes", "original_coeffs", "_anisotropic")
+    __slots__ = ("field", "coeffs", "planes", "_anisotropic")
 
     def __init__(self, field: LocalField, coeffs, planes: int = 0):
         self.field = field
@@ -33,7 +35,6 @@ class DiagonalForm:
         for a in given:
             if a.is_zero():
                 raise ValueError("zero coefficient")
-        self.original_coeffs = given
         self.coeffs = tuple(_normalize_coeff(field, a) for a in given)
         self._anisotropic = None  # is_anisotropic's checked verdict
 
@@ -67,19 +68,6 @@ class DiagonalForm:
         if self.planes:
             parts.append("%d planes" % self.planes)
         return "DiagonalForm<%s>" % ", ".join(parts) if parts else "DiagonalForm<0>"
-
-    def to_json(self):
-        obj = {"field": self.field.to_json(),
-               "coeffs": [a.to_json() for a in self.coeffs]}
-        if self.planes:
-            obj["planes"] = self.planes
-        return obj
-
-    @staticmethod
-    def from_json(obj) -> "DiagonalForm":
-        field = LocalField.from_json(obj["field"])
-        coeffs = [elt_from_json(field, c) for c in obj["coeffs"]]
-        return DiagonalForm(field, coeffs, obj.get("planes", 0))
 
 
 def _normalize_coeff(field, a) -> FieldElt:
@@ -127,10 +115,7 @@ def invariants(B: DiagonalForm) -> FormInvariants:
     if m // 2 % 2:
         prod = -prod
     rep = square_class_rep(field, prod)
-    if int(rep.ord()) == 1:
-        kind, d = "prime", None
-    else:
-        kind, d = unit_defect_kind(field, rep)
+    kind, d = square_class_kind(field, rep)
     hmi = 1
     for i in range(m):
         for j in range(i + 1, m):
@@ -199,13 +184,6 @@ def is_anisotropic(B: DiagonalForm) -> bool:
 # Representatives of the anisotropic classes
 # ---------------------------------------------------------------------------
 
-def _unit4_rep(field) -> FieldElt:
-    for u in unit_class_reps(field):
-        if unit_defect_kind(field, u)[0] == "unit4":
-            return u
-    raise InternalConsistencyError("no defect-4o unit class found")
-
-
 def _unit_with_symbol(field, delta, sign):
     for u in unit_class_reps(field):
         if hilbert_symbol(field, u, delta) == sign:
@@ -217,17 +195,12 @@ def _resolve_disc(field, disc, disc_kind, d):
     if disc is not None:
         disc = field.elt(disc) if isinstance(disc, int) else disc
         return square_class_rep(field, disc)
-    if disc_kind == "square":
-        return field.one()
-    if disc_kind == "prime":
-        return field.uniformizer()
-    if disc_kind == "unit4":
-        return _unit4_rep(field)
+    # only the odd defects tell classes of one kind apart
+    rep = first_class_of_kind(field, disc_kind,
+                              d if disc_kind == "unitd" else None)
+    if rep is not None:
+        return rep
     if disc_kind == "unitd":
-        for u in unit_class_reps(field):
-            kind, ud = unit_defect_kind(field, u)
-            if kind == "unitd" and (d is None or ud == d):
-                return u
         raise ValueError("no unit class with odd defect d=%r" % (d,))
     raise ValueError("disc_kind must be square|prime|unit4|unitd, got %r" % (disc_kind,))
 
@@ -235,7 +208,6 @@ def _resolve_disc(field, disc, disc_kind, d):
 def _ternary_by_search(field, delta, need):
     """Scan <al, be, -al*be*delta> over square-class pairs for the one
     with symbol product `need` (it is then automatically anisotropic)."""
-    from .localfield import square_class_reps
     classes = square_class_reps(field)
     for al in classes:
         for be in classes:
@@ -250,7 +222,7 @@ def _quaternary_template(field) -> DiagonalForm:
     if a is not None:
         return DiagonalForm(field, [field.one(), field.one(), -a, -a])
     # -1 is a square (or odd p): use the quaternion norm form of (u, pi)
-    u = _unit4_rep(field)
+    u = first_class_of_kind(field, "unit4")
     pi = field.uniformizer()
     return DiagonalForm(field, [field.one(), -u, -pi, u * pi])
 
@@ -274,7 +246,7 @@ def anisotropic_representative(field: LocalField, m: int, disc=None,
         return _check_request(DiagonalForm(field, [delta]), delta, hmi, 1)
     if m == 2:
         delta = _resolve_disc(field, disc, disc_kind, d)
-        kind = "prime" if int(delta.ord()) == 1 else unit_defect_kind(field, delta)[0]
+        kind = square_class_kind(field, delta)[0]
         if kind == "square":
             raise ValueError("binary form with square discriminant is isotropic")
         want = 1 if hmi is None else hmi
@@ -285,7 +257,7 @@ def anisotropic_representative(field: LocalField, m: int, disc=None,
             pi = field.uniformizer()
             form = DiagonalForm(field, [pi, -(pi * delta)])
         elif kind == "prime":
-            a = _unit4_rep(field)
+            a = first_class_of_kind(field, "unit4")
             form = DiagonalForm(field, [a, -(a * delta)])
         else:
             a = pick_companion_unit(field, delta)
@@ -293,7 +265,7 @@ def anisotropic_representative(field: LocalField, m: int, disc=None,
         return _check_request(form, delta, want, m)
     if m == 3:
         delta = _resolve_disc(field, disc, disc_kind, d)
-        kind = "prime" if int(delta.ord()) == 1 else unit_defect_kind(field, delta)[0]
+        kind = square_class_kind(field, delta)[0]
         need = -hilbert_symbol(field, field.elt(-1), delta)
         if hmi is not None and hmi != need:
             raise ValueError(
@@ -368,7 +340,7 @@ class WittProfile:
                 % (self.n, self.k, self.m, self.delta, self.hmi))
 
 
-def witt_profile(n: int, field: LocalField = None) -> WittProfile:
+def witt_profile(n: int) -> WittProfile:
     """Split hyperbolic planes off the dimension-(n+2) unimodular form of
     trivial invariants until the kernel is anisotropic at the dyadic place.
 
@@ -379,9 +351,7 @@ def witt_profile(n: int, field: LocalField = None) -> WittProfile:
     """
     if n < 3:
         raise ValueError("need n >= 3 (smaller targets are anisotropic)")
-    if field is None:
-        from .localfield import make_field
-        field = make_field(2)
+    field = make_field(2)
     m = _M_OF_RESIDUE[n % 8]
     k = (n - m) // 2
     delta = 1 if ((n + 2) // 2) % 2 == 0 else -1

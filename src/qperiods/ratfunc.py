@@ -10,7 +10,7 @@ comparison is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 NVARS = 3
 VAR_Z, VAR_IQ, VAR_AV = 0, 1, 2
@@ -53,10 +53,10 @@ class Poly:
         return cls({ONE_MONO: _frac(c)})
 
     @classmethod
-    def var(cls, idx: int, power: int = 1, coeff=1) -> "Poly":
+    def var(cls, idx: int) -> "Poly":
         mono = [0, 0, 0]
-        mono[idx] = power
-        return cls({tuple(mono): _frac(coeff)})
+        mono[idx] = 1
+        return cls({tuple(mono): Fraction(1)})
 
     @classmethod
     def monomial(cls, ez: int = 0, eiq: int = 0, eav: int = 0, coeff=1) -> "Poly":
@@ -144,11 +144,6 @@ class Poly:
         if not self.terms:
             return 0
         return min(m[idx] for m in self.terms)
-
-    def max_exp(self, idx: int) -> int:
-        if not self.terms:
-            return 0
-        return max(m[idx] for m in self.terms)
 
     def subst_monomial(self, idx: int, coeff, mono: Mono = ONE_MONO) -> "Poly":
         """Replace the variable `idx` by coeff * X^mono (coeff a nonzero Fraction)."""
@@ -248,10 +243,8 @@ class RF:
         return cls(Poly.const(c))
 
     @classmethod
-    def var(cls, idx: int, power: int = 1) -> "RF":
-        if power >= 0:
-            return cls(Poly.var(idx, power))
-        return cls(Poly.const(1), Poly.var(idx, -power))
+    def var(cls, idx: int) -> "RF":
+        return cls(Poly.var(idx))
 
     @classmethod
     def monomial(cls, ez=0, eiq=0, eav=0, coeff=1) -> "RF":
@@ -331,13 +324,14 @@ class RF:
     def uses_var(self, idx: int) -> bool:
         return self.num.uses_var(idx) or self.den.uses_var(idx)
 
-    def series_z(self, order: int, iq=None, av=None) -> list:
-        """Power-series coefficients in z up to z^order (exact Fractions).
-
-        Any remaining iq/av dependence must have been substituted away.
+    def series_z(self, order: int, iq=None) -> list:
+        """Power-series coefficients in z up to z^order (exact Fractions)
+        with iq set to the given value; no av may be left.
         """
-        num = self.num.eval_partial(iq=iq, av=av)
-        den = self.den.eval_partial(iq=iq, av=av)
+        if order < 0:
+            raise ValueError("negative truncation order")
+        num = self.num.eval_partial(iq=iq)
+        den = self.den.eval_partial(iq=iq)
         for p in (num, den):
             if p.uses_var(VAR_IQ) or p.uses_var(VAR_AV):
                 raise ValueError("series_z needs numeric iq and av")
@@ -370,9 +364,6 @@ class RF:
         if self.den == Poly.const(1):
             return "RF(%s)" % format_poly(self.num)
         return "RF((%s)/(%s))" % (format_poly(self.num), format_poly(self.den))
-
-    def pretty(self) -> str:
-        return pretty_rf(self)
 
 
 def _raw_rf(num: Poly, den: Poly) -> RF:

@@ -362,3 +362,41 @@ def test_internal_consistency_error_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "classify", "--field", "q2", "--form", "x^2")
     assert code == 3 and out == ""
     assert err == "error: internal consistency: rule and search disagree\n"
+
+
+@pytest.mark.parametrize("digits", ["0", "-2"])
+def test_period_digits_below_1_exit_2(capsys, digits):
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "period", "--n", "6", "--alpha", "9",
+                             "--pmax", "97", "--digits", digits, *extra)
+        assert code == 2 and out == ""
+        assert err == "error: digits must be at least 1, got %s\n" % digits
+
+
+def test_pi_bad_alpha_value_and_negative_T_max_exit_2(capsys):
+    code, out, err = run(capsys, "pi", "--field", "q2", "--form", "x^2",
+                         "--alpha-value", "0/0")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse --alpha-value '0/0'\n"
+    code, out, err = run(capsys, "pi", "--field", "q2", "--form", "x^2",
+                         "--alpha-value", "1/4", "--T-max", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: negative T_max\n"
+
+
+def test_xseries_closed_negative_L_exits_2(capsys):
+    for target in (("--T", "1"), ("--zero",)):
+        code, out, err = run(capsys, "xseries", "--field", "q2", "--form",
+                             "x^2", "--closed", "--L", "-1", *target)
+        assert code == 2 and out == ""
+        assert err == "error: negative truncation order\n"
+
+
+def test_count_past_the_prime_table_exits_2_before_allocating(capsys):
+    # o/pi^31 has 2^31 classes: its histogram alone would take 16 GiB
+    t0 = perf_counter()
+    code, out, err = run(capsys, "count", "--field", "q2", "--form", "x^2",
+                         "--rho", "1", "--ell", "30")
+    assert perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert err == "error: axis length 2147483648 is beyond the prime table\n"

@@ -13,7 +13,7 @@ from qperiods.closedforms import (ClosedFormCase, PiecewiseGeometric,
                                   UnsupportedCase, CASE_TAGS, case_for_form,
                                   case_representative, x_closed, closed_profile, x_from_levels,
                                   x_from_levels_zero, pi_from_x, pi_geometric,
-                                  dimension_reduce, zeta_Z, local_factor,
+                                  dimension_reduce, zeta_Z,
                                   local_factor_chain, halfstep_sum)
 
 Q2 = make_field(2)
@@ -183,12 +183,12 @@ def test_dimension_reduce_round_trip():
     f = (ONE + Zv * AVv) / (ONE - Zv * IQv)
     for k in (1, 2, 3):
         up = dimension_reduce(f, k)
-        assert dimension_reduce(up, k, "down") == f
+        # undo it by hand: drop Z(beta+1)/Z(beta+k+1), then z -> z q^k
+        pref = (ONE - Zv * IQv ** (k + 1)) / (ONE - Zv * IQv)
+        assert (up / pref).subst_monomial(VAR_Z, 1, (1, -k, 0)) == f
     assert dimension_reduce(f, 0) == f
     with pytest.raises(ValueError):
         dimension_reduce(f, -1)
-    with pytest.raises(ValueError):
-        dimension_reduce(f, 1, "sideways")
 
 
 def test_dimension_reduce_matches_plane_counting():
@@ -216,12 +216,13 @@ def test_zeta_Z_shapes():
 
 
 def test_local_factor_substitution():
-    # av -> av z^-1 iq^-n, then a (1 - av) av^-e scaling
-    assert local_factor(AVv, 2, 1) == RF.monomial(-1, -2, 0) * (ONE - AVv)
-    assert local_factor(AVv, 2, 0) == RF.monomial(-1, -2, 1) * (ONE - AVv)
-    f = ONE / (ONE - AVv)
-    manual = ONE / (ONE - AVv * RF.monomial(-1, -3, 0))
-    assert local_factor(f, 3, 1) == manual * (ONE - AVv) / AVv
+    # av -> av iq^-n and z -> iq^k, then a (1 - av)/av scaling
+    assert local_factor_chain(AVv, 2, 0) == RF.monomial(0, -2, 0) * (ONE - AVv)
+    assert local_factor_chain(Zv * AVv, 2, 3) \
+        == RF.monomial(0, 1, 0) * (ONE - AVv)
+    f = ONE / (ONE - AVv * Zv)
+    manual = ONE / (ONE - AVv * RF.monomial(0, -2, 0))
+    assert local_factor_chain(f, 3, 1) == manual * (ONE - AVv) / AVv
 
 
 def test_local_factor_chain_is_substituted_assembly():
@@ -232,7 +233,7 @@ def test_local_factor_chain_is_substituted_assembly():
     manual = manual.subst_monomial(VAR_AV, 1, (0, -n, 1))
     manual = manual.subst_monomial(VAR_Z, 1, (0, k, 0))
     manual = manual * (ONE - AVv) / AVv
-    assert local_factor_chain(prof, n, k) == manual
+    assert local_factor_chain(pi_geometric(prof), n, k) == manual
 
 
 def test_halfstep_sum_identity():

@@ -22,7 +22,6 @@ def test_truncated_series_container():
     assert s[1] == Fraction(1, 2)
     assert list(s) == [1, Fraction(1, 2), Fraction(1, 4)]
     assert s == [1, Fraction(1, 2), Fraction(1, 4)]
-    assert s.to_json() == {"L": 2, "coeffs": ["1", "1/2", "1/4"]}
 
 
 def test_truncated_series_validation():
@@ -121,6 +120,8 @@ def test_pi_truncated_is_the_weighted_sum():
         for i in range(4):
             want[i] += a ** T * s[i]
     assert list(got) == want
+    with pytest.raises(ValueError, match="negative T_max"):
+        pi_truncated(B, a, 3, -1)
 
 
 def test_residually_anisotropic_pair():

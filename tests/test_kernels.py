@@ -36,7 +36,7 @@ def test_square_term_histogram_matches_brute_force():
     for field in (Q2, Q4, R2, F3):
         ring = field.ring(3)
         for a in (field.elt(1), field.elt(-5), field.uniformizer()):
-            got = np.asarray(kernels.square_term_histogram(ring, a.coords)).ravel()
+            got = np.asarray(kernels.square_histograms(ring, [a.coords])[0]).ravel()
             want = brute_square_histogram(ring, a)
             assert [int(x) for x in got] == [int(x) for x in want]
             assert int(np.sum(got)) == ring.size
@@ -44,8 +44,8 @@ def test_square_term_histogram_matches_brute_force():
 
 def test_square_term_histogram_nonunit_restriction():
     ring = Q2.ring(3)
-    full = kernels.square_term_histogram(ring, (1,))
-    part = kernels.square_term_histogram(ring, (1,), restrict_nonunit=True)
+    full = kernels.square_histograms(ring, [(1,)])[0]
+    part = kernels.square_histograms(ring, [(1,)], restrict_nonunit=True)[0]
     want = brute_square_histogram(ring, Q2.elt(1), restrict_nonunit=True)
     assert [int(x) for x in part] == [int(x) for x in want]
     assert int(np.sum(part)) == ring.size // 2
@@ -284,11 +284,12 @@ def test_naive_count_budget():
         kernels.naive_count(ring, [(1,), (1,), (1,)], (0,), budget=100)
 
 
-def test_enum_budget_env(monkeypatch):
-    monkeypatch.delenv("QPERIODS_ENUM_BUDGET", raising=False)
-    assert kernels.enum_budget() == 1 << 26
-    monkeypatch.setenv("QPERIODS_ENUM_BUDGET", "4096")
-    assert kernels.enum_budget() == 4096
-    monkeypatch.setenv("QPERIODS_ENUM_BUDGET", "junk")
-    with pytest.raises(ValueError):
-        kernels.enum_budget()
+
+def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("histogram built before the axis check")
+    monkeypatch.setattr(kernels, "square_histograms", fail)
+    monkeypatch.setattr(kernels, "plane_histogram", fail)
+    for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1)):
+        with pytest.raises(kernels.PrimeBoundError, match="axis length"):
+            kernels.solution_count(ring, [(1,)], (1,), planes=planes)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
                               _round_up_64, _enclosing_product)
 
 ONE = RF.const(1)
+DATA = Path(__file__).parent / "data"
 
 
 def test_chi1_values():
@@ -57,13 +60,17 @@ def test_zl_factor_values():
         ZLFactor("zeta", 1, 0, power=2)
     f = ZLFactor("zeta", 1, -3)
     assert f.exponent(5) == 2
-    assert f.value_at_prime(3, 5) == Fraction(9, 8)
-    assert ZLFactor("zeta", 1, -3, power=-1).value_at_prime(3, 5) == Fraction(8, 9)
+
+    def at(f, p, alpha):
+        return Fraction(*periods._local_product([f], p, alpha))
+
+    assert at(f, 3, 5) == Fraction(9, 8)
+    assert at(ZLFactor("zeta", 1, -3, power=-1), 3, 5) == Fraction(8, 9)
     # chi1(3) = -1 flips the sign inside the L factor
-    assert ZLFactor("L", 1, 0).value_at_prime(3, 2) == Fraction(9, 10)
-    assert ZLFactor("L", 1, 0).value_at_prime(5, 2) == Fraction(25, 24)
-    with pytest.raises(ValueError):
-        ZLFactor("zeta", 1, -5).value_at_prime(3, 5)  # exponent 0
+    assert at(ZLFactor("L", 1, 0), 3, 2) == Fraction(9, 10)
+    assert at(ZLFactor("L", 1, 0), 5, 2) == Fraction(25, 24)
+    assert periods._local_product(
+        [f, ZLFactor("L", 1, 0, power=-1)], 3, 5) == (9 * 244, 8 * 243)
 
 
 def test_zl_factor_dyadic_side():
@@ -180,6 +187,16 @@ def test_verify_rows_all_pass():
     assert flagged == [6, 7, 14, 15]
 
 
+def test_table_rows_match_golden_file():
+    # display strings and check ratios of every row up to n = 66, one
+    # sorted-key JSON line per row
+    lines = [json.dumps({"n": n, "row": table_row(n).to_json(),
+                         "checks": verify_table_row(n)["checks"]},
+                        sort_keys=True) + "\n" for n in range(3, 67)]
+    with open(DATA / "table_rows.jsonl") as fh:
+        assert "".join(lines) == fh.read()
+
+
 def test_verify_single_row_report():
     r = verify_table_row(5)
     assert r["pass"] and r["n"] == 5
@@ -203,8 +220,7 @@ def _t_ratio_constant(prof, entry):
 
 
 def _check_c_holds(spec, pi2, corr):
-    shifted = pi2.subst_monomial(VAR_AV, 1, (0, -spec.n, 1))
-    local2 = shifted * (ONE - AVv) / AVv
+    local2 = local_factor_chain(pi2, spec.n, spec.witt.k)
     target = ONE
     for f in spec.uncorrected:
         target = target * f.dyadic_rf()
@@ -402,6 +418,12 @@ def test_period_value_decimal():
         == "-0.6667"
     assert PeriodValue(3, 9, 2, Fraction(5), Fraction(0), "x").decimal(2) \
         == "5.00"
+    pv = PeriodValue(3, 9, 2, Fraction(1, 8), Fraction(1, 8), "x")
+    for digits in (0, -2):
+        with pytest.raises(ValueError, match="digits must be at least 1"):
+            pv.decimal(digits)
+        with pytest.raises(ValueError, match="digits must be at least 1"):
+            pv.to_json(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +436,9 @@ def test_constant_ratio_at_q2_accepts_the_folded_rows():
     half = Fraction(1, 2)
     for n in (7, 15, 23):
         spec = table_row(n)
-        chain = local_factor_chain(closed_profile(spec.witt.kernel_form), n,
-                                   spec.witt.k)
+        chain = local_factor_chain(
+            pi_geometric(closed_profile(spec.witt.kernel_form)), n,
+            spec.witt.k)
         table = spec.local2_rf()
         assert ratio_if_proportional(chain, table,
                                      constant_free_of=(VAR_AV,)) is None

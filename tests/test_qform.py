@@ -27,12 +27,6 @@ def test_diagonal_form_rejects_zero_coefficient():
         DiagonalForm(Q2, [1], planes=-1)
 
 
-def test_diagonal_form_json_roundtrip():
-    B = DiagonalForm(R2, [R2.elt(3), R2.uniformizer()], planes=2)
-    C = DiagonalForm.from_json(B.to_json())
-    assert C == B and C.field is R2
-
-
 def test_invariants_signed_discriminant():
     # binary: disc is minus the determinant, so <1, 7> carries -7 = square
     inv = invariants(DiagonalForm(Q2, [1, 7]))

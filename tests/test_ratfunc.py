@@ -19,7 +19,6 @@ def test_poly_basics():
 def test_poly_laurent_exponents():
     p = Poly.monomial(0, -2, 0)
     assert p.min_exp(VAR_IQ) == -2
-    assert p.max_exp(VAR_IQ) == -2
     q = p * Poly.monomial(0, 5, 0)
     assert q == Poly.monomial(0, 3, 0)
 
@@ -70,6 +69,9 @@ def test_rf_series_geometric():
         Fraction(1, 16)]
     with pytest.raises(ValueError):
         f.series_z(3)  # iq still symbolic
+    assert f.series_z(0, iq=Fraction(1, 2)) == [Fraction(1)]
+    with pytest.raises(ValueError, match="negative truncation order"):
+        f.series_z(-1, iq=Fraction(1, 2))
 
 
 def test_rf_series_pole_at_zero():
