@@ -15,9 +15,9 @@ from .localfield import (make_field, quadratic_defect, hilbert_symbol,
 from .qform import DiagonalForm
 from .counting import (count_level_histogram, x_series, x_series_at,
                        conic_measure, residually_anisotropic_pair)
-from .closedforms import (case_for_form, case_representative, x_closed,
-                          UnsupportedCase, ClosedFormCase, pi_geometric,
-                          pi_from_x, halfstep_sum)
+from .closedforms import (CASE_TAGS, case_for_form, case_representative,
+                          x_closed, UnsupportedCase, ClosedFormCase,
+                          pi_geometric, pi_from_x, halfstep_sum)
 from .ratfunc import RF, Zv, IQv
 from .periods import verify_table_row
 
@@ -29,14 +29,10 @@ def _matrix_configs(quick=False):
     q4 = make_field(2, 2, "unramified")
     r2 = make_field(2, 1, "ramified", c1=0, c0=-2)
     f3 = make_field(3)
-    all16 = [("empty", None), ("unit_square", None), ("unit_nonsquare", 1),
-             ("unit_nonsquare", 2), ("prime", None),
-             ("binary_prime_plus", None), ("binary_prime_minus", None),
-             ("binary_unit4_minus", None), ("binary_unit4_plus", None),
-             ("binary_odd_defect_minus", 1), ("binary_odd_defect_plus", 1),
-             ("ternary_prime", None), ("ternary_odd_defect", None),
-             ("ternary_square", None), ("ternary_unit4", None),
-             ("quaternary", None)]
+    # every case tag once, with its defects d on Q2 and Q4 where it has any
+    defects = {"unit_nonsquare": (1, 2), "binary_odd_defect_minus": (1,),
+               "binary_odd_defect_plus": (1,)}
+    all16 = [(tag, d) for tag in CASE_TAGS for d in defects.get(tag, (None,))]
     out = [(q2, tag, d) for tag, d in all16]
     if quick:
         out += [(q4, "unit_square", None), (q4, "ternary_square", None),

@@ -290,13 +290,32 @@ def _decimal_digits(m: int) -> int:
     return d + 1 if 10 ** d <= m else max(d, 1)
 
 
+def _sci(x: Fraction) -> str:
+    """x >= 0 as "%.3e" prints float(x), in exact arithmetic and so also
+    past the float range (about 1.8e308): x is rounded to 53 significant
+    bits, then to four digits, half to even each time."""
+    if not x:
+        return "0.000e+00"
+    b = 53 - x.numerator.bit_length() + x.denominator.bit_length()
+    if x * Fraction(2) ** b >= 1 << 53:
+        b -= 1
+    x = round(x * Fraction(2) ** b) / Fraction(2) ** b
+    e = _decimal_digits(x.numerator) - _decimal_digits(x.denominator)
+    if x < Fraction(10) ** e:
+        e -= 1
+    m = round(x * 1000 / Fraction(10) ** e)
+    if m == 10000:
+        m, e = 1000, e + 1
+    return "%d.%03de%+03d" % (m // 1000, m % 1000, e)
+
+
 def cmd_period(args) -> int:
     pv = evaluate_period(args.n, args.alpha, args.pmax)
     # first, so a bad --digits is reported as such and not as a digit limit
-    human = ("period(n=%d, alpha=%d, pmax=%d) ~ %s  tail <= %.3e\n"
+    human = ("period(n=%d, alpha=%d, pmax=%d) ~ %s  tail <= %s\n"
              "  %s  [up to a multiplicative constant]"
              % (args.n, args.alpha, args.pmax, pv.decimal(args.digits),
-                float(pv.tail_bound), pv.expression))
+                _sci(pv.tail_bound), pv.expression))
     obj = None
     if args.json:
         # only --json spells out value and tail_bound as fractions; for a
@@ -342,41 +361,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "the global period tables built from them.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    # the options several subcommands share, in the order they come
+    shared = {"--field": {"required": True}, "--form": {"required": True},
+              "--planes": {"type": int, "default": 0}}
+
+    def add(name, fn, help_, *options):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (sorted keys)")
+        for flag in options:
+            p.add_argument(flag, **shared[flag])
         return p
 
-    p = add("classify", cmd_classify, "invariants of a diagonal form")
-    p.add_argument("--field", required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--planes", type=int, default=0)
+    add("classify", cmd_classify, "invariants of a diagonal form", *shared)
 
-    p = add("defect", cmd_defect, "quadratic defect of an element")
-    p.add_argument("--field", required=True)
+    p = add("defect", cmd_defect, "quadratic defect of an element", "--field")
     p.add_argument("--value", required=True)
 
-    p = add("hilbert", cmd_hilbert, "Hilbert symbol of two elements")
-    p.add_argument("--field", required=True)
+    p = add("hilbert", cmd_hilbert, "Hilbert symbol of two elements",
+            "--field")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = add("count", cmd_count, "one level density X_ell")
-    p.add_argument("--field", required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--planes", type=int, default=0)
+    p = add("count", cmd_count, "one level density X_ell", *shared)
     p.add_argument("--rho", default=None)
     p.add_argument("--zero", action="store_true")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--method", choices=("histogram", "naive"),
                    default="histogram")
 
-    p = add("xseries", cmd_xseries, "level series, by counting or closed form")
-    p.add_argument("--field", required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--planes", type=int, default=0)
+    p = add("xseries", cmd_xseries, "level series, by counting or closed form",
+            *shared)
     p.add_argument("--rho", default=None)
     p.add_argument("--T", type=int, default=None,
                    help="target w^(2T) instead of --rho")
@@ -387,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direct", action="store_true",
                    help="disable the stabilized extension")
 
-    p = add("pi", cmd_pi, "Pi, symbolic or numerically truncated")
-    p.add_argument("--field", required=True)
-    p.add_argument("--form", required=True)
+    p = add("pi", cmd_pi, "Pi, symbolic or numerically truncated",
+            "--field", "--form")
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--alpha-value", default=None,
                    help="numeric q^-alpha as a fraction, e.g. 1/4")

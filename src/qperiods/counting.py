@@ -9,6 +9,7 @@ Everything returns Fractions; nothing here is symbolic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -65,35 +66,31 @@ def _coeff_coords(B: DiagonalForm):
     return [a.coords for a in B.coeffs]
 
 
-def count_level_naive(B: DiagonalForm, rho, ell: int,
-                      budget=kernels.DEFAULT_ENUM_BUDGET) -> Fraction:
-    """Measure of {a : B(a) = rho mod 2 pi^ell} by full enumeration."""
+def _level_measure(B: DiagonalForm, rho, ell: int, count) -> Fraction:
+    """The measure of {a : B(a) = rho mod 2 pi^ell} from count(ring, coeffs,
+    target), the number of solutions over o/2 pi^ell."""
     if ell < 0:
         raise ValueError("negative level")
     field = B.field
-    rho = _as_element(field, rho)
     ring = field.ring(ell + field.e)
-    target = ring.reduce(rho.coords)
+    target = ring.reduce(_as_element(field, rho).coords)
     if B.n == 0:
         return Fraction(1 if all(t == 0 for t in target) else 0)
-    cnt = kernels.naive_count(ring, _coeff_coords(B), target,
-                              planes=B.planes, budget=budget)
-    return Fraction(cnt, ring.size ** B.n)
+    return Fraction(count(ring, _coeff_coords(B), target), ring.size ** B.n)
+
+
+def count_level_naive(B: DiagonalForm, rho, ell: int,
+                      budget=kernels.DEFAULT_ENUM_BUDGET) -> Fraction:
+    """Measure of {a : B(a) = rho mod 2 pi^ell} by full enumeration."""
+    return _level_measure(B, rho, ell, partial(
+        kernels.naive_count, planes=B.planes, budget=budget))
 
 
 def count_level_histogram(B: DiagonalForm, rho, ell: int) -> Fraction:
     """Same measure through per-coordinate value histograms convolved over
     the additive group of o/2 pi^ell."""
-    if ell < 0:
-        raise ValueError("negative level")
-    field = B.field
-    rho = _as_element(field, rho)
-    ring = field.ring(ell + field.e)
-    target = ring.reduce(rho.coords)
-    if B.n == 0:
-        return Fraction(1 if all(t == 0 for t in target) else 0)
-    cnt = kernels.solution_count(ring, _coeff_coords(B), target, planes=B.planes)
-    return Fraction(cnt, ring.size ** B.n)
+    return _level_measure(B, rho, ell, partial(
+        kernels.solution_count, planes=B.planes))
 
 
 def x_series(B: DiagonalForm, rho, L: int, verify: int = 0,

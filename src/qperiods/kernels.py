@@ -137,12 +137,15 @@ def _padded_lengths(shape, count):
     """Transform length of each axis for a convolution of `count` histograms
     of this shape: a power of two stays cyclic, any other m is padded past
     count (m - 1); PrimeBoundError past 2^23, the order of the roots of
-    unity every table prime has."""
+    unity every table prime has, or past 2^23 entries in all."""
     lengths = tuple(m if m & (m - 1) == 0
                     else 1 << (count * (m - 1)).bit_length() for m in shape)
     if max(lengths) > 1 << 23:
         raise PrimeBoundError("axis length %d is beyond the prime table"
                               % max(lengths))
+    if prod(lengths) > 1 << 23:
+        raise PrimeBoundError("axis lengths %s give a transform of %d "
+                              "entries, beyond 2^23" % (lengths, prod(lengths)))
     return lengths
 
 

@@ -15,6 +15,7 @@ entries are written in
 """
 
 from fractions import Fraction
+from math import prod
 
 from .ratfunc import (RF, IQv, AVv, VAR_Z, VAR_AV,
                       ratio_if_proportional, pretty_rf)
@@ -35,6 +36,10 @@ _PRETTY_NAMES = ("z", "1/q", "a")
 
 def _frac_str(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _pretty(f: RF) -> str:
+    return pretty_rf(f, _PRETTY_NAMES)
 
 
 def _at_q2(f: RF, alpha: int) -> Fraction:
@@ -77,9 +82,7 @@ def chi1(p: int) -> int:
     that are 1 mod 4, -1 on primes that are 3 mod 4, 0 at the even prime."""
     if not isinstance(p, int) or not _is_prime(p):
         raise ValueError("chi1 expects a prime, got %r" % (p,))
-    if p == 2:
-        return 0
-    return 1 if p % 4 == 1 else -1
+    return 0 if p == 2 else mod4_character(p)
 
 
 def mod4_character(m: int) -> int:
@@ -95,11 +98,12 @@ def mod4_character(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 class ZLFactor:
-    """One Euler-product factor of the uncorrected period.
+    """One Euler-product factor of a period expression.
 
     The argument is s = a_mult*alpha + shift.  kind "zeta" uses the trivial
     character, kind "L" the mod-4 character chi1.  power +1 places the
-    factor in the numerator, -1 in the denominator.
+    factor in the numerator, -1 in the denominator.  The table's entries
+    are products of zeta factors taken at p = 2, written Z(s) there.
     """
 
     __slots__ = ("kind", "a_mult", "shift", "power")
@@ -117,23 +121,47 @@ class ZLFactor:
     def exponent(self, alpha: int) -> int:
         return self.a_mult * alpha + self.shift
 
+    def local_z(self) -> RF:
+        """Z(s) = 1/(1 - q^-s), the zeta factor at p = 2, in (iq, av)."""
+        return zeta_Z(self.a_mult, self.shift)
+
     def dyadic_rf(self) -> RF:
         """The same factor at p = 2 as a rational function in (iq, av);
         chi1 kills the even prime, so L factors contribute 1."""
         if self.kind == "L":
             return ONE
-        f = zeta_Z(self.a_mult, self.shift)
+        f = self.local_z()
         return f if self.power == 1 else ONE / f
 
-    def render(self) -> str:
+    def render(self, zeta: str = "zeta") -> str:
+        """The factor as text, with `zeta` naming the zeta function."""
         arg = _linear_in_alpha(self.a_mult, self.shift)
         if self.kind == "zeta":
-            return "zeta(%s)" % arg
+            return "%s(%s)" % (zeta, arg)
         return "L(%s, chi1)" % arg
 
     def __repr__(self):
         return "ZLFactor(%r, %d, %d, power=%+d)" % (
             self.kind, self.a_mult, self.shift, self.power)
+
+
+class _LogShiftedZ(ZLFactor):
+    """The local factor Z(alpha+shift-log_q x) = zeta_Z(1, shift, x), whose
+    argument also carries the rational function x, printed as `name`.  It
+    lives at p = 2 only: exponent() leaves x out."""
+
+    __slots__ = ("x", "name")
+
+    def __init__(self, shift: int, x: RF, name: str, power: int):
+        super().__init__("zeta", 1, shift, power)
+        self.x, self.name = x, name
+
+    def local_z(self) -> RF:
+        return zeta_Z(1, self.shift, self.x)
+
+    def render(self, zeta: str = "zeta") -> str:
+        return "%s(%s-log_q %s)" % (zeta, _linear_in_alpha(1, self.shift),
+                                    self.name)
 
 
 def _linear_in_alpha(a_mult: int, shift: int) -> str:
@@ -145,15 +173,31 @@ def _linear_in_alpha(a_mult: int, shift: int) -> str:
     return s
 
 
-def _render_product(factors) -> str:
-    num = [f.render() for f in factors if f.power == 1]
-    den = [f.render() for f in factors if f.power == -1]
-    head = "*".join(num) if num else "1"
-    if not den:
-        return head
-    if len(den) == 1:
-        return head + " / " + den[0]
-    return head + " / (" + "*".join(den) + ")"
+def _render_product(factors, a_power=0, zeta="zeta") -> str:
+    """The factors' product times a^a_power as text, a = q^-alpha: "*"
+    joins factors, "a*" leads a numerator, " q^-alpha" ends a denominator,
+    and a denominator of more than one item is parenthesized."""
+    num = [f.render(zeta) for f in factors if f.power == 1]
+    den = [f.render(zeta) for f in factors if f.power == -1]
+    head = ("a*" if a_power == 1 else "") + ("*".join(num) or "1")
+    text = "*".join(den) + (" q^-alpha" if a_power == -1 else "")
+    if len(den) + (a_power == -1) > 1:
+        text = "(%s)" % text
+    return head + " / " + text.lstrip() if text else head
+
+
+def _entry_rf(factors, a_power=0) -> RF:
+    """The same product as a rational function in (iq, av): the numerator
+    factors' Z over the denominator factors' Z (times a if a_power = -1),
+    times a if a_power = +1."""
+    num = [f.local_z() for f in factors if f.power == 1]
+    den = [f.local_z() for f in factors if f.power == -1]
+    if a_power == -1:
+        den.append(AVv)
+    rf = prod(num[1:], start=num[0]) if num else ONE
+    if den:
+        rf = rf / prod(den[1:], start=den[0])
+    return rf * AVv if a_power == 1 else rf
 
 
 def uncorrected_factors(n: int, delta: int):
@@ -169,13 +213,6 @@ def uncorrected_factors(n: int, delta: int):
             ZLFactor("zeta", 2, -n, -1))
 
 
-def _dyadic_uncorrected(factors) -> RF:
-    out = ONE
-    for f in factors:
-        out = out * f.dyadic_rf()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The table, one row per residue of n mod 8 (rows labelled 3..10 by the
 # smallest n they cover), parameterized by ell = (n - row)/8.
@@ -189,175 +226,151 @@ def _q(e: int) -> RF:
     return RF.monomial(0, e)
 
 
+def _Z(a_mult: int, shift: int, power: int = 1) -> ZLFactor:
+    return ZLFactor("zeta", a_mult, shift, power)
+
+
 def _x1_entry(row, n, k):
     """The kernel's X profile in the numeric variables (iq only), with the
     T dependence through u^T = q^(-nT), normalized so the constant part
-    is 1.  Returns (profile, display string)."""
+    is 1: X = 1 + c u^T from T = T0 on.  Returns (profile, display
+    string)."""
     u, w, z = _q(n), _q(k + 1), _q(k)
     exc, T0 = {}, 0
-    const = [(ONE, (0, 0))]
     if row == 3:
-        tail = const + [(-u, (0, n))]
-        text = "1 - u*u^T"
+        c, text = -u, "1 - u*u^T"
     elif row == 4:
-        tail = const + [(-w, (0, n))]
-        text = "1 - w*u^T"
+        c, text = -w, "1 - w*u^T"
     elif row == 5:
-        tail = const + [(-(u + z) / (ONE + z), (0, n))]
-        text = "1 - ((u+z)/(1+z))*u^T"
+        c, text = -(u + z) / (ONE + z), "1 - ((u+z)/(1+z))*u^T"
     elif row == 6:
         # The kernel is zero-dimensional: it represents only 0, so X
         # vanishes at T = 0 and picks up one level per step afterwards.
         # The delta-like shortcut "1 at T = 0, else 0" fails the
         # proportionality check (a); see the flags.
-        tail = [(ONE, (0, 0)), (-ONE, (0, n))]
-        text = "1 - u^T"
+        c, text = -ONE, "1 - u^T"
     elif row == 7:
-        tail = const + [(u * (ONE - w - u) / (ONE + w - u), (0, n))]
+        c = u * (ONE - w - u) / (ONE + w - u)
         text = "1 + ((1-w-u)/(1+w-u))*u*u^T"
     elif row == 8:
-        tail = const + [(w, (0, n))]
-        text = "1 + w*u^T"
+        c, text = w, "1 + w*u^T"
     elif row == 9:
-        tail = const + [(-(u - w) / (ONE - w), (0, n))]
-        text = "1 - ((u-w)/(1-w))*u^T"
+        c, text = -(u - w) / (ONE - w), "1 - ((u-w)/(1-w))*u^T"
     elif row == 10:
-        exc = {0: (ONE - w * IQv) / (ONE - w)}
-        T0 = 1
-        tail = const + [((ONE - w * IQv ** 2) / (IQv * (ONE - w)), (0, n))]
+        exc, T0 = {0: (ONE - w * IQv) / (ONE - w)}, 1
+        c = (ONE - w * IQv ** 2) / (IQv * (ONE - w))
         text = "(1-w/q)/(1-w) at T=0;  1 + ((1-w/q^2)/(q^-1 (1-w)))*u^T for T>=1"
     else:
         raise ValueError("row %d" % row)
+    tail = [(ONE, (0, 0)), (c, (0, n))]
     return PiecewiseGeometric(n, 1, exc, T0, tail), text
 
 
-def _pi2_entry(row, n, k):
-    """Pi(alpha, k) for the row, with common alpha-free factors dropped.
-    Returns (rational function in (iq, av), v or None, display string)."""
-    u, w, z = _q(n), _q(k + 1), _q(k)
-    ZA, ZAn = zeta_Z(), zeta_Z(1, n)
-    if row == 3:
-        return ZA * ZAn, None, "Z(alpha)*Z(alpha+%d)" % n
-    if row == 4:
-        rf = ZA * ZAn * zeta_Z(1, n // 2) / zeta_Z(2, n)
-        return rf, -w, ("Z(alpha)*Z(alpha+%d)*Z(alpha+%d) / Z(2*alpha+%d)"
-                        % (n, n // 2, n))
-    if row == 5:
-        rf = ZA * ZAn * zeta_Z(1, k) / zeta_Z(2, n - 1)
-        return rf, -z, ("Z(alpha)*Z(alpha+%d)*Z(alpha+%d) / Z(2*alpha+%d)"
-                        % (n, k, n - 1))
-    if row == 6:
+def _row7_head(n, k) -> RF:
+    """1 + w + u, the denominator of row 7's v = 2u/(1+w+u)."""
+    return ONE + _q(k + 1) + _q(n)
+
+
+_ROW7_V = ",  v = 2u/(1+w+u)"
+
+
+def _row_entries(row, n, k, ell):
+    """Pi (common alpha-free factors dropped) and the even-prime correction
+    of the row, each as (factors, power of a), then v and the flags.  Pi
+    is Z(alpha) Z(alpha+n) times its factors; row 7's Pi also carries
+    (1 - a v), see GlobalPeriodSpec.pi2.  Flags record rows where a
+    tempting shortcut form is rejected by the consistency checks."""
+    h, l4 = n // 2, 4 * ell
+    v = {4: -_q(k + 1), 5: -_q(k), 8: _q(k + 1), 9: _q(k + 1)}.get(row)
+    if row == 7:
+        v = 2 * _q(n) / _row7_head(n, k)
+    pi, pi_a, corr, corr_a = {
+        3: ((), 0, (_Z(1, -(l4 + 1)),), -1),
+        4: ((_Z(1, h), _Z(2, n, -1)), 0, (_Z(1, -h),), -1),
+        5: ((_Z(1, k), _Z(2, n - 1, -1)), 0,
+            (_Z(1, -(l4 + 3)), _Z(2, -(n + 1), -1)), -1),
         # One power of a = q^-alpha survives the dropped constants here:
         # Pi = a(1-u)/((1-a)(1-au)) up to the T-free factor 1/(1-z).
-        return AVv * ZA * ZAn, None, "a*Z(alpha)*Z(alpha+%d)" % n
-    if row == 7:
-        v = 2 * u / (ONE + w + u)
-        rf = ZA * ZAn * (ONE - AVv * v)
-        return rf, v, ("Z(alpha)*Z(alpha+%d) * (1 - a*v),  v = 2u/(1+w+u)" % n)
-    if row in (8, 9):
-        rf = ZA * ZAn / zeta_Z(1, k + 1)
-        return rf, w, "Z(alpha)*Z(alpha+%d) / Z(alpha+%d)" % (n, k + 1)
-    if row == 10:
-        rf = ZA * ZAn * zeta_Z(1, n // 2) / (zeta_Z(1, k + 1) * zeta_Z(2, n))
-        return rf, None, ("Z(alpha)*Z(alpha+%d)*Z(alpha+%d) / "
-                          "(Z(alpha+%d)*Z(2*alpha+%d))" % (n, n // 2, k + 1, n))
-    raise ValueError("row %d" % row)
-
-
-def _correction_entry(row, n, k, ell):
-    """The even-prime correction factor, as (rational function, display
-    string, flags).  Flags record rows where a tempting shortcut form is
-    rejected by the consistency checks."""
-    flags = ()
-    if row == 3:
-        rf = zeta_Z(1, -(4 * ell + 1)) / AVv
-        text = "Z(alpha-%d) / q^-alpha" % (4 * ell + 1)
-    elif row == 4:
-        rf = zeta_Z(1, -(n // 2)) / AVv
-        text = "Z(alpha-%d) / q^-alpha" % (n // 2)
-    elif row == 5:
-        rf = zeta_Z(1, -(4 * ell + 3)) / (zeta_Z(2, -(n + 1)) * AVv)
-        text = "Z(alpha-%d) / (Z(2*alpha-%d) q^-alpha)" % (4 * ell + 3, n + 1)
-    elif row == 6:
-        rf = zeta_Z(2, -n) / zeta_Z(1, -(n // 2))
-        text = "Z(2*alpha-%d) / Z(alpha-%d)" % (n, n // 2)
-        flags = (
-            "row 6: the entry X = [T = 0] would make Pi = 1 and the "
+        6: ((), 1, (_Z(2, -n), _Z(1, -h, -1)), 0),
+        7: ((), 0, (_Z(1, -(l4 + 3)), _LogShiftedZ(-n, v, "v", -1)), -1),
+        8: ((_Z(1, k + 1, -1),), 0, (_Z(2, -n), _Z(1, -h, -1)), -1),
+        9: ((_Z(1, k + 1, -1),), 0, (_Z(1, -(l4 + 5), -1),), -1),
+        10: ((_Z(1, h), _Z(1, k + 1, -1), _Z(2, n, -1)), 0,
+             (_Z(1, -(l4 + 6), -1),), -1),
+    }[row]
+    flags = {
+        6: ("row 6: the entry X = [T = 0] would make Pi = 1 and the "
             "correction Z(2*alpha-%d)/(Z(alpha)Z(alpha-%d)Z(alpha-%d) "
             "q^-alpha); both fail checks (a) and (c) against the "
             "zero-dimensional densities, which give X = 1 - u^T and a "
-            "q^-alpha-free correction" % (n, n, n // 2),)
-    elif row == 7:
-        u, w = _q(n), _q(k + 1)
-        v = 2 * u / (ONE + w + u)
-        rf = zeta_Z(1, -(4 * ell + 3)) / (zeta_Z(1, -n, v) * AVv)
-        text = ("Z(alpha-%d) / (Z(alpha-%d-log_q v) q^-alpha),  "
-                "v = 2u/(1+w+u)" % (4 * ell + 3, n))
-        flags = (
-            "row 7: the denominator is Z(alpha-%d-log_q v) with "
+            "q^-alpha-free correction" % (n, n, h),),
+        7: ("row 7: the denominator is Z(alpha-%d-log_q v) with "
             "v = 2u/(1+w+u); the variant Z(alpha-%d-log_q(1+w+u)) with "
-            "numerator Z(alpha-%d) fails check (c)"
-            % (n, n + 1, 4 * ell + 1),)
-    elif row == 8:
-        rf = zeta_Z(2, -n) / (zeta_Z(1, -(n // 2)) * AVv)
-        text = "Z(2*alpha-%d) / (Z(alpha-%d) q^-alpha)" % (n, n // 2)
-    elif row == 9:
-        rf = ONE / (zeta_Z(1, -(4 * ell + 5)) * AVv)
-        text = "1 / (Z(alpha-%d) q^-alpha)" % (4 * ell + 5)
-    elif row == 10:
-        rf = ONE / (zeta_Z(1, -(4 * ell + 6)) * AVv)
-        text = "1 / (Z(alpha-%d) q^-alpha)" % (4 * ell + 6)
-    else:
-        raise ValueError("row %d" % row)
-    return rf, text, flags
+            "numerator Z(alpha-%d) fails check (c)" % (n, n + 1, l4 + 1),),
+    }.get(row, ())
+    return ((_Z(1, 0), _Z(1, n)) + pi, pi_a), (corr, corr_a), v, flags
 
 
 def rejected_variants(n: int) -> dict:
     """Shortcut table entries that look plausible but fail the symbolic
     checks; exposed so the tests can prove they stay rejected."""
-    row = _row_base(n)
+    row, k = _row_base(n), witt_profile(n).k
     ell = (n - row) // 8
-    k = witt_profile(n).k
     out = {}
     if row == 6:
         out["x1"] = PiecewiseGeometric(n, 1, {0: ONE}, 1, [])
         out["pi2"] = ONE
-        out["correction2"] = (zeta_Z(2, -n) /
-                              (zeta_Z() * zeta_Z(1, -n) * zeta_Z(1, -(n // 2)) * AVv))
+        out["correction2"] = _entry_rf(
+            (_Z(2, -n), _Z(1, 0, -1), _Z(1, -n, -1), _Z(1, -(n // 2), -1)), -1)
     elif row == 7:
-        head = ONE + _q(k + 1) + _q(n)
-        out["correction2"] = (zeta_Z(1, -(4 * ell + 1)) /
-                              (zeta_Z(1, -(n + 1), head) * AVv))
+        out["correction2"] = _entry_rf(
+            (_Z(1, -(4 * ell + 1)),
+             _LogShiftedZ(-(n + 1), _row7_head(n, k), "(1+w+u)", -1)), -1)
     return out
 
 
 class GlobalPeriodSpec:
-    """One table row: the Witt data for dimension n, the kernel's X entry,
-    Pi, the uncorrected zeta/L expression, and the even-prime correction."""
+    """The table row for dimension n >= 3: the Witt data, the kernel's X
+    entry, Pi, the uncorrected zeta/L expression, and the even-prime
+    correction.  Pi and the correction are stored once each, as (factors,
+    power of a); their rational functions and their text derive from it."""
 
-    __slots__ = ("n", "row", "ell", "delta", "chi", "witt", "x1", "x1_str",
-                 "pi2", "pi2_str", "v", "uncorrected", "correction2",
-                 "correction2_str", "flags")
+    __slots__ = ("n", "row", "ell", "delta", "witt", "x1", "x1_str",
+                 "pi2_entry", "correction2_entry", "v", "flags",
+                 "uncorrected")
 
-    def __init__(self, n, row, ell, delta, chi, witt, x1, x1_str, pi2,
-                 pi2_str, v, uncorrected, correction2, correction2_str, flags):
-        if (chi == "chi0") != (delta == 1):
-            raise ValueError("character %s does not match delta %+d" % (chi, delta))
-        self.n = n
-        self.row = row
-        self.ell = ell
-        self.delta = delta
-        self.chi = chi
-        self.witt = witt
-        self.x1 = x1
-        self.x1_str = x1_str
-        self.pi2 = pi2
-        self.pi2_str = pi2_str
-        self.v = v
-        self.uncorrected = uncorrected
-        self.correction2 = correction2
-        self.correction2_str = correction2_str
-        self.flags = tuple(flags)
+    def __init__(self, n: int):
+        self.n, self.witt = n, witt_profile(n)
+        self.row = _row_base(n)
+        self.ell = (n - self.row) // 8
+        self.delta = self.witt.delta
+        self.x1, self.x1_str = _x1_entry(self.row, n, self.witt.k)
+        (self.pi2_entry, self.correction2_entry, self.v,
+         self.flags) = _row_entries(self.row, n, self.witt.k, self.ell)
+        self.uncorrected = uncorrected_factors(n, self.delta)
+
+    @property
+    def chi(self) -> str:
+        return "chi0" if self.delta == 1 else "chi1"
+
+    @property
+    def pi2(self) -> RF:
+        rf = _entry_rf(*self.pi2_entry)
+        return rf * (ONE - AVv * self.v) if self.row == 7 else rf
+
+    @property
+    def pi2_str(self) -> str:
+        text = _render_product(*self.pi2_entry, zeta="Z")
+        return text + " * (1 - a*v)" + _ROW7_V if self.row == 7 else text
+
+    @property
+    def correction2(self) -> RF:
+        return _entry_rf(*self.correction2_entry)
+
+    @property
+    def correction2_str(self) -> str:
+        text = _render_product(*self.correction2_entry, zeta="Z")
+        return text + _ROW7_V if self.row == 7 else text
 
     def uncorrected_str(self) -> str:
         return _render_product(self.uncorrected)
@@ -365,7 +378,8 @@ class GlobalPeriodSpec:
     def local2_rf(self) -> RF:
         """The exact even-prime local factor: the uncorrected expression's
         factor at p = 2 times the correction."""
-        return _dyadic_uncorrected(self.uncorrected) * self.correction2
+        return (prod((f.dyadic_rf() for f in self.uncorrected), start=ONE)
+                * self.correction2)
 
     def to_json(self) -> dict:
         w = self.witt
@@ -380,7 +394,7 @@ class GlobalPeriodSpec:
             "chi": self.chi,
             "x": self.x1_str,
             "pi": self.pi2_str,
-            "v": None if self.v is None else pretty_rf(self.v, _PRETTY_NAMES),
+            "v": None if self.v is None else _pretty(self.v),
             "uncorrected": self.uncorrected_str(),
             "correction2": self.correction2_str,
             "flags": list(self.flags),
@@ -393,21 +407,17 @@ class GlobalPeriodSpec:
 
 def table_row(n: int) -> GlobalPeriodSpec:
     """Assemble the full row for dimension n >= 3."""
-    wp = witt_profile(n)
-    row = _row_base(n)
-    ell = (n - row) // 8
-    chi = "chi0" if wp.delta == 1 else "chi1"
-    x1, x1_str = _x1_entry(row, n, wp.k)
-    pi2, v, pi2_str = _pi2_entry(row, n, wp.k)
-    corr, corr_str, flags = _correction_entry(row, n, wp.k, ell)
-    unc = uncorrected_factors(n, wp.delta)
-    return GlobalPeriodSpec(n, row, ell, wp.delta, chi, wp, x1, x1_str,
-                            pi2, pi2_str, v, unc, corr, corr_str, flags)
+    return GlobalPeriodSpec(n)
 
 
 # ---------------------------------------------------------------------------
 # Symbolic verification of a row
 # ---------------------------------------------------------------------------
+
+def _verdict(ratio, show) -> dict:
+    return {"pass": ratio is not None,
+            "ratio": None if ratio is None else show(ratio)}
+
 
 def specialize_profile(prof: PiecewiseGeometric, k: int) -> PiecewiseGeometric:
     """Substitute z -> q^-k (that is, beta = k) into a profile in (z, iq);
@@ -435,40 +445,22 @@ def verify_table_row(n: int) -> dict:
     Failures are reported, not raised.
     """
     spec = table_row(n)
-    wp = spec.witt
+    wp, pi2 = spec.witt, spec.pi2
     prof = specialize_profile(closed_profile(wp.kernel_form), wp.k)
-    checks = {}
-
     ca = constant_ratio_at_q2(
         (prof.value_at(T).eval_partial(iq=HALF).as_fraction(),
          spec.x1.value_at(T).eval_partial(iq=HALF).as_fraction())
         for T in range(4))
-    checks["a"] = {
-        "pass": ca is not None,
-        "ratio": None if ca is None else _frac_str(ca),
-    }
-
-    pi_sym = pi_geometric(spec.x1)
-    cb = ratio_if_proportional(pi_sym, spec.pi2, constant_free_of=(VAR_AV,))
-    checks["b"] = {
-        "pass": cb is not None,
-        "ratio": None if cb is None else pretty_rf(cb, _PRETTY_NAMES),
-    }
-
-    # the table's Pi is already at beta = k, so the z substitution is a no-op
-    local2 = local_factor_chain(spec.pi2, n, wp.k)
-    cc = ratio_if_proportional(local2, spec.local2_rf(),
+    cb = ratio_if_proportional(pi_geometric(spec.x1), pi2,
                                constant_free_of=(VAR_AV,))
-    checks["c"] = {
-        "pass": cc is not None,
-        "ratio": None if cc is None else pretty_rf(cc, _PRETTY_NAMES),
-    }
+    # the table's Pi is already at beta = k, so the z substitution is a no-op
+    cc = ratio_if_proportional(local_factor_chain(pi2, n, wp.k),
+                               spec.local2_rf(), constant_free_of=(VAR_AV,))
+    checks = {"a": _verdict(ca, _frac_str), "b": _verdict(cb, _pretty),
+              "c": _verdict(cc, _pretty)}
 
-    ok = all(entry["pass"] for entry in checks.values())
-    report = spec.to_json()
-    report["checks"] = checks
-    report["pass"] = ok
-    return report
+    return {**spec.to_json(), "checks": checks,
+            "pass": all(entry["pass"] for entry in checks.values())}
 
 
 def verify_rows(ns=range(3, 19)):
@@ -492,15 +484,15 @@ def local_factor_report(n: int, alpha: int = None) -> dict:
     table = spec.local2_rf()
     ratio = ratio_if_proportional(chain, table, constant_free_of=(VAR_AV,))
     if ratio is not None:
-        ratio_repr = pretty_rf(ratio, _PRETTY_NAMES)
+        ratio_repr = _pretty(ratio)
     else:
         c = constant_ratio_at_q2((_at_q2(chain, a), _at_q2(table, a))
                                  for a in range(n + 2, n + 7))
         ratio_repr = None if c is None else _frac_str(c)
     report = {
         "n": n,
-        "local_factor": pretty_rf(chain, _PRETTY_NAMES),
-        "normalized": pretty_rf(table, _PRETTY_NAMES),
+        "local_factor": _pretty(chain),
+        "normalized": _pretty(table),
         "ratio": ratio_repr,
         "consistent": ratio_repr is not None,
     }
@@ -531,16 +523,6 @@ def _check_alpha(n: int, alpha: int, entry: RF = None):
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
-def _decimal_str(x: Fraction, digits: int) -> str:
-    if digits < 1:
-        raise ValueError("digits must be at least 1, got %d" % digits)
-    sign = "-" if x < 0 else ""
-    y = abs(x)
-    scaled = (y.numerator * 10 ** digits + y.denominator // 2) // y.denominator
-    s = str(scaled).rjust(digits + 1, "0")
-    return sign + s[:-digits] + "." + s[-digits:]
-
-
 class PeriodValue:
     """An Euler-product value with a proven absolute error bound.
 
@@ -561,7 +543,13 @@ class PeriodValue:
         self.expression = expression
 
     def decimal(self, digits: int = 12) -> str:
-        return _decimal_str(self.value, digits)
+        if digits < 1:
+            raise ValueError("digits must be at least 1, got %d" % digits)
+        y = abs(self.value)
+        s = str((y.numerator * 10 ** digits + y.denominator // 2)
+                // y.denominator).rjust(digits + 1, "0")
+        sign = "-" if self.value < 0 else ""
+        return sign + s[:-digits] + "." + s[-digits:]
 
     def to_json(self, digits: int = 12) -> dict:
         return {

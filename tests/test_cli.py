@@ -296,6 +296,27 @@ def test_period_json_at_pmax_1e6_in_bounded_time(capsys):
     assert j["decimal"] == "1.203794101452"
 
 
+def test_period_past_the_float_range_exits_0(capsys):
+    # row 4's correction divides by q^-alpha: the tail bound is near 2^1100
+    code, out, err = run(capsys, "period", "--n", "1100", "--alpha", "1102",
+                         "--pmax", "3")
+    assert code == 0 and err == ""
+    assert "tail <= 1.936e+332\n" in out
+    j = run_json(capsys, "period", "--n", "1100", "--alpha", "1102",
+                 "--pmax", "3", "--json")
+    assert Fraction(j["tail_bound"]) > 10 ** 332
+
+
+def test_tail_layout_matches_float_formatting_in_its_range():
+    xs = [Fraction(0), Fraction(17, 16), Fraction(99995, 10 ** 9),
+          Fraction(1, 3) * 2 ** 1000, Fraction(2, 7) * Fraction(1, 2) ** 1050]
+    xs += [evaluate_period(n, n + 2, 97).tail_bound for n in range(3, 11)]
+    for x in xs:
+        assert cli._sci(x) == "%.3e" % float(x)
+    # below the float range, where float(x) is 0.0, the bound still shows
+    assert cli._sci(Fraction(1, 10 ** 400)) == "1.000e-400"
+
+
 def test_json_output_is_deterministic(capsys):
     argvs = [
         ("classify", "--field", "q2", "--form", "x1^2+7*x2^2", "--json"),
@@ -393,10 +414,15 @@ def test_xseries_closed_negative_L_exits_2(capsys):
 
 
 def test_count_past_the_prime_table_exits_2_before_allocating(capsys):
-    # o/pi^31 has 2^31 classes: its histogram alone would take 16 GiB
-    t0 = perf_counter()
-    code, out, err = run(capsys, "count", "--field", "q2", "--form", "x^2",
-                         "--rho", "1", "--ell", "30")
-    assert perf_counter() - t0 < 2.0
-    assert code == 2 and out == ""
-    assert err == "error: axis length 2147483648 is beyond the prime table\n"
+    # o/pi^31 has 2^31 classes: its histogram alone would take 16 GiB.
+    # Over Q4, o/pi^23 has 2^46 classes on two axes of 2^23 each.
+    for field, ell, message in (
+            ("q2", "30", "axis length 2147483648 is beyond the prime table"),
+            ("q4", "22", "axis lengths (8388608, 8388608) give a transform "
+                         "of 70368744177664 entries, beyond 2^23")):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "count", "--field", field, "--form",
+                             "x^2", "--rho", "1", "--ell", ell)
+        assert perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % message

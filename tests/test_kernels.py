@@ -290,6 +290,7 @@ def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
         raise AssertionError("histogram built before the axis check")
     monkeypatch.setattr(kernels, "square_histograms", fail)
     monkeypatch.setattr(kernels, "plane_histogram", fail)
-    for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1)):
+    # Q4 at level 23: each axis passes, their 2^46-entry product does not
+    for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1), (Q4.ring(23), 0)):
         with pytest.raises(kernels.PrimeBoundError, match="axis length"):
             kernels.solution_count(ring, [(1,)], (1,), planes=planes)

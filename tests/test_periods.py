@@ -8,11 +8,10 @@ import pytest
 from qperiods.ratfunc import RF, IQv, AVv, VAR_AV, ratio_if_proportional
 from qperiods.closedforms import (PiecewiseGeometric, closed_profile,
                                   pi_geometric, zeta_Z, local_factor_chain)
-from qperiods.qform import witt_profile
 from qperiods import periods
 from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
                               uncorrected_factors, rejected_variants,
-                              GlobalPeriodSpec, PeriodValue, table_row,
+                              PeriodValue, table_row,
                               verify_table_row, verify_rows,
                               specialize_profile, evaluate_period,
                               constant_ratio_at_q2, local_factor_report,
@@ -138,13 +137,33 @@ def test_local2_rf_collapses_for_n3():
     assert table_row(3).local2_rf() == zeta_Z(1, -3) / AVv
 
 
-def test_spec_validates_character_against_delta():
-    wp = witt_profile(3)
-    spec = table_row(3)
-    with pytest.raises(ValueError):
-        GlobalPeriodSpec(3, 3, 0, -1, "chi0", wp, spec.x1, spec.x1_str,
-                         spec.pi2, spec.pi2_str, None, spec.uncorrected,
-                         spec.correction2, spec.correction2_str, ())
+def _table_text_at_q2(text, n, k, alpha):
+    """A printed Pi or correction evaluated from its text alone at q = 2:
+    Z(s) = 1/(1 - 2^-s), a = q^-alpha = 2^-alpha, and row 7's
+    Z(s-log_q v) = 1/(1 - 2^-s v) with v = 2u/(1+w+u)."""
+    expr, _, v = text.partition(",  v = ")
+    expr = (expr.replace("-log_q v)", ", v)").replace(") q^-alpha", ")*a")
+            .replace("q^-alpha", "a"))
+    two = Fraction(2)
+    env = {"alpha": alpha, "a": two ** -alpha, "u": two ** -n,
+           "w": two ** -(k + 1), "Z": lambda s, x=1: 1 / (1 - two ** -s * x)}
+    if v:
+        env["v"] = eval(v.replace("2u", "2*u"), env)
+    return eval(expr, env)
+
+
+def test_printed_entries_read_back_as_their_rational_functions():
+    # read independently of the factor tuples they are rendered from, the
+    # Pi and correction texts must give the entries' values exactly
+    for n in range(3, 67):
+        spec = table_row(n)
+        alpha = n + 2
+        for text, rf in ((spec.pi2_str, spec.pi2),
+                         (spec.correction2_str, spec.correction2)):
+            want = rf.eval_partial(iq=Fraction(1, 2),
+                                   av=Fraction(1, 2) ** alpha).as_fraction()
+            assert _table_text_at_q2(text, n, spec.witt.k, alpha) == want, \
+                (n, text)
 
 
 def test_to_json_shape():
