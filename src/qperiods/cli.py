@@ -27,7 +27,7 @@ from .closedforms import (case_for_form, closed_profile, UnsupportedCase,
                           pi_geometric)
 from .ratfunc import pretty_rf
 from .periods import (evaluate_period, local_factor_report, _PRETTY_NAMES,
-                      _frac_str)
+                      _decimal_digits, _frac_str)
 
 
 class UsageError(Exception):
@@ -280,14 +280,6 @@ def cmd_localfactor(args) -> int:
         human += "  value(alpha=%d)=%s" % (args.alpha, obj["value"])
     _emit(args, obj, human)
     return 0 if obj["consistent"] else 1
-
-
-def _decimal_digits(m: int) -> int:
-    """The number of decimal digits of |m|, without converting it to str."""
-    m = abs(m)
-    # 2^(b-1) <= m < 2^b leaves two candidates, d and d + 1
-    d = int(m.bit_length() * math.log10(2))
-    return d + 1 if 10 ** d <= m else max(d, 1)
 
 
 def _sci(x: Fraction) -> str:

@@ -3,6 +3,9 @@
 X_ell(rho) is the measure of {a in o^n : B(a) = rho mod 2 pi^ell},
 computed exactly: by honest enumeration, by the histogram-convolution
 kernel, or (past the stabilization level) by the Hensel scaling laws.
+count_level_histogram counts one level and target on its own;
+x_series_many reads every level of several targets from one value
+distribution of the form, and x_series is its one-target case.
 Everything returns Fractions; nothing here is symbolic.
 """
 
@@ -93,6 +96,52 @@ def count_level_histogram(B: DiagonalForm, rho, ell: int) -> Fraction:
         kernels.solution_count, planes=B.planes))
 
 
+def _cutoff(field, rho) -> int:
+    """The last level the stabilized mode counts, ord(2 rho) + 1 (e + 1 for
+    rho = 0); the stabilization laws give the levels past it."""
+    return field.e + 1 + (0 if rho.is_zero() else int(rho.ord()))
+
+
+def x_series_many(B: DiagonalForm, rhos, L: int,
+                  direct: bool = False) -> list:
+    """x_series(B, rho, L, direct=direct) for every rho in rhos, all read
+    from one value distribution of B over the deepest ring they count.
+
+    A level-l measure is a coset sum of that distribution: reduction to a
+    lower level is componentwise, and every tuple over the deep ring
+    covers (deep size / level size)^n tuples over o/2 pi^l.
+    """
+    if L < 0:
+        raise ValueError("negative truncation order")
+    field = B.field
+    rhos = [_as_element(field, rho) for rho in rhos]
+    if not direct and not is_anisotropic(B):
+        raise ValueError("stabilized extension needs an anisotropic form; "
+                         "pass direct=True for full counting")
+    counted = [L if direct else min(L, _cutoff(field, rho)) for rho in rhos]
+    deep = field.ring(max(counted, default=0) + field.e)
+    dist = kernels.ValueDistribution(kernels.form_histograms(
+        deep, _coeff_coords(B), B.planes)) if B.n else None
+
+    def count(ring, coeffs, target):
+        return (dist.count(ring.moduli, target)
+                // (deep.size // ring.size) ** B.n)
+
+    out = []
+    for rho, k in zip(rhos, counted):
+        vals = [_level_measure(B, rho, l, count) for l in range(k + 1)]
+        if rho.is_zero():
+            step = Fraction(1, field.q ** B.n)
+            while len(vals) <= L:
+                vals.append(vals[-2] * step)
+        else:
+            step = Fraction(1, field.q)
+            while len(vals) <= L:
+                vals.append(vals[-1] * step)
+        out.append(TruncatedSeries(vals))
+    return out
+
+
 def x_series(B: DiagonalForm, rho, L: int, verify: int = 0,
              direct: bool = False) -> TruncatedSeries:
     """X_0..X_L for a target rho = unit * pi^(2T), or rho = 0 (pass None or 0).
@@ -101,35 +150,13 @@ def x_series(B: DiagonalForm, rho, L: int, verify: int = 0,
     the one-step law X_{l+1} = X_l / q (two-step X_{l+2} = X_l / q^n for the
     zero target); that shortcut is only sound for anisotropic forms, so
     isotropic input is rejected unless `direct` asks for full counting.
-    `verify` recomputes that many extended levels by direct counting.
+    `verify` recomputes that many extended levels by direct counting, one
+    level at a time through count_level_histogram.
     """
-    if L < 0:
-        raise ValueError("negative truncation order")
-    field = B.field
-    rho = _as_element(field, rho)
-    if direct:
-        return TruncatedSeries([count_level_histogram(B, rho, l)
-                                for l in range(L + 1)])
-    if not is_anisotropic(B):
-        raise ValueError("stabilized extension needs an anisotropic form; "
-                         "pass direct=True for full counting")
-    zero_target = rho.is_zero()
-    if zero_target:
-        cutoff = field.e + 1
-    else:
-        cutoff = int(rho.ord()) + field.e + 1
-    vals = [count_level_histogram(B, rho, l)
-            for l in range(min(L, cutoff) + 1)]
-    if zero_target:
-        step = Fraction(1, field.q ** B.n)
-        while len(vals) <= L:
-            vals.append(vals[-2] * step)
-    else:
-        step = Fraction(1, field.q)
-        while len(vals) <= L:
-            vals.append(vals[-1] * step)
-    series = TruncatedSeries(vals)
-    if verify > 0:
+    series = x_series_many(B, [rho], L, direct)[0]
+    if verify > 0 and not direct:
+        rho = _as_element(B.field, rho)
+        cutoff = _cutoff(B.field, rho)
         for l in range(cutoff + 1, min(L, cutoff + verify) + 1):
             got = count_level_histogram(B, rho, l)
             if got != series.coeffs[l]:
@@ -157,10 +184,10 @@ def pi_truncated(B: DiagonalForm, a_value, L: int, T_max: int):
     if T_max < 0:
         raise ValueError("negative T_max")
     a = Fraction(a_value)
+    w = B.field.uniformizer()
     total = [Fraction(0)] * (L + 1)
     apow = Fraction(1)
-    for T in range(T_max + 1):
-        s = x_series_at(B, T, L)
+    for s in x_series_many(B, [w ** (2 * T) for T in range(T_max + 1)], L):
         for i, c in enumerate(s.coeffs):
             total[i] += apow * c
         apow *= a

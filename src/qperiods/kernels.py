@@ -2,8 +2,12 @@
 
 Each variable contributes a histogram of its values over the additive group
 of the ring, and a count is one entry of their convolution.  One engine
-computes that entry by number-theoretic transforms modulo as many primes as
-the count's bound needs, joined by CRT; every count is an exact integer.
+transforms the histograms by number-theoretic transforms modulo as many
+primes as the count's bound needs, and joins residues by CRT; every count
+is an exact integer.  It reads the transforms back two ways:
+convolution_entry takes one entry by a dot product per prime, and
+ValueDistribution takes the whole convolution by one inverse transform per
+prime, so that every target at every coarser level is a coset sum of it.
 
 Ring arithmetic is not repeated here: values come from the ResidueRing
 methods (coords, mul, add, ord_of, is_unit) applied to whole arrays of
@@ -149,25 +153,94 @@ def _padded_lengths(shape, count):
     return lengths
 
 
-def _entry_mod(p, stack, mults, lengths, target):
-    """The target entry mod p; see convolution_entry."""
+def _forward(stack, lengths, p):
+    """Each histogram of the stack, zero-padded to `lengths`, transformed
+    mod p along every axis; slots hold frequencies as _ntt leaves them."""
     shape = stack.shape[1:]
     a = np.zeros((len(stack),) + lengths, dtype=np.int64)  # odd axes padded
     np.remainder(stack, p, out=a[(slice(None),) + tuple(map(slice, shape))])
-    acc = None
-    for ax, (n, m, t) in enumerate(zip(lengths, shape, target)):
+    for ax, n in enumerate(lengths):
         a = np.ascontiguousarray(a.swapaxes(1 + ax, -1))  # copy unless last
         _ntt(a.reshape(-1, n), p)
         a = a.swapaxes(1 + ax, -1)
-        negfreq, pw = _tables(p, n)[2:]
-        fold = sum(pw[negfreq * w & (n - 1)] for w in range(int(t) % m, n, m))
-        fold = fold.reshape((n,) + (1,) * (len(shape) - ax - 1)) % p
-        acc = fold if acc is None else acc * fold % p
+    return a
+
+
+def _product(acc, a, mults, p):
+    """acc times each transform of a to its multiplicity, mod p, in place."""
     for i, c in enumerate(mults):
         for _ in range(c):
             acc *= a[i]
             acc %= p
+    return acc
+
+
+def _entry_mod(p, stack, mults, lengths, target):
+    """The target entry mod p; see convolution_entry."""
+    a = _forward(stack, lengths, p)
+    acc = None
+    for ax, (n, m, t) in enumerate(zip(lengths, stack.shape[1:], target)):
+        negfreq, pw = _tables(p, n)[2:]
+        fold = sum(pw[negfreq * w & (n - 1)] for w in range(int(t) % m, n, m))
+        fold = fold.reshape((n,) + (1,) * (len(lengths) - ax - 1)) % p
+        acc = fold if acc is None else acc * fold % p
+    acc = _product(acc, a, mults, p)
     return int(acc.sum()) * pow(prod(lengths), -1, p) % p
+
+
+def _distribution_mod(p, stack, mults, lengths):
+    """The whole convolution mod p, on the histogram shape; see
+    ValueDistribution."""
+    acc = _product(np.ones(lengths, dtype=np.int64),
+                   _forward(stack, lengths, p), mults, p)
+    # the inverse is the forward transform of the negated frequencies: put
+    # frequency -f in natural slot f, transform, and read the result in the
+    # slot order the transform leaves
+    for ax, n in enumerate(lengths):
+        negfreq = _tables(p, n)[2]
+        x = acc.swapaxes(ax, -1)
+        b = np.empty(x.shape, dtype=np.int64)
+        b[..., negfreq] = x
+        _ntt(b.reshape(-1, n), p)
+        x = np.empty_like(b)
+        x[..., -negfreq % n] = b
+        acc = x.swapaxes(ax, -1)
+    acc = acc * pow(prod(lengths), -1, p) % p
+    # a padded axis holds the linear convolution: fold it back onto Z/m
+    for ax, (n, m) in enumerate(zip(lengths, stack.shape[1:])):
+        if n != m:
+            x = np.moveaxis(acc, ax, 0)
+            x = np.concatenate([x, np.zeros((-n % m,) + x.shape[1:],
+                                            dtype=np.int64)])
+            acc = np.moveaxis(x.reshape((-1, m) + x.shape[1:]).sum(0) % p,
+                              0, ax)
+    return acc
+
+
+def _group(hists):
+    """Distinct histograms stacked, their multiplicities, and the primes
+    that reconstruct any count up to the product of their sums."""
+    groups = {}  # equal histograms share one transform
+    for h in hists:
+        groups.setdefault(h.tobytes(), [h, 0])[1] += 1
+    stack = np.array([h for h, _ in groups.values()], dtype=np.int64)
+    mults = [c for _, c in groups.values()]
+    bound = prod(int(h.sum()) ** c for h, c in zip(stack, mults))
+    k = next((i for i, m in enumerate(accumulate(_NTT_PRIMES, mul), 1)
+              if m > bound), 0)
+    if not k:
+        raise PrimeBoundError("count bound %d is beyond the prime table"
+                              % bound)
+    return stack, mults, _NTT_PRIMES[:k]
+
+
+def _crt(residues, primes) -> int:
+    """The integer below the product of the primes with these residues."""
+    count, modulus = 0, 1
+    for r, p in zip(residues, primes):
+        count += modulus * ((int(r) - count) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return count
 
 
 def convolution_entry(hists, target) -> int:
@@ -180,40 +253,61 @@ def convolution_entry(hists, target) -> int:
     an odd axis is zero-padded past n(m - 1), the support of the linear
     convolution of n histograms, and the target folded over t, t + m, ...
     """
-    groups = {}  # equal histograms share one transform
-    for h in hists:
-        groups.setdefault(h.tobytes(), [h, 0])[1] += 1
-    stack = np.array([h for h, _ in groups.values()], dtype=np.int64)
-    mults = [c for _, c in groups.values()]
-    bound = prod(int(h.sum()) ** c for h, c in zip(stack, mults))
-    k = next((i for i, m in enumerate(accumulate(_NTT_PRIMES, mul), 1)
-              if m > bound), 0)
-    if not k:
-        raise PrimeBoundError("count bound %d is beyond the prime table"
-                              % bound)
+    stack, mults, primes = _group(hists)
     lengths = _padded_lengths(stack.shape[1:], len(hists))
-    count, modulus = 0, 1
-    for p in _NTT_PRIMES[:k]:
-        r = _entry_mod(p, stack, mults, lengths, target)
-        count += modulus * ((r - count) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return count
+    return _crt([_entry_mod(p, stack, mults, lengths, target)
+                 for p in primes], primes)
+
+
+class ValueDistribution:
+    """Every entry of the convolution of integer histograms at once, as
+    convolution_entry computes one: for a form's histograms, the number
+    N(v) of tuples with value v, for every v in the ring.
+
+    Per prime, the transforms are multiplied and one inverse transform
+    returns the whole convolution; a padded axis is folded back onto Z/m.
+    The entries stay residues mod each prime the count bound needs, and
+    `count` joins only the coset sum it returns by CRT: every such sum is
+    at most the bound, so it is exact however many primes that takes.
+    """
+
+    __slots__ = ("primes", "residues")
+
+    def __init__(self, hists):
+        stack, mults, self.primes = _group(hists)
+        lengths = _padded_lengths(stack.shape[1:], len(hists))
+        self.residues = np.array([_distribution_mod(p, stack, mults, lengths)
+                                  for p in self.primes])
+
+    def count(self, moduli, target) -> int:
+        """The sum of N(v) over v = target mod moduli, where each modulus
+        divides its axis length (the coset of a coarser quotient)."""
+        coset = (slice(None),) + tuple(slice(int(t) % m, None, m)
+                                       for t, m in zip(target, moduli))
+        sums = self.residues[coset].reshape(len(self.primes), -1).sum(1)
+        return _crt(sums % np.array(self.primes), self.primes)
 
 
 # ---------------------------------------------------------------------------
 # Solution counting
 # ---------------------------------------------------------------------------
 
+def form_histograms(ring, coeff_list, planes=0, restrict_nonunit=False):
+    """The histogram of each summand of sum c x^2 + planes * 2xy; refuses
+    an axis the primes cannot transform before allocating anything."""
+    _padded_lengths(ring.moduli, len(coeff_list) + planes)
+    hists = list(square_histograms(ring, coeff_list, restrict_nonunit))
+    if planes:
+        hists += [plane_histogram(ring, restrict_nonunit)] * planes
+    return hists
+
+
 def solution_count(ring, coeff_list, target_coords, planes=0,
                    restrict_nonunit=False) -> int:
     """Number of tuples over the ring with sum of terms equal to target."""
     if not (coeff_list or planes):
         return 1 if all(c == 0 for c in ring.reduce(target_coords)) else 0
-    # refuse an axis the primes cannot transform before allocating anything
-    _padded_lengths(ring.moduli, len(coeff_list) + planes)
-    hists = list(square_histograms(ring, coeff_list, restrict_nonunit))
-    if planes:
-        hists += [plane_histogram(ring, restrict_nonunit)] * planes
+    hists = form_histograms(ring, coeff_list, planes, restrict_nonunit)
     return convolution_entry(hists, ring.reduce(target_coords))
 
 

@@ -15,6 +15,7 @@ entries are written in
 """
 
 from fractions import Fraction
+import math
 from math import prod
 
 from .ratfunc import (RF, IQv, AVv, VAR_Z, VAR_AV,
@@ -32,6 +33,18 @@ HALF = Fraction(1, 2)
 P_MAX_LIMIT = 10 ** 7
 
 _PRETTY_NAMES = ("z", "1/q", "a")
+
+
+# Python 3.11 converts ints of at most this many digits to str by default
+_STR_DIGITS = 4300
+
+
+def _decimal_digits(m: int) -> int:
+    """The number of decimal digits of |m|, without converting it to str."""
+    m = abs(m)
+    # 2^(b-1) <= m < 2^b leaves two candidates, d and d + 1
+    d = int(m.bit_length() * math.log10(2))
+    return d + 1 if 10 ** d <= m else max(d, 1)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -543,13 +556,28 @@ class PeriodValue:
         self.expression = expression
 
     def decimal(self, digits: int = 12) -> str:
+        """The value rounded to `digits` places, or, once that takes more
+        than _STR_DIGITS digits, to `digits` significant digits in
+        scientific notation."""
         if digits < 1:
             raise ValueError("digits must be at least 1, got %d" % digits)
+        if digits > _STR_DIGITS:
+            raise ValueError("digits must be at most %d, got %d"
+                             % (_STR_DIGITS, digits))
         y = abs(self.value)
-        s = str((y.numerator * 10 ** digits + y.denominator // 2)
-                // y.denominator).rjust(digits + 1, "0")
         sign = "-" if self.value < 0 else ""
-        return sign + s[:-digits] + "." + s[-digits:]
+        m = (y.numerator * 10 ** digits + y.denominator // 2) // y.denominator
+        if m < 10 ** _STR_DIGITS:
+            s = str(m).rjust(digits + 1, "0")
+            return sign + s[:-digits] + "." + s[-digits:]
+        e = _decimal_digits(m) - 1 - digits  # y < 10^(e + 1), up to rounding
+        x = y / Fraction(10) ** (e + 1 - digits)
+        m = (x.numerator + x.denominator // 2) // x.denominator
+        if m == 10 ** digits:
+            m, e = m // 10, e + 1
+        s = str(m)
+        return "%s%s%se%+d" % (sign, s[0], "." + s[1:] if digits > 1 else "",
+                               e)
 
     def to_json(self, digits: int = 12) -> dict:
         return {

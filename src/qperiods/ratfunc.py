@@ -3,13 +3,15 @@
 z is the generating-series variable, iq stands for the inverse residue
 size 1/q, and av is the weight a single uniformizer power carries in
 t-weighted sums.  Exponents may be negative (Laurent terms show up in a
-few tail coefficients), and all coefficients are `Fraction`s, so every
-comparison is exact.
+few tail coefficients), and all coefficients are exact rationals, held as
+integers over a common denominator, so every comparison is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 NVARS = 3
@@ -35,18 +37,28 @@ ONE_MONO: Mono = (0, 0, 0)
 
 
 class Poly:
-    """Laurent polynomial with Fraction coefficients, keyed by exponent triples."""
+    """Laurent polynomial over Q, keyed by exponent triples.
 
-    __slots__ = ("terms",)
+    As FLINT's fmpq_poly does, it stores integer numerators (`nums`, none
+    zero) over one positive common denominator `den`, in lowest terms, so
+    arithmetic runs on ints and equal polynomials have equal fields.
+    `terms` is a read-only view of the coefficients as Fractions.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        tt = {}
+        fr = {}
         if terms:
             for mono, coeff in terms.items():
                 c = _frac(coeff)
                 if c:
-                    tt[tuple(mono)] = c
-        self.terms = tt
+                    fr[tuple(mono)] = c
+        # each prime of the lcm divides some reduced denominator fully, so
+        # its numerator keeps the result in lowest terms
+        self.den = math.lcm(*(c.denominator for c in fr.values()))
+        self.nums = {m: c.numerator * (self.den // c.denominator)
+                     for m, c in fr.items()}
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -56,41 +68,47 @@ class Poly:
     def var(cls, idx: int) -> "Poly":
         mono = [0, 0, 0]
         mono[idx] = 1
-        return cls({tuple(mono): Fraction(1)})
+        return cls({tuple(mono): 1})
 
     @classmethod
     def monomial(cls, ez: int = 0, eiq: int = 0, eav: int = 0, coeff=1) -> "Poly":
         return cls({(ez, eiq, eav): _frac(coeff)})
 
+    @property
+    def terms(self):
+        d = self.den
+        return MappingProxyType({m: Fraction(c, d)
+                                 for m, c in self.nums.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.nums.items()}, self.den)
 
     def __add__(self, other) -> "Poly":
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        out = {m: c * fa for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            s = out.get(m, 0) + c * fb
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
-        p = Poly()
-        p.terms = out
-        return p
+        return _reduced(out, self.den * fa)
 
     __radd__ = __add__
 
@@ -111,17 +129,12 @@ class Poly:
         if other is None:
             return NotImplemented
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = Poly()
-        p.terms = out
-        return p
+        for (a0, a1, a2), c1 in self.nums.items():
+            for (b0, b1, b2), c2 in other.nums.items():
+                m = (a0 + b0, a1 + b1, a2 + b2)
+                out[m] = out.get(m, 0) + c1 * c2
+        return _reduced({m: c for m, c in out.items() if c},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -138,32 +151,38 @@ class Poly:
         return result
 
     def shift(self, mono: Mono) -> "Poly":
-        return Poly({_mono_mul(m, mono): c for m, c in self.terms.items()})
+        return _poly({_mono_mul(m, mono): c for m, c in self.nums.items()},
+                     self.den)
 
     def min_exp(self, idx: int) -> int:
-        if not self.terms:
+        if not self.nums:
             return 0
-        return min(m[idx] for m in self.terms)
+        return min(m[idx] for m in self.nums)
 
     def subst_monomial(self, idx: int, coeff, mono: Mono = ONE_MONO) -> "Poly":
         """Replace the variable `idx` by coeff * X^mono (coeff a nonzero Fraction)."""
         coeff = _frac(coeff)
         if coeff == 0:
             raise ValueError("substitution coefficient must be nonzero")
+        if not self.nums:
+            return self
+        # coeff^t = a^(t - lo) b^(hi - t) * a^lo / b^hi for coeff = a/b and
+        # lo <= t <= hi: integer weights times one common scale
+        a, b = coeff.numerator, coeff.denominator
+        ts = {m[idx] for m in self.nums}
+        lo, hi = min(ts), max(ts)
+        weight = {t: a ** (t - lo) * b ** (hi - t) for t in ts}
+        scale = Fraction(a) ** lo / Fraction(b) ** hi
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.nums.items():
             t = m[idx]
             rest = list(m)
             rest[idx] = 0
             new = _mono_mul(tuple(rest), tuple(e * t for e in mono))
-            s = out.get(new, Fraction(0)) + c * coeff ** t
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-        p = Poly()
-        p.terms = out
-        return p
+            out[new] = out.get(new, 0) + c * weight[t]
+        sn = scale.numerator
+        return _reduced({m: c * sn for m, c in out.items() if c},
+                        self.den * scale.denominator)
 
     def eval_partial(self, z=None, iq=None, av=None) -> "Poly":
         p = self
@@ -173,20 +192,37 @@ class Poly:
         return p
 
     def as_fraction(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        if len(self.terms) == 1 and ONE_MONO in self.terms:
-            return self.terms[ONE_MONO]
+        if len(self.nums) == 1 and ONE_MONO in self.nums:
+            return Fraction(self.nums[ONE_MONO], self.den)
         raise ValueError("polynomial is not constant: %s" % (self,))
 
     def uses_var(self, idx: int) -> bool:
-        return any(m[idx] for m in self.terms)
+        return any(m[idx] for m in self.nums)
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
+
+
+def _poly(nums, den) -> Poly:
+    """A Poly from nonzero integer numerators over den > 0, already in
+    lowest terms."""
+    p = Poly.__new__(Poly)
+    p.nums, p.den = nums, den
+    return p
+
+
+def _reduced(nums, den) -> Poly:
+    """A Poly from nonzero integer numerators over den > 0, reduced."""
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        nums = {m: c // g for m, c in nums.items()}
+        den //= g
+    return _poly(nums, den)
 
 
 def _coerce_poly(x) -> Optional[Poly]:
@@ -198,7 +234,7 @@ def _coerce_poly(x) -> Optional[Poly]:
 
 
 def format_poly(p: Poly, names=VAR_NAMES) -> str:
-    if not p.terms:
+    if not p.nums:
         return "0"
     parts = []
     for mono, coeff in p.sorted_terms():
@@ -257,7 +293,7 @@ class RF:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return self.num * other.den == other.num * self.den
 
     def __neg__(self):
         return _raw_rf(-self.num, self.den)
@@ -339,26 +375,29 @@ class RF:
         nmin = num.min_exp(VAR_Z) if num else shift
         if nmin < shift:
             raise ValueError("pole at z = 0; no power series")
-        ncoef = [Fraction(0)] * (order + 1)
-        dcoef = [Fraction(0)] * (order + 1)
-        for m, c in num.terms.items():
+        ncoef = [0] * (order + 1)
+        dcoef = [0] * (order + 1)
+        for m, c in num.nums.items():
             k = m[0] - shift
             if k <= order:
                 ncoef[k] += c
-        for m, c in den.terms.items():
+        for m, c in den.nums.items():
             k = m[0] - shift
             if k <= order:
                 dcoef[k] += c
-        if dcoef[0] == 0:
+        d0 = dcoef[0]
+        if d0 == 0:
             raise ValueError("denominator vanishes at z = 0 after shift")
-        out = [Fraction(0)] * (order + 1)
-        inv0 = 1 / dcoef[0]
+        # ncoef/dcoef = sum_k A_k z^k / d0^(k+1) with integer A_k; the
+        # common denominators contribute den.den / num.den
+        A = []
         for k in range(order + 1):
-            acc = ncoef[k]
+            acc = ncoef[k] * d0 ** k
             for j in range(1, k + 1):
-                acc -= dcoef[j] * out[k - j]
-            out[k] = acc * inv0
-        return out
+                acc -= dcoef[j] * A[k - j] * d0 ** (j - 1)
+            A.append(acc)
+        return [Fraction(a * den.den, d0 ** (k + 1) * num.den)
+                for k, a in enumerate(A)]
 
     def __repr__(self):
         if self.den == Poly.const(1):
@@ -376,19 +415,16 @@ def _normalize(num: Poly, den: Poly):
     """Shift out negative exponents and make the pair primitive-ish."""
     if num.is_zero():
         return Poly(), Poly.const(1)
-    shift = [0, 0, 0]
-    for idx in range(NVARS):
-        lo = min(num.min_exp(idx), den.min_exp(idx))
-        if lo < 0:
-            shift[idx] = -lo
+    # the least exponent of each variable over both polynomials
+    shift = tuple(max(-lo, 0) for lo in map(min, zip(*num.nums, *den.nums)))
     if any(shift):
-        num = num.shift(tuple(shift))
-        den = den.shift(tuple(shift))
-    lead = den.terms[min(den.terms)]
-    if lead != 1:
-        inv = 1 / lead
-        num = Poly({m: c * inv for m, c in num.terms.items()})
-        den = Poly({m: c * inv for m, c in den.terms.items()})
+        num = num.shift(shift)
+        den = den.shift(shift)
+    lead = den.nums[min(den.nums)]
+    if lead != den.den:  # scale both by den.den / lead, making the lead 1
+        s, t = (den.den, lead) if lead > 0 else (-den.den, -lead)
+        num = _reduced({m: c * s for m, c in num.nums.items()}, num.den * t)
+        den = _reduced({m: c * s for m, c in den.nums.items()}, den.den * t)
     return num, den
 
 
@@ -424,11 +460,11 @@ def ratio_if_proportional(f: RF, g: RF, constant_free_of=(VAR_Z, VAR_IQ, VAR_AV)
 
     def grouped(poly):
         groups = {}
-        for m, c in poly.terms.items():
+        for m, c in poly.nums.items():
             key = tuple(m[i] if i in banned else 0 for i in range(NVARS))
             rest = tuple(0 if i in banned else m[i] for i in range(NVARS))
             groups.setdefault(key, {})[rest] = c
-        return {k: Poly(v) for k, v in groups.items()}
+        return {k: _reduced(v, poly.den) for k, v in groups.items()}
 
     gp, gq = grouped(P), grouped(Q)
     keys = sorted(set(gp) | set(gq))

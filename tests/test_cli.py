@@ -279,6 +279,24 @@ def test_period_json_past_the_digit_limit_names_alpha(capsys):
     assert 10 ** (digits - 1) <= longest < 10 ** digits
 
 
+def test_period_past_the_str_digit_limit_prints_scientific(capsys):
+    # about 6,000 digits before the point, past the 4,300 that Python
+    # converts from int to str by default
+    t0 = perf_counter()
+    code, out, err = run(capsys, "period", "--n", "20000", "--alpha", "20002",
+                         "--pmax", "3")
+    assert perf_counter() - t0 < 10.0
+    assert code == 0 and err == ""
+    m = re.search(r" ~ (\d)\.(\d{11})e\+(\d+)  tail <= ", out)
+    assert m, out
+    unit = Fraction(10) ** (int(m.group(3)) - 11)
+    value = evaluate_period(20000, 20002, 3).value
+    assert abs(value - int(m.group(1) + m.group(2)) * unit) <= unit / 2
+    code, out, err = run(capsys, "period", "--n", "20000", "--alpha", "20002",
+                         "--pmax", "3", "--digits", "1")
+    assert code == 0 and re.search(r" ~ \de\+\d+  tail", out), out
+
+
 def test_period_pmax_past_the_limit_exits_2_at_once(capsys):
     t0 = perf_counter()
     code, out, err = run(capsys, "period", "--n", "6", "--alpha", "9",

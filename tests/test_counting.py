@@ -7,7 +7,7 @@ from qperiods.localfield import make_field, hilbert_symbol
 from qperiods.qform import DiagonalForm
 from qperiods.counting import (TruncatedSeries, count_level_naive,
                                count_level_histogram, x_series, x_series_at,
-                               pi_truncated, conic_measure,
+                               x_series_many, pi_truncated, conic_measure,
                                residually_anisotropic_pair)
 
 Q2 = make_field(2)
@@ -78,6 +78,28 @@ def test_x_series_stabilized_equals_direct():
             fast = x_series(B, rho, 8)
             slow = x_series(B, rho, 8, direct=True)
             assert fast == slow, (B, rho)
+
+
+def test_x_series_many_matches_one_level_at_a_time():
+    # the batch reads every level from one distribution; the single-entry
+    # kernel counts each level on its own ring
+    forms = [DiagonalForm(Q2, [1, 3]), DiagonalForm(Q2, [1], planes=1),
+             DiagonalForm(Q4, [1, -2]), DiagonalForm(R2, [1, 3]),
+             DiagonalForm(F3, [1, 1], planes=1)]
+    for B in forms:
+        pi = B.field.uniformizer()
+        rhos = [None, B.field.one(), pi, pi * pi, B.field.elt(2)]
+        for direct, L in ((True, 5), (False, 7)):
+            if not direct and B.planes:
+                continue
+            got = x_series_many(B, rhos, L, direct=direct)
+            for rho, s in zip(rhos, got):
+                if direct:
+                    assert list(s) == [count_level_histogram(B, rho, l)
+                                       for l in range(L + 1)], (B, rho)
+                else:
+                    assert s == x_series(B, rho, L, verify=L), (B, rho)
+    assert x_series_many(DiagonalForm(Q2, [1]), [], 3) == []
 
 
 def test_x_series_verify_mode_is_quiet():

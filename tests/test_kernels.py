@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qperiods import kernels
 from qperiods.closedforms import closed_profile
-from qperiods.counting import count_level_histogram
+from qperiods.counting import count_level_histogram, x_series
 from qperiods.localfield import make_field
 from qperiods.qform import DiagonalForm, anisotropic_representative
 
@@ -294,3 +294,72 @@ def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
     for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1), (Q4.ring(23), 0)):
         with pytest.raises(kernels.PrimeBoundError, match="axis length"):
             kernels.solution_count(ring, [(1,)], (1,), planes=planes)
+
+
+def test_value_distribution_matches_brute_force():
+    rng = np.random.default_rng(5)
+    for shape in ((1,), (8,), (9,), (27,), (4, 8), (9, 3), (512,), (2, 256)):
+        for n in (1, 2, 3):
+            hists = [rng.integers(0, 50, shape) for _ in range(n)]
+            want = brute_convolution(hists)
+            dist = kernels.ValueDistribution(hists)
+            for t in np.ndindex(shape):
+                assert dist.count(shape, t) == want[t], (shape, n, t)
+            assert dist.count((1,) * len(shape), (0,) * len(shape)) \
+                == sum(want.ravel())
+
+
+@pytest.mark.parametrize("field, coeffs, planes, top", [
+    (Q2, [1, 3, 5], 0, 4), (Q2, [1], 1, 4), (Q4, [1, -2], 0, 3),
+    (Q4, [3], 1, 2), (R2, [1, 3], 0, 5), (R2, [1], 1, 4),
+    (F3, [1, 2], 0, 3), (F3, [1], 1, 3)])
+def test_value_distribution_matches_solution_count_and_naive(field, coeffs,
+                                                             planes, top):
+    # every target at every level up to top, read from one distribution
+    ring = field.ring(top)
+    cc = [field.elt(c).coords for c in coeffs]
+    n = len(cc) + 2 * planes
+    dist = kernels.ValueDistribution(kernels.form_histograms(ring, cc, planes))
+    for level in range(top + 1):
+        low = field.ring(level)
+        cover = (ring.size // low.size) ** n
+        for t in low.elements():
+            got, rest = divmod(dist.count(low.moduli, t), cover)
+            assert rest == 0
+            want = kernels.solution_count(low, cc, t, planes=planes)
+            assert got == want, (field.q, coeffs, planes, level, t)
+            if level == top:
+                assert want == kernels.naive_count(ring, cc, t, planes=planes)
+
+
+def test_value_distribution_exact_past_two_primes():
+    # a count bound of 2^(11 * 7) needs three primes of the table
+    ring = Q2.ring(11)
+    cc = [(1,), (3,), (5,), (7,), (1,)]
+    dist = kernels.ValueDistribution(kernels.form_histograms(ring, cc, 1))
+    assert len(dist.primes) >= 3
+    total = 0
+    for t in range(ring.size):
+        got = dist.count(ring.moduli, (t,))
+        total += got
+        if t % 97 == 0:
+            assert got == kernels.solution_count(ring, cc, (t,), planes=1)
+    assert total == ring.size ** 7
+    for level in (1, 5, 9):
+        low = Q2.ring(level)
+        for t in (0, 1, 3, low.size - 1):
+            want = kernels.solution_count(low, cc, (t,), planes=1)
+            assert dist.count(low.moduli, (t,)) \
+                == want * (ring.size // low.size) ** 7
+
+
+def test_form_histograms_refuse_long_axes_before_any_histogram(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("histogram built before the axis check")
+    monkeypatch.setattr(kernels, "square_histograms", fail)
+    monkeypatch.setattr(kernels, "plane_histogram", fail)
+    for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1), (Q4.ring(23), 0)):
+        with pytest.raises(kernels.PrimeBoundError, match="axis length"):
+            kernels.form_histograms(ring, [(1,)], planes=planes)
+    with pytest.raises(kernels.PrimeBoundError, match="axis length"):
+        x_series(DiagonalForm(Q2, [1]), 1, 30, direct=True)

@@ -445,6 +445,21 @@ def test_period_value_decimal():
             pv.to_json(digits)
 
 
+def test_period_value_decimal_past_the_str_digit_limit():
+    def dec(value, digits):
+        return PeriodValue(3, 9, 2, value, Fraction(0), "x").decimal(digits)
+    # the fixed-point form up to 4,300 digits, then significant digits
+    assert dec(Fraction(10 ** 4290, 3), 10) == "3" * 4290 + "." + "3" * 10
+    assert dec(Fraction(10 ** 4290, 3), 11) == "3.3333333333e+4289"
+    assert dec(Fraction(-123456789) * 10 ** 4400, 4) == "-1.235e+4408"
+    assert dec(Fraction(99995) * 10 ** 4400, 4) == "1.000e+4405"
+    assert dec(Fraction(99994) * 10 ** 4400, 4) == "9.999e+4404"
+    assert dec(Fraction(10) ** 5000 - Fraction(1, 3), 1) == "1e+5000"
+    assert dec(Fraction(1, 8), 4300).endswith("125" + "0" * 4297)
+    with pytest.raises(ValueError, match="digits must be at most 4300"):
+        dec(Fraction(1, 8), 4301)
+
+
 # ---------------------------------------------------------------------------
 # The q = 2 constant-ratio test and the local-factor verdict
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from qperiods.ratfunc import (Poly, RF, Zv, IQv, AVv, VAR_Z, VAR_IQ, VAR_AV,
                               ratio_if_proportional, pretty_rf,
                               format_poly, geometric_inverse_factor)
+
+from fraction_poly import FractionPoly, series_z as fraction_series_z
 
 
 def test_poly_basics():
@@ -143,12 +146,92 @@ def test_poly_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-@given(polys(), polys())
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+nonzero_fractions = st.builds(Fraction, st.integers(-40, 40).filter(bool),
+                              st.integers(1, 12))
+monos = st.tuples(st.integers(-2, 3), st.integers(-2, 3), st.integers(-2, 2))
+
+
+@st.composite
+def laurent_terms(draw, max_terms=5):
+    """Coefficient dicts with Fraction coefficients and negative exponents
+    in every variable."""
+    return draw(st.dictionaries(monos, fractions, max_size=max_terms))
+
+
+def oracle(p: Poly) -> FractionPoly:
+    return FractionPoly(dict(p.terms))
+
+
+def assert_canonical(p: Poly):
+    # integer numerators over one positive denominator, in lowest terms
+    assert p.den > 0 and all(p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+def same_rf(f: RF, g: RF) -> bool:
+    """f == g, decided by RF and by oracle cross-multiplication alike."""
+    want = oracle(f.num) * oracle(g.den) == oracle(g.num) * oracle(f.den)
+    assert (f == g) == want
+    return want
+
+
+@given(laurent_terms(), laurent_terms(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_poly_matches_fraction_oracle(a, b, k):
+    pa, pb, oa, ob = Poly(a), Poly(b), FractionPoly(a), FractionPoly(b)
+    assert pa.terms == oa.terms
+    results = [(pa + pb, oa + ob), (pa - pb, oa - ob), (pa * pb, oa * ob),
+               (-pa, -oa), (pa ** k, oa ** k), (pa + 3, oa + 3),
+               (Fraction(2, 3) * pb, Fraction(2, 3) * ob)]
+    for got, want in results:
+        assert_canonical(got)
+        assert got.terms == want.terms
+    assert (pa == pb) == (oa == ob)
+    assert pa + pb - pb == pa and (pa == pa * 1)
+
+
+@given(laurent_terms(), st.integers(0, 2), nonzero_fractions, monos,
+       st.tuples(*[st.one_of(st.none(), nonzero_fractions)] * 3))
+@settings(max_examples=150, deadline=None)
+def test_substitution_matches_fraction_oracle(a, idx, c, mono, point):
+    pa, oa = Poly(a), FractionPoly(a)
+    got = pa.subst_monomial(idx, c, mono)
+    assert_canonical(got)
+    assert got.terms == oa.subst_monomial(idx, c, mono).terms
+    z, iq, av = point
+    got = pa.eval_partial(z=z, iq=iq, av=av)
+    assert_canonical(got)
+    assert got.terms == oa.eval_partial(z=z, iq=iq, av=av).terms
+    with pytest.raises(ValueError):
+        pa.subst_monomial(idx, 0)
+
+
+@given(laurent_terms(), laurent_terms(), nonzero_fractions, st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_series_z_matches_fraction_oracle(a, b, iq, order):
+    # no av: series_z needs every variable but z numeric
+    a = {(m[0], m[1], 0): c for m, c in a.items()}
+    b = {(m[0], m[1], 0): c for m, c in b.items()}
+    if not any(b.values()):
+        return
+    f = RF(Poly(a), Poly(b))
+    try:
+        want = fraction_series_z(FractionPoly(a), FractionPoly(b), order, iq)
+    except ValueError:
+        with pytest.raises(ValueError):
+            f.series_z(order, iq=iq)
+        return
+    assert f.series_z(order, iq=iq) == want
+
+
+@given(laurent_terms(4), laurent_terms(4))
 @settings(max_examples=60, deadline=None)
 def test_rf_field_laws(a, b):
-    f = RF(a, Poly.const(1) + Poly.monomial(1, 0, 0))
-    g = RF(b, Poly.const(1) - Poly.monomial(0, 1, 0, Fraction(1, 2)))
-    assert f + g - g == f
+    f = RF(Poly(a), Poly.const(1) + Poly.monomial(1, 0, 0))
+    g = RF(Poly(b), Poly.const(1) - Poly.monomial(0, 1, 0, Fraction(1, 2)))
+    assert same_rf(f + g - g, f)
     if not g.is_zero():
-        assert (f / g) * g == f
-    assert f * g == g * f
+        assert same_rf((f / g) * g, f)
+    assert same_rf(f * g, g * f)
+    assert same_rf(f, g) == (f - g).is_zero()
