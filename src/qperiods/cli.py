@@ -397,9 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pi", cmd_pi, "Pi, symbolic or numerically truncated",
             "--field", "--form")
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--alpha-value", default=None,
-                   help="numeric q^-alpha as a fraction, e.g. 1/4")
+    # --symbolic ignores the numeric flags, so a value given with it is
+    # refused rather than dropped
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--symbolic", action="store_true")
+    mode.add_argument("--alpha-value", default=None,
+                      help="numeric q^-alpha as a fraction, e.g. 1/4")
     p.add_argument("--L", type=int, default=6)
     p.add_argument("--T-max", dest="T_max", type=int, default=24)
 

@@ -15,10 +15,11 @@ entries are written in
 """
 
 from fractions import Fraction
+from itertools import compress
 import math
 from math import prod
 
-from .ratfunc import (RF, IQv, AVv, VAR_Z, VAR_AV,
+from .ratfunc import (RF, Poly, IQv, AVv, VAR_Z, VAR_AV,
                       ratio_if_proportional, pretty_rf)
 from .closedforms import (PiecewiseGeometric, closed_profile, pi_geometric,
                           zeta_Z, local_factor_chain)
@@ -57,7 +58,7 @@ def _pretty(f: RF) -> str:
 
 def _at_q2(f: RF, alpha: int) -> Fraction:
     """f at q = 2 and a = 2^-alpha; ZeroDivisionError at a pole."""
-    return f.eval_partial(iq=HALF, av=HALF ** alpha).as_fraction()
+    return f.value(iq=HALF, av=HALF ** alpha)
 
 
 def constant_ratio_at_q2(pairs):
@@ -87,7 +88,7 @@ def primes_up_to(N: int):
         if flags[p]:
             flags[p * p::p] = bytearray(len(flags[p * p::p]))
         p += 1
-    return [i for i in range(2, N + 1) if flags[i]]
+    return list(compress(range(N + 1), flags))
 
 
 def chi1(p: int) -> int:
@@ -443,6 +444,31 @@ def specialize_profile(prof: PiecewiseGeometric, k: int) -> PiecewiseGeometric:
                               sub(prof.zero_value))
 
 
+# closed_profile of each chain kernel, keyed by its Witt class (m, delta,
+# hmi): n mod 8 fixes the class, so rows n and n + 8 share one entry
+_KERNEL_PROFILES = {}
+
+
+def _kernel_profile(wp) -> PiecewiseGeometric:
+    """closed_profile(wp.kernel_form), built once per Witt class; the
+    profile is shared, so callers only read it."""
+    key = (wp.m, wp.delta, wp.hmi)
+    if key not in _KERNEL_PROFILES:
+        _KERNEL_PROFILES[key] = closed_profile(wp.kernel_form)
+    return _KERNEL_PROFILES[key]
+
+
+def _values_at_q2(prof: PiecewiseGeometric, Ts, z=None):
+    """prof.value_at(T) at q = 2 and the given z for each T, with each
+    tail coefficient evaluated once: X(T) = sum_j c_j r_j^T from T0 on.
+    The profile must be free of av, and of z when z is None (ValueError
+    otherwise)."""
+    tail = [(c.value(z=z, iq=HALF), Poly.monomial(ez, eiq).value(z=z, iq=HALF))
+            for c, (ez, eiq) in prof.tail]
+    return [prof.exceptional[T].value(z=z, iq=HALF) if T < prof.T0
+            else sum(c * r ** T for c, r in tail) for T in Ts]
+
+
 def verify_table_row(n: int) -> dict:
     """Three symbolic checks of the row for dimension n.
 
@@ -459,11 +485,10 @@ def verify_table_row(n: int) -> dict:
     """
     spec = table_row(n)
     wp, pi2 = spec.witt, spec.pi2
-    prof = specialize_profile(closed_profile(wp.kernel_form), wp.k)
-    ca = constant_ratio_at_q2(
-        (prof.value_at(T).eval_partial(iq=HALF).as_fraction(),
-         spec.x1.value_at(T).eval_partial(iq=HALF).as_fraction())
-        for T in range(4))
+    # the kernel's X at beta = k, that is z = q^-k
+    ca = constant_ratio_at_q2(zip(
+        _values_at_q2(_kernel_profile(wp), range(4), z=HALF ** wp.k),
+        _values_at_q2(spec.x1, range(4))))
     cb = ratio_if_proportional(pi_geometric(spec.x1), pi2,
                                constant_free_of=(VAR_AV,))
     # the table's Pi is already at beta = k, so the z substitution is a no-op
@@ -493,7 +518,7 @@ def local_factor_report(n: int, alpha: int = None) -> dict:
     """
     spec = table_row(n)
     chain = local_factor_chain(
-        pi_geometric(closed_profile(spec.witt.kernel_form)), n, spec.witt.k)
+        pi_geometric(_kernel_profile(spec.witt)), n, spec.witt.k)
     table = spec.local2_rf()
     ratio = ratio_if_proportional(chain, table, constant_free_of=(VAR_AV,))
     if ratio is not None:

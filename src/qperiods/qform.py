@@ -10,6 +10,8 @@ double-checked against a primitive-zero enumeration.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .localfield import (
     FieldElt, InternalConsistencyError, LocalField, first_class_of_kind,
     hilbert_symbol, is_square, make_field, pick_companion_unit,
@@ -347,16 +349,26 @@ def witt_profile(n: int) -> WittProfile:
     The kernel dimension depends on n mod 8 only; the signed discriminant
     is (-1)^floor((n+2)/2) throughout the chain, and the symbol invariant
     follows the period-four pattern 1, -1, -1, 1 in the number of planes
-    removed.
+    removed.  So n mod 8 fixes the Witt class (m, delta, hmi), and n and
+    n + 8 share one kernel form (see _chain_kernel).
     """
     if n < 3:
         raise ValueError("need n >= 3 (smaller targets are anisotropic)")
-    field = make_field(2)
     m = _M_OF_RESIDUE[n % 8]
     k = (n - m) // 2
     delta = 1 if ((n + 2) // 2) % 2 == 0 else -1
     steps = (n + 2 - m) // 2
     hmi = _HMI_PATTERN[steps % 4]
+    kernel_form, kern = _chain_kernel(m, delta, hmi)
+    return WittProfile(n, k, m, delta, hmi, kern, kernel_form)
+
+
+@cache
+def _chain_kernel(m: int, delta: int, hmi: int):
+    """The anisotropic kernel of the Witt class (m, delta, hmi) over Q2 and
+    its invariants, found and checked once per class; there are eight
+    classes, one per n mod 8, and every n of a class shares the result."""
+    field = make_field(2)
     if m == 0:
         kernel_form = DiagonalForm(field, [])
     elif m == 1:
@@ -366,4 +378,4 @@ def witt_profile(n: int) -> WittProfile:
     kern = invariants(kernel_form)
     if kern.hmi != hmi and m >= 2:
         raise InternalConsistencyError("chain symbol %+d vs kernel %+d" % (hmi, kern.hmi))
-    return WittProfile(n, k, m, delta, hmi, kern, kernel_form)
+    return kernel_form, kern

@@ -198,6 +198,48 @@ class Poly:
             return Fraction(self.nums[ONE_MONO], self.den)
         raise ValueError("polynomial is not constant: %s" % (self,))
 
+    def value(self, z=None, iq=None, av=None) -> Fraction:
+        """The value at a point, as eval_partial(z, iq, av).as_fraction()
+        gives it, summed in integers over one common denominator.
+
+        Every variable the polynomial uses must be given (ValueError
+        otherwise); a negative power of a variable given as 0 raises
+        ZeroDivisionError.
+        """
+        # x^t = a^(t - lo) b^(hi - t) * a^lo / b^hi for x = a/b, as in
+        # subst_monomial: one integer weight per exponent, one scale
+        weights, sn, sd = [], 1, self.den
+        for idx, x in enumerate((z, iq, av)):
+            ts = {m[idx] for m in self.nums}
+            if not any(ts):
+                weights.append(None)
+                continue
+            if x is None:
+                raise ValueError("no value given for %s in %s"
+                                 % (VAR_NAMES[idx], format_poly(self)))
+            x = _frac(x)
+            a, b = x.numerator, x.denominator
+            lo, hi = min(ts), max(ts)
+            if lo < 0 and not a:
+                raise ZeroDivisionError("%s^%d at %s = 0"
+                                        % (VAR_NAMES[idx], lo, VAR_NAMES[idx]))
+            weights.append({t: a ** (t - lo) * b ** (hi - t) for t in ts})
+            if lo >= 0:
+                sn *= a ** lo
+            else:
+                sd *= a ** -lo
+            if hi >= 0:
+                sd *= b ** hi
+            else:
+                sn *= b ** -hi
+        total = 0
+        for m, c in self.nums.items():
+            for w, t in zip(weights, m):
+                if w is not None:
+                    c *= w[t]
+            total += c
+        return Fraction(total * sn, sd)
+
     def uses_var(self, idx: int) -> bool:
         return any(m[idx] for m in self.nums)
 
@@ -356,6 +398,15 @@ class RF:
 
     def as_fraction(self) -> Fraction:
         return self.num.as_fraction() / self.den.as_fraction()
+
+    def value(self, z=None, iq=None, av=None) -> Fraction:
+        """The value at a point, by Poly.value of numerator and
+        denominator; ZeroDivisionError where the denominator vanishes."""
+        d = self.den.value(z, iq, av)
+        if not d:
+            raise ZeroDivisionError("denominator vanishes at z=%s, iq=%s, av=%s"
+                                    % (z, iq, av))
+        return self.num.value(z, iq, av) / d
 
     def uses_var(self, idx: int) -> bool:
         return self.num.uses_var(idx) or self.den.uses_var(idx)

@@ -423,6 +423,15 @@ def test_pi_bad_alpha_value_and_negative_T_max_exit_2(capsys):
     assert err == "error: negative T_max\n"
 
 
+def test_pi_symbolic_with_alpha_value_exits_2(capsys):
+    # --symbolic ignores the numeric flags, so it refuses --alpha-value
+    code, out, err = run(capsys, "pi", "--field", "q2", "--form",
+                         "x1^2+x2^2+x3^2", "--symbolic", "--alpha-value",
+                         "abc", "--T-max", "-5")
+    assert code == 2 and out == ""
+    assert "argument --alpha-value: not allowed with argument --symbolic" in err
+
+
 def test_xseries_closed_negative_L_exits_2(capsys):
     for target in (("--T", "1"), ("--zero",)):
         code, out, err = run(capsys, "xseries", "--field", "q2", "--form",

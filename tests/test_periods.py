@@ -8,7 +8,7 @@ import pytest
 from qperiods.ratfunc import RF, IQv, AVv, VAR_AV, ratio_if_proportional
 from qperiods.closedforms import (PiecewiseGeometric, closed_profile,
                                   pi_geometric, zeta_Z, local_factor_chain)
-from qperiods import periods
+from qperiods import periods, qform
 from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
                               uncorrected_factors, rejected_variants,
                               PeriodValue, table_row,
@@ -214,6 +214,25 @@ def test_table_rows_match_golden_file():
                         sort_keys=True) + "\n" for n in range(3, 67)]
     with open(DATA / "table_rows.jsonl") as fh:
         assert "".join(lines) == fh.read()
+
+
+def test_table_rows_match_golden_file_from_cold_kernel_memos():
+    # with both per-class memos empty, rows n + 8 come first, so each Witt
+    # class's kernel and closed profile are built at a row other than the
+    # smallest one of the class
+    qform._chain_kernel.cache_clear()
+    periods._KERNEL_PROFILES.clear()
+    ns = list(range(66, 2, -1))
+    got = {n: json.dumps({"n": n, "row": table_row(n).to_json(),
+                          "checks": verify_table_row(n)["checks"]},
+                         sort_keys=True) + "\n" for n in ns}
+    assert len(periods._KERNEL_PROFILES) == 8
+    with open(DATA / "table_rows.jsonl") as fh:
+        assert "".join(got[n] for n in range(3, 67)) == fh.read()
+    for n in range(3, 11):
+        a, b = table_row(n).witt, table_row(n + 8).witt
+        assert (periods._kernel_profile(a)
+                is periods._kernel_profile(b))
 
 
 def test_verify_single_row_report():

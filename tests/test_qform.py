@@ -150,6 +150,9 @@ def test_witt_profile_period_eight():
         a, b = witt_profile(n), witt_profile(n + 8)
         assert (a.m, a.delta, a.hmi) == (b.m, b.delta, b.hmi)
         assert b.k == a.k + 4
+        # one kernel per Witt class: n and n + 8 share the form and its
+        # invariants
+        assert b.kernel_form is a.kernel_form and b.kernel is a.kernel
 
 
 def test_witt_profile_rejects_small_n():

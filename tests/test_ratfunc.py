@@ -225,6 +225,47 @@ def test_series_z_matches_fraction_oracle(a, b, iq, order):
     assert f.series_z(order, iq=iq) == want
 
 
+def oracle_value(terms, point) -> Fraction:
+    z, iq, av = point
+    return FractionPoly(terms).eval_partial(z=z, iq=iq, av=av).as_fraction()
+
+
+@given(laurent_terms(), laurent_terms(),
+       st.tuples(nonzero_fractions, nonzero_fractions, nonzero_fractions))
+@settings(max_examples=150, deadline=None)
+def test_value_matches_fraction_oracle(a, b, point):
+    z, iq, av = point
+    assert Poly(a).value(z=z, iq=iq, av=av) == oracle_value(a, point)
+    if not any(b.values()):
+        return
+    f = RF(Poly(a), Poly(b))
+    den = oracle_value(b, point)
+    if den == 0:
+        with pytest.raises(ZeroDivisionError):
+            f.value(z=z, iq=iq, av=av)
+    else:
+        assert f.value(z=z, iq=iq, av=av) == oracle_value(a, point) / den
+
+
+def test_value_needs_every_variable_used_and_refuses_poles():
+    p = Poly.monomial(2, -1, 0, 3) + Poly.const(1)
+    assert p.value(z=Fraction(1, 2), iq=Fraction(2, 3)) == Fraction(17, 8)
+    # av is not used, so it need not be given, and a value for it is ignored
+    assert p.value(z=2, iq=3, av=Fraction(5, 7)) == 5
+    with pytest.raises(ValueError):
+        p.value(z=2)
+    with pytest.raises(ValueError):
+        RF(Poly.const(1), p).value(iq=3)
+    # 0 is a point like any other, unless it meets a negative power
+    assert p.value(z=0, iq=3) == 1
+    with pytest.raises(ZeroDivisionError):
+        p.value(z=1, iq=0)
+    f = RF.const(1) / (RF.const(1) - Zv * IQv)
+    assert f.value(z=Fraction(1, 2), iq=Fraction(1, 2)) == Fraction(4, 3)
+    with pytest.raises(ZeroDivisionError):
+        f.value(z=2, iq=Fraction(1, 2))
+
+
 @given(laurent_terms(4), laurent_terms(4))
 @settings(max_examples=60, deadline=None)
 def test_rf_field_laws(a, b):
