@@ -254,6 +254,8 @@ def cmd_pi(args) -> int:
     field = parse_field(args.field)
     B = _build_form(args, field)
     if args.symbolic:
+        if args.L is not None or args.T_max is not None:
+            raise UsageError("--symbolic takes no --L or --T-max")
         rf = pi_geometric(closed_profile(B))
         text = pretty_rf(rf, _PRETTY_NAMES)
         _emit(args, {"pi": text}, "Pi = %s" % text)
@@ -264,10 +266,12 @@ def cmd_pi(args) -> int:
         a_val = Fraction(args.alpha_value)
     except (ValueError, ZeroDivisionError):
         raise UsageError("cannot parse --alpha-value %r" % args.alpha_value)
-    coeffs = pi_truncated(B, a_val, args.L, args.T_max)
+    L = 6 if args.L is None else args.L
+    T_max = 24 if args.T_max is None else args.T_max
+    coeffs = pi_truncated(B, a_val, L, T_max)
     strs = [_frac_str(c) for c in coeffs]
-    _emit(args, {"alpha_value": args.alpha_value, "L": args.L,
-                 "T_max": args.T_max, "coeffs": strs},
+    _emit(args, {"alpha_value": args.alpha_value, "L": L,
+                 "T_max": T_max, "coeffs": strs},
           "coeffs " + ",".join(strs))
     return 0
 
@@ -398,13 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pi", cmd_pi, "Pi, symbolic or numerically truncated",
             "--field", "--form")
     # --symbolic ignores the numeric flags, so a value given with it is
-    # refused rather than dropped
+    # refused rather than dropped; --L and --T-max default to None so that
+    # cmd_pi can tell them apart from their numeric defaults, 6 and 24
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--symbolic", action="store_true")
     mode.add_argument("--alpha-value", default=None,
                       help="numeric q^-alpha as a fraction, e.g. 1/4")
-    p.add_argument("--L", type=int, default=6)
-    p.add_argument("--T-max", dest="T_max", type=int, default=24)
+    p.add_argument("--L", type=int, default=None, help="default 6")
+    p.add_argument("--T-max", dest="T_max", type=int, default=None,
+                   help="default 24")
 
     p = add("localfactor", cmd_localfactor,
             "even-prime local factor for the dimension-n chain")

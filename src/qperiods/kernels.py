@@ -9,6 +9,20 @@ convolution_entry takes one entry by a dot product per prime, and
 ValueDistribution takes the whole convolution by one inverse transform per
 prime, so that every target at every coarser level is a coset sum of it.
 
+One transform routine, a mixed-radix four-step NTT, serves every length
+ell^k: it cuts the axis into leaves ell^j <= 128, each one exact float64
+matrix product, with a twiddle multiplication between levels.  A ring
+o/pi^L has axes of length p^k, so each axis is transformed at its own
+length, modulo primes P = 1 mod that length (a fixed table for powers of
+two, and one found on first use for odd p).  Only a shape with no leaf
+(p > 127, or mixed primes such as 12) is zero-padded to powers of two and
+folded back.  No table is built at import time.
+
+On a one-axis ring Z/n, solution_count builds no histogram for a square
+term: the histogram of c x^2 has the transform f -> T(S)[c f mod n] of
+the squares' histogram S, so one transform of S per ring and prime
+serves every coefficient.
+
 Ring arithmetic is not repeated here: values come from the ResidueRing
 methods (coords, mul, add, ord_of, is_unit) applied to whole arrays of
 elements, and histograms use the ring's flat layout (flat_index).
@@ -39,19 +53,29 @@ SEARCH_BUDGET = 1 << 20
 # Histograms of quadratic values
 # ---------------------------------------------------------------------------
 
-def square_histograms(ring, coeff_list, restrict_nonunit=False):
-    """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0."""
+@lru_cache(maxsize=2)  # the last ring, whole and restricted to non-units
+def _squares(ring, restrict_nonunit):
+    """x^2 for every class x of the ring, or for every non-unit: ring data
+    that every coefficient and every count over the ring shares."""
     xs = ring.coords()
     if restrict_nonunit and ring.level:  # at level 0 the one class is in pi*o
         keep = ~ring.is_unit(xs)
         xs = tuple(c[keep] for c in xs)
-    sq = ring.mul(xs, xs)
-    cc = np.array([ring.reduce(c) for c in coeff_list], dtype=np.int64)
-    cc = cc.reshape(-1, len(ring.moduli)).T[:, :, None]
+    return ring.mul(xs, xs)
+
+
+def square_histograms(ring, coeff_list, restrict_nonunit=False):
+    """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0;
+    equal coefficients mod the ring share one count."""
+    sq = _squares(ring, bool(restrict_nonunit))
+    cs = [ring.reduce(c) for c in coeff_list]
+    keys = list(dict.fromkeys(cs))
+    cc = np.array(keys, dtype=np.int64).reshape(-1, len(ring.moduli))
+    cc = cc.T[:, :, None]
     idx = ring.flat_index(ring.mul(cc, sq))
-    idx += ring.size * np.arange(len(coeff_list))[:, None]
-    h = np.bincount(idx.ravel(), minlength=ring.size * len(coeff_list))
-    return h.reshape((len(coeff_list),) + ring.moduli)
+    idx += ring.size * np.arange(len(keys))[:, None]
+    h = np.bincount(idx.ravel(), minlength=ring.size * len(keys))
+    return h.reshape((len(keys),) + ring.moduli)[[keys.index(c) for c in cs]]
 
 
 def plane_histogram(ring, restrict_nonunit=False):
@@ -84,85 +108,219 @@ class PrimeBoundError(EnumBudgetError):
 _NTT_PRIMES = (2130706433, 2113929217, 2088763393, 2013265921, 1811939329,
                1711276033, 1484783617, 1300234241, 1224736769, 1107296257,
                998244353, 469762049)
-_LEAF = 128  # blocks this long take one exact matrix product
+_LEAF = 128  # a leaf this long or shorter takes one exact matrix product
+_CHUNK = 1 << 13  # entries per leaf product, to bound its float temporaries
+
+
+def _is_prime(n) -> bool:
+    """Deterministic Miller-Rabin, exact below 3,215,031,751 (bases 2, 3,
+    5 and 7 admit no common strong pseudoprime there)."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_power(n):
+    """(ell, k) with n = ell^k for a prime ell < _LEAF, the lengths that
+    leaves serve ((2, 0) for n = 1); None for any other n."""
+    if n == 1:
+        return 2, 0
+    ell = next((d for d in range(2, _LEAF) if n % d == 0), None)
+    k = 0
+    while ell and n % ell == 0:
+        n, k = n // ell, k + 1
+    return (ell, k) if n == 1 else None
+
+
+@lru_cache(maxsize=None)
+def _ntt_primes(n):
+    """The CRT primes for transforms of every length dividing n = ell^k:
+    the fixed table for powers of two; for odd ell the primes P < 2^31 with
+    P = 1 mod n, largest first, until their product reaches that of the
+    fixed table, so they reconstruct every count it does (tests check that
+    every ell < _LEAF and n <= 2^23 gets there, with at most 13 primes)."""
+    if n & (n - 1) == 0:
+        return _NTT_PRIMES
+    primes, P = [], (2 ** 31 - 2) // n * n + 1
+    while prod(primes) < prod(_NTT_PRIMES) and P > n:
+        if _is_prime(P):
+            primes.append(P)
+        P -= n
+    return tuple(primes)
+
+
+@lru_cache(maxsize=None)
+def _generator(p, ell):
+    """The least c that is no ell-th power mod p: c^((p - 1)/n) has order
+    exactly n for every power n of ell dividing p - 1, so the roots of all
+    such lengths are powers of one another and share their leaf matrices."""
+    return next(c for c in range(2, p) if pow(c, (p - 1) // ell, p) != 1)
 
 
 @lru_cache(maxsize=64)
+def _limbs(p, L):
+    """The length-L DFT matrix mod p as float limbs, L x 2L: a signed low
+    16 bits, then the high bits.  None when a partial sum of a leaf product
+    could reach 2^53: it is at most p - 1 times a column sum of absolute
+    limbs, below 2^53 for every L <= 128 (each limb is at most 2^15)."""
+    ell = _prime_power(L)[0]
+    root = pow(_generator(p, ell), (p - 1) // L, p)
+    pw = np.array([pow(root, j, p) for j in range(L)], dtype=np.int64)
+    mat = pw[np.outer(np.arange(L), np.arange(L)) % L]
+    low = (mat + 0x8000 & 0xFFFF) - 0x8000
+    limbs = np.hstack([low, (mat - low) >> 16]).astype(float)
+    if (p - 1) * int(np.abs(limbs).sum(axis=0).max()) >= 1 << 53:
+        return None
+    return limbs
+
+
+def _leaf_length(p, ell, k):
+    """The first leaf of a length-ell^k transform mod p: the exponent k
+    spread evenly over the fewest levels of leaves ell^j <= _LEAF (a leaf
+    product costs flops in proportion to its length), with a smaller j
+    whenever the leaf's limbs fail the 2^53 bound (ell itself passes)."""
+    j = 1
+    while ell ** (j + 1) <= _LEAF:
+        j += 1
+    while True:
+        L = ell ** -(-k // -(-k // j))  # k over ceil(k / j) levels
+        if _limbs(p, L) is not None:
+            return L
+        j -= 1
+
+
+@lru_cache(maxsize=256)
 def _tables(p, n):
-    """Length-n tables mod p: radix-2 stage twiddles, the leaf DFT matrix as
-    low 16-bit and high float limbs, the negated frequency of each output
-    slot, and powers of an n-th root of unity (a power of one nonresidue,
-    so all lengths share one leaf matrix)."""
-    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-    root = pow(c, (p - 1) // n, p)  # c is a nonresidue: order exactly n
+    """Length-n tables mod p (n a prime power dividing p - 1), for the
+    n-th root of unity w that is a power of _generator, as every leaf root
+    is: the leaf length L, the negated frequency of each output slot of
+    _ntt, and either the twiddles w^(f1 i2) of the first level (n > L) or
+    the powers of w (n = L)."""
+    ell, k = _prime_power(n)
+    root = pow(_generator(p, ell), (p - 1) // n, p)
     pw = np.ones(1, dtype=np.int64)
     while len(pw) < n:
         pw = np.concatenate([pw, pw * pow(root, len(pw), p) % p])
-    idx = np.arange(n)
-    if n <= _LEAF:
-        mat = pw[np.outer(idx, idx) % n]
-        limbs = np.hstack([mat & 0xFFFF, mat >> 16]).astype(float)
-        return [], limbs, -idx % n, pw
-    bits = (n // _LEAF).bit_length() - 1
-    # the stages leave block b holding frequencies rev(b) + (n / leaf) * j
-    freq = n // _LEAF * (idx % _LEAF)
-    for b in range(bits):
-        freq |= (idx // _LEAF >> b & 1) << (bits - 1 - b)
-    stages = [pw[:n // 2:1 << s] for s in range(bits)]
-    return stages, _tables(p, _LEAF)[1], -freq % n, pw
+    pw = pw[:n]
+    L = _leaf_length(p, ell, k) if n > 1 else 1
+    if L == n:
+        return L, -np.arange(n) % n, pw
+    m = n // L
+    freq = np.arange(L)[:, None] + L * (-_tables(p, m)[1] % m)
+    return L, -freq.ravel() % n, pw[np.outer(np.arange(L), np.arange(m))]
+
+
+def _fold(p, n, t):
+    """w^(-t f) mod p for the frequency f in each output slot of a
+    length-n _ntt: the weights that read entry t back from a product of
+    transforms.  Level by level, with u = -t = a (n / L) + b mod n,
+    w^(u f1) = w^(f1 b) w_L^(f1 a) for the leaf root w_L = w^(n / L)."""
+    L, _, table = _tables(p, n)
+    u = -t % n
+    if L == n:
+        return table[u * np.arange(n) % n]
+    m = n // L
+    a, b = divmod(u, m)
+    head = table[:, b] * _tables(p, L)[2][a * np.arange(L) % L] % p
+    return (head[:, None] * _fold(p, m, t % m) % p).ravel()
+
+
+def _leaf_product(x, p, limbs):
+    """Transform axis 1 of a 3-D array (B, L, M) of residues mod p in place
+    by the leaf matrix: float64 products with the limbs, exact because
+    every partial sum stays below 2^53, recombined mod p."""
+    B, L, M = x.shape
+    # a multiple of p past 2^37: shifted up by 16 bits it keeps every sum
+    # non-negative, where numpy's remainder runs several times faster
+    lift = -(-(1 << 37) // p) * p
+    cols = min(M, max(1, _CHUNK // L))
+    rows = max(1, _CHUNK // (L * cols))
+    for r in range(0, B, rows):
+        for c in range(0, M, cols):
+            v = x[r:r + rows, :, c:c + cols]
+            if M == 1:  # a plain product over rows runs far faster
+                v = v[..., 0]
+                y = v.astype(float) @ limbs
+            else:
+                y = limbs.T @ v.astype(float)
+            y = y.astype(np.int64)  # axis 1 holds the low, then high limbs
+            v[...] = (y[:, :L] + (y[:, L:] % p + lift << 16)) % p
 
 
 def _ntt(a, p):
-    """Forward NTT mod p, in place, along the rows of a 2-D array of
-    residues; slot s then holds the frequency -negfreq[s] of _tables.
+    """Forward NTT mod p, in place, along axis 1 of a C-contiguous 3-D
+    array (B, n, C) of residues; slot s of that axis then holds the
+    frequency -negfreq[s] of _tables.
 
-    Radix-2 decimation-in-frequency stages cut each row into leaf blocks,
-    and float64 matrix products transform those.  Every partial sum is at
-    most p - 1 times a column sum of a leaf limb, below 2^53 for every
-    table prime (tests check it), so every sum is an exact integer.
+    One mixed-radix four-step transform (D. H. Bailey, J. Supercomputing
+    4, 1990) serves every length n = ell^k: with the leaf L of _tables and
+    i = i1 (n / L) + i2, a leaf product transforms over i1 for each i2,
+    the twiddles w^(f1 i2) multiply, and the length-n/L transform over i2
+    runs the same way, so frequency f1 + L f2 lands in slot (f1, slot of
+    f2).
     """
-    stages, limbs = _tables(p, a.shape[1])[:2]
-    for w in stages:
-        blk = a.reshape(len(a), -1, 2 * len(w))
-        u, v = blk[..., :len(w)], blk[..., len(w):]
-        t = (u - v) * w % p
-        u += v
-        u %= p
-        v[...] = t
-    leaf = len(limbs)
-    x = a.reshape(-1, leaf)
-    for r in range(0, len(x), 32):  # 32 blocks at a time bound the temporaries
-        c = x[r:r + 32]
-        y = (c.astype(float) @ limbs).astype(np.int64)
-        c[...] = (y[:, :leaf] + (y[:, leaf:] % p << 16)) % p
+    B, n, C = a.shape
+    if n == 1:
+        return
+    L, _, twiddles = _tables(p, n)
+    _leaf_product(a.reshape(B, L, -1), p, _limbs(p, L))
+    if L < n:
+        x = a.reshape(B, L, n // L, C)
+        x *= twiddles[:, :, None]
+        x %= p
+        _ntt(a.reshape(B * L, n // L, C), p)
 
 
-def _padded_lengths(shape, count):
-    """Transform length of each axis for a convolution of `count` histograms
-    of this shape: a power of two stays cyclic, any other m is padded past
-    count (m - 1); PrimeBoundError past 2^23, the order of the roots of
-    unity every table prime has, or past 2^23 entries in all."""
-    lengths = tuple(m if m & (m - 1) == 0
-                    else 1 << (count * (m - 1)).bit_length() for m in shape)
+@lru_cache(maxsize=256)
+def _plan(shape, count):
+    """Transform length of each axis and the CRT prime table for a
+    convolution of `count` histograms of this shape.  When every axis is a
+    power of one prime ell < _LEAF, each axis keeps its own length (the
+    transform is cyclic on Z/m) and the primes are 1 mod the longest.
+    Otherwise a power of two stays cyclic, any other m is padded past
+    count (m - 1), the support of the linear convolution, and the fixed
+    table serves.  PrimeBoundError past 2^23 on an axis or in all."""
+    powers = [_prime_power(m) for m in shape]
+    natural = None not in powers and len({ell for ell, k in powers if k}) < 2
+    lengths = shape if natural else tuple(
+        m if m & (m - 1) == 0 else 1 << (count * (m - 1)).bit_length()
+        for m in shape)
     if max(lengths) > 1 << 23:
         raise PrimeBoundError("axis length %d is beyond the prime table"
                               % max(lengths))
     if prod(lengths) > 1 << 23:
         raise PrimeBoundError("axis lengths %s give a transform of %d "
                               "entries, beyond 2^23" % (lengths, prod(lengths)))
-    return lengths
+    return lengths, _ntt_primes(max(lengths)) if natural else _NTT_PRIMES
 
 
 def _forward(stack, lengths, p):
     """Each histogram of the stack, zero-padded to `lengths`, transformed
     mod p along every axis; slots hold frequencies as _ntt leaves them."""
     shape = stack.shape[1:]
-    a = np.zeros((len(stack),) + lengths, dtype=np.int64)  # odd axes padded
-    np.remainder(stack, p, out=a[(slice(None),) + tuple(map(slice, shape))])
+    if shape == lengths:
+        a = stack % p
+    else:
+        a = np.zeros((len(stack),) + lengths, dtype=np.int64)
+        np.remainder(stack, p, out=a[(slice(None),) + tuple(map(slice, shape))])
     for ax, n in enumerate(lengths):
-        a = np.ascontiguousarray(a.swapaxes(1 + ax, -1))  # copy unless last
-        _ntt(a.reshape(-1, n), p)
-        a = a.swapaxes(1 + ax, -1)
+        _ntt(a.reshape(len(stack) * prod(lengths[:ax]), n, -1), p)
     return a
 
 
@@ -175,14 +333,17 @@ def _product(acc, a, mults, p):
     return acc
 
 
-def _entry_mod(p, stack, mults, lengths, target):
-    """The target entry mod p; see convolution_entry."""
-    a = _forward(stack, lengths, p)
+def _entry_mod(p, a, mults, shape, target):
+    """The target entry mod p of the convolution whose distinct factors
+    have the transforms a (histograms of this shape, as _forward leaves
+    them) with these multiplicities; see convolution_entry."""
+    lengths = a.shape[1:]
     acc = None
-    for ax, (n, m, t) in enumerate(zip(lengths, stack.shape[1:], target)):
-        negfreq, pw = _tables(p, n)[2:]
-        fold = sum(pw[negfreq * w & (n - 1)] for w in range(int(t) % m, n, m))
-        fold = fold.reshape((n,) + (1,) * (len(lengths) - ax - 1)) % p
+    for ax, (n, m, t) in enumerate(zip(lengths, shape, target)):
+        ws = range(int(t) % m, n, m)  # one w unless the axis is padded
+        fold = sum(_fold(p, n, w) for w in ws) % p if len(ws) > 1 \
+            else _fold(p, n, ws[0])
+        fold = fold.reshape((n,) + (1,) * (len(lengths) - ax - 1))
         acc = fold if acc is None else acc * fold % p
     acc = _product(acc, a, mults, p)
     return int(acc.sum()) * pow(prod(lengths), -1, p) % p
@@ -197,14 +358,12 @@ def _distribution_mod(p, stack, mults, lengths):
     # frequency -f in natural slot f, transform, and read the result in the
     # slot order the transform leaves
     for ax, n in enumerate(lengths):
-        negfreq = _tables(p, n)[2]
-        x = acc.swapaxes(ax, -1)
-        b = np.empty(x.shape, dtype=np.int64)
-        b[..., negfreq] = x
-        _ntt(b.reshape(-1, n), p)
-        x = np.empty_like(b)
-        x[..., -negfreq % n] = b
-        acc = x.swapaxes(ax, -1)
+        negfreq = _tables(p, n)[1]
+        x = acc.reshape(prod(lengths[:ax]), n, -1)
+        b = np.empty_like(x)
+        b[:, negfreq] = x
+        _ntt(b, p)
+        x[:, -negfreq % n] = b
     acc = acc * pow(prod(lengths), -1, p) % p
     # a padded axis holds the linear convolution: fold it back onto Z/m
     for ax, (n, m) in enumerate(zip(lengths, stack.shape[1:])):
@@ -218,20 +377,28 @@ def _distribution_mod(p, stack, mults, lengths):
 
 
 def _group(hists):
-    """Distinct histograms stacked, their multiplicities, and the primes
-    that reconstruct any count up to the product of their sums."""
+    """Distinct histograms stacked, their multiplicities, the transform
+    lengths of _plan, and the primes of its table that reconstruct any
+    count up to the product of the histogram sums."""
     groups = {}  # equal histograms share one transform
     for h in hists:
         groups.setdefault(h.tobytes(), [h, 0])[1] += 1
     stack = np.array([h for h, _ in groups.values()], dtype=np.int64)
     mults = [c for _, c in groups.values()]
-    bound = prod(int(h.sum()) ** c for h, c in zip(stack, mults))
-    k = next((i for i, m in enumerate(accumulate(_NTT_PRIMES, mul), 1)
+    lengths, table = _plan(stack.shape[1:], len(hists))
+    sums = stack.reshape(len(stack), -1).sum(axis=1).tolist()
+    bound = prod(s ** c for s, c in zip(sums, mults))
+    return stack, mults, lengths, _primes_for(table, bound)
+
+
+def _primes_for(table, bound):
+    """The first primes of the table whose product passes the bound."""
+    k = next((i for i, m in enumerate(accumulate(table, mul), 1)
               if m > bound), 0)
     if not k:
         raise PrimeBoundError("count bound %d is beyond the prime table"
                               % bound)
-    return stack, mults, _NTT_PRIMES[:k]
+    return table[:k]
 
 
 def _crt(residues, primes) -> int:
@@ -249,14 +416,14 @@ def convolution_entry(hists, target) -> int:
 
     Each distinct histogram is transformed once per prime and the
     transforms multiplied; one dot product per prime reads back the target
-    entry alone, and CRT joins the residues.  Power-of-two axes are cyclic;
-    an odd axis is zero-padded past n(m - 1), the support of the linear
-    convolution of n histograms, and the target folded over t, t + m, ...
+    entry alone, and CRT joins the residues.  An axis of prime-power
+    length m = ell^k, ell < 128, is transformed at length m; any other is
+    zero-padded past n(m - 1), the support of the linear convolution of n
+    histograms, and the target folded over t, t + m, ...
     """
-    stack, mults, primes = _group(hists)
-    lengths = _padded_lengths(stack.shape[1:], len(hists))
-    return _crt([_entry_mod(p, stack, mults, lengths, target)
-                 for p in primes], primes)
+    stack, mults, lengths, primes = _group(hists)
+    return _crt([_entry_mod(p, _forward(stack, lengths, p), mults,
+                            stack.shape[1:], target) for p in primes], primes)
 
 
 class ValueDistribution:
@@ -274,8 +441,7 @@ class ValueDistribution:
     __slots__ = ("primes", "residues")
 
     def __init__(self, hists):
-        stack, mults, self.primes = _group(hists)
-        lengths = _padded_lengths(stack.shape[1:], len(hists))
+        stack, mults, lengths, self.primes = _group(hists)
         self.residues = np.array([_distribution_mod(p, stack, mults, lengths)
                                   for p in self.primes])
 
@@ -295,20 +461,61 @@ class ValueDistribution:
 def form_histograms(ring, coeff_list, planes=0, restrict_nonunit=False):
     """The histogram of each summand of sum c x^2 + planes * 2xy; refuses
     an axis the primes cannot transform before allocating anything."""
-    _padded_lengths(ring.moduli, len(coeff_list) + planes)
+    _plan(ring.moduli, len(coeff_list) + planes)
     hists = list(square_histograms(ring, coeff_list, restrict_nonunit))
     if planes:
         hists += [plane_histogram(ring, restrict_nonunit)] * planes
     return hists
 
 
+@lru_cache(maxsize=2)
+def _square_transform(ring, restrict_nonunit, p):
+    """The transform mod p of the histogram S of x^2 over a one-axis ring
+    Z/n kept at its own length (over its non-units with restrict_nonunit),
+    in natural frequency order: ring data that serves every coefficient,
+    since c x^2 has the transform f -> T(S)[c f mod n]."""
+    n = ring.size
+    a = np.bincount(_squares(ring, restrict_nonunit)[0], minlength=n) % p
+    _ntt(a.reshape(1, n, 1), p)
+    out = np.empty_like(a)
+    out[-_tables(p, n)[1] % n] = a
+    return out
+
+
 def solution_count(ring, coeff_list, target_coords, planes=0,
                    restrict_nonunit=False) -> int:
-    """Number of tuples over the ring with sum of terms equal to target."""
+    """Number of tuples over the ring with sum of terms equal to target.
+
+    On a one-axis ring transformed at its own length the square terms
+    take no histogram and no transform of their own: each reads the
+    squares' transform of _square_transform at c f."""
+    target = ring.reduce(target_coords)
     if not (coeff_list or planes):
-        return 1 if all(c == 0 for c in ring.reduce(target_coords)) else 0
-    hists = form_histograms(ring, coeff_list, planes, restrict_nonunit)
-    return convolution_entry(hists, ring.reduce(target_coords))
+        return 1 if all(c == 0 for c in target) else 0
+    lengths, table = _plan(ring.moduli, len(coeff_list) + planes)
+    if len(lengths) > 1 or lengths != ring.moduli:
+        hists = form_histograms(ring, coeff_list, planes, restrict_nonunit)
+        return convolution_entry(hists, target)
+    n, restrict = ring.size, bool(restrict_nonunit)
+    cs = {}  # distinct coefficients mod the ring, with their multiplicities
+    for c in coeff_list:
+        c = ring.reduce(c)[0]
+        cs[c] = cs.get(c, 0) + 1
+    mults = list(cs.values())
+    bound = len(_squares(ring, restrict)[0]) ** len(coeff_list)
+    if planes:
+        plane = plane_histogram(ring, restrict)
+        mults.append(planes)
+        bound *= int(plane.sum()) ** planes
+    primes = _primes_for(table, bound)
+    residues = []
+    for p in primes:
+        ts, freq = _square_transform(ring, restrict, p), -_tables(p, n)[1] % n
+        a = [ts[c * freq % n] for c in cs]
+        if planes:
+            a.append(_forward(plane[None], lengths, p)[0])
+        residues.append(_entry_mod(p, np.array(a), mults, lengths, target))
+    return _crt(residues, primes)
 
 
 def primitive_zero_exists(ring, coeffs) -> bool:

@@ -323,7 +323,7 @@ class ResidueRing:
 
     def reduce(self, x):
         coords = x.coords if isinstance(x, FieldElt) else x
-        return tuple(c % m for c, m in zip(coords, self.moduli))
+        return tuple([c % m for c, m in zip(coords, self.moduli)])
 
     def add(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))

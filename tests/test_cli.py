@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import qperiods
 
 from qperiods.cli import main, parse_field, parse_element, parse_form, \
     parse_n_range, UsageError
@@ -432,6 +437,75 @@ def test_pi_symbolic_with_alpha_value_exits_2(capsys):
     assert "argument --alpha-value: not allowed with argument --symbolic" in err
 
 
+def test_pi_symbolic_with_L_or_T_max_exits_2(capsys):
+    # --symbolic has no truncation, so --L and --T-max are refused with it
+    for extra in (("--T-max", "-5", "--L", "-3"), ("--L", "4"),
+                  ("--T-max", "24")):
+        code, out, err = run(capsys, "pi", "--field", "q2", "--form",
+                             "x1^2+x2^2+x3^2", "--symbolic", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: --symbolic takes no --L or --T-max\n"
+    # without them it prints Pi, and --alpha-value still defaults to 6, 24
+    code, out, err = run(capsys, "pi", "--field", "q2", "--form",
+                         "x1^2+x2^2+x3^2", "--symbolic")
+    assert code == 0 and out.startswith("Pi = ")
+    got = run_json(capsys, "pi", "--field", "q2", "--form", "x1^2+x2^2+x3^2",
+                   "--alpha-value", "1/3", "--json")
+    assert (got["L"], got["T_max"], len(got["coeffs"])) == (6, 24, 7)
+
+
+def test_count_cliffs_answer_in_bounded_time(capsys):
+    # Q3 at level 12 (3^12 classes) and Q9 at level 6 (729^2 classes) are
+    # transformed at their own lengths; padded to powers of two, the first
+    # took seconds and the second was refused as a transform of 2^24
+    for field, form, ell, want in (
+            ("3", "x1^2+x2^2+x3^2+x4^2+x5^2", "12", "X_12 = 10/4782969\n"),
+            # X_5 = 80/4782969, and a unit target at odd p loses 1/q a level
+            ("q9", "x1^2+x2^2+x3^2+x4^2", "6", "X_6 = 80/43046721\n")):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "count", "--field", field, "--form", form,
+                             "--rho", "1", "--ell", ell)
+        assert perf_counter() - t0 < 10.0
+        assert (code, out) == (0, want), err
+    assert run(capsys, "count", "--field", "q9", "--form",
+               "x1^2+x2^2+x3^2+x4^2", "--rho", "1", "--ell", "5")[1] \
+        == "X_5 = 80/4782969\n"
+
+
+# One child interpreter per example runs cli.main under an address-space
+# limit, so an input that crashes, hangs or runs out of memory fails the
+# test instead of the test process; the examples run one at a time.
+_CHILD = ("import resource, sys; "
+          "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+          "from qperiods.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@given(field=st.sampled_from(("q2", "q4", "ram(0,-2)", "3", "5", "7", "q9",
+                              "131")),
+       squares=st.integers(1, 6), planes=st.integers(0, 1),
+       ell=st.integers(0, 40),
+       target=st.sampled_from((("--rho", "1"), ("--zero",))))
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_count_answers_or_refuses_every_accepted_input(field, squares, planes,
+                                                       ell, target):
+    # the input contract of count: an answer (exit 0) or a refusal with a
+    # message (exit 2), within a bounded time and memory, never a traceback
+    form = "+".join("x%d^2" % i for i in range(1, squares + 1))
+    argv = ["count", "--field", field, "--form", form, "--planes",
+            str(planes), "--ell", str(ell), *target]
+    src = str(Path(qperiods.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode in (0, 2), (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+    if proc.returncode == 0:
+        assert re.fullmatch(r"X_%d = \d+(/\d+)?\n" % ell, proc.stdout)
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
 def test_xseries_closed_negative_L_exits_2(capsys):
     for target in (("--T", "1"), ("--zero",)):
         code, out, err = run(capsys, "xseries", "--field", "q2", "--form",
@@ -446,7 +520,10 @@ def test_count_past_the_prime_table_exits_2_before_allocating(capsys):
     for field, ell, message in (
             ("q2", "30", "axis length 2147483648 is beyond the prime table"),
             ("q4", "22", "axis lengths (8388608, 8388608) give a transform "
-                         "of 70368744177664 entries, beyond 2^23")):
+                         "of 70368744177664 entries, beyond 2^23"),
+            # Z/p with p past every leaf is padded to a power of two
+            ("1000000007", "1", "axis length 1073741824 is beyond the "
+                                "prime table")):
         t0 = perf_counter()
         code, out, err = run(capsys, "count", "--field", field, "--form",
                              "x^2", "--rho", "1", "--ell", ell)

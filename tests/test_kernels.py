@@ -17,6 +17,9 @@ Q4 = make_field(2, 2, "unramified")
 R2 = make_field(2, 1, "ramified", c1=0, c0=-2)
 F3 = make_field(3)
 F5 = make_field(5)
+F7 = make_field(7)
+Q9 = make_field(3, 2, "unramified")
+F131 = make_field(131)  # no leaf of 131 fits: the padded fallback
 
 
 def brute_square_histogram(ring, coeff, restrict_nonunit=False):
@@ -87,29 +90,42 @@ def test_plane_histogram_matches_pairs_on_every_field():
 
 
 def brute_convolution(hists):
-    """Every entry of the convolution of the histograms, shift by shift."""
+    """Every entry of the convolution of the histograms, shift by shift
+    (in int64 when the product of the histogram sums fits)."""
     shape = hists[0].shape
     axes = tuple(range(len(shape)))
-    out = np.zeros(shape, dtype=object)
+    fits = math.prod(int(h.sum()) for h in hists) < 1 << 62
+    out = np.zeros(shape, dtype=np.int64 if fits else object)
     out[(0,) * len(shape)] = 1
     for h in hists:
-        nxt = np.zeros(shape, dtype=object)
+        nxt = np.zeros(shape, dtype=out.dtype)
         for j in np.ndindex(shape):
             nxt += np.roll(out, j, axis=axes) * int(h[j])
         out = nxt
     return out
 
 
+# prime-power axes with a leaf are cyclic at their own length; the rest
+# (12 = 4 * 3, or 131 with no leaf up to 128) are padded and folded back
+ENGINE_SHAPES = ((1,), (4,), (8,), (16,), (9,), (27,), (25,), (125,), (49,),
+                 (4, 8), (9, 3), (2, 1), (512,), (243,), (2, 256), (81, 81),
+                 (12,), (131,))
+
+
 def test_convolution_entry_matches_brute_force():
     rng = np.random.default_rng(7)
-    # power-of-two axes are cyclic, odd axes are padded and folded
-    for shape in ((1,), (4,), (8,), (16,), (9,), (27,), (25,), (4, 8),
-                  (9, 3), (2, 1), (512,), (243,), (2, 256)):
+    for shape in ENGINE_SHAPES:
+        lengths = kernels._plan(shape, 3)[0]
+        assert (lengths == shape) == (shape not in ((12,), (131,))), shape
         for n in (1, 2, 3):
             hists = [rng.integers(0, 50, shape) for _ in range(n)]
             want = brute_convolution(hists)
-            for t in np.ndindex(shape):
-                assert kernels.convolution_entry(hists, t) == want[t]
+            targets = list(np.ndindex(shape))
+            if len(targets) > 600:  # a sample, always with the corners
+                targets = targets[::97] + [targets[-1]]
+            for t in targets:
+                assert kernels.convolution_entry(hists, t) == want[t], \
+                    (shape, n, t)
 
 
 def test_convolution_entry_large_values_exact():
@@ -144,26 +160,55 @@ def test_convolution_entry_refuses_bound_past_prime_table():
 
 def test_ntt_is_exact_at_extreme_residues():
     # residues near p drive the float partial sums of the leaf products to
-    # their largest values; compare with the defining sum
-    for p in (kernels._NTT_PRIMES[0], kernels._NTT_PRIMES[-1]):
-        for n in (8, 128, 256):
-            negfreq, pw = kernels._tables(p, n)[2:]
-            x = np.full((2, n), p - 1, dtype=np.int64)
+    # their largest values; compare with the defining sum, on one leaf, on
+    # two and three levels of the four-step, and along a middle axis
+    for n in (8, 128, 256, 1 << 15, 81, 729, 3 ** 8, 125, 5 ** 5, 49, 343):
+        table = kernels._ntt_primes(n)
+        for p in (table[0], table[-1]):
+            freq = -kernels._tables(p, n)[1] % n
+            ell = kernels._prime_power(n)[0]
+            w = pow(kernels._generator(p, ell), (p - 1) // n, p)
+            x = np.full((2, n, 3), p - 1, dtype=np.int64)
             x[1, 1::2] -= 1
+            x[:, :, 1] = np.arange(n) * 7919 % p
             got = x.copy()
             kernels._ntt(got, p)
-            freq = -negfreq % n
-            powers = pw[np.outer(freq, np.arange(n)) % n]
-            want = (x[:, None, :] * powers[None] % p).sum(axis=2) % p
-            assert np.array_equal(got, want), (p, n)
+            slots = range(n) if n <= 256 else (0, 1, 2, n // 3, n - 1)
+            for s in slots:
+                wf = pow(w, int(freq[s]), p)
+                powers = np.array([pow(wf, i, p) for i in range(n)])
+                want = (x * powers[None, :, None] % p).sum(axis=1) % p
+                assert np.array_equal(got[:, s], want), (p, n, s)
+                # the entry weights of _fold are the inverse powers
+                t = 5 * s % n
+                assert kernels._fold(p, n, t)[s] == pow(wf, -t, p), (p, n, s)
+
+
+def _ell_tables():
+    """Every prime ell < 128 with the prime table of each length ell^k up
+    to 2^23, the lengths the natural-length transform may use."""
+    for ell in filter(kernels._is_prime, range(2, kernels._LEAF)):
+        n = ell
+        while n <= 1 << 23:
+            yield ell, n, kernels._ntt_primes(n)
+            n *= ell
 
 
 def test_leaf_products_stay_below_float_precision():
-    # a leaf-product partial sum is at most p - 1 times a limb column sum
-    for p in kernels._NTT_PRIMES:
-        for bits in range(kernels._LEAF.bit_length()):
-            limbs = kernels._tables(p, 1 << bits)[1]
-            assert (p - 1) * int(limbs.sum(axis=0).max()) < 1 << 53, (p, bits)
+    # a leaf-product partial sum is at most p - 1 times a column sum of the
+    # absolute limbs: check every leaf length with every prime of every
+    # table that may use it
+    limbs = kernels._limbs.__wrapped__  # keep the engine's cache small
+    for ell, n, table in _ell_tables():
+        leaves = [ell ** j for j in range(1, 8) if ell ** j <= kernels._LEAF]
+        for p in table:
+            for L in leaves:
+                col = np.abs(limbs(p, L)).sum(axis=0)
+                assert (p - 1) * int(col.max()) < 1 << 53, (p, L)
+    # so every transform takes the longest leaves its length allows
+    for n in (1 << 7, 3 ** 4, 5 ** 3, 7 ** 2, 11 ** 2, 127):
+        p = kernels._ntt_primes(n)[0]
+        assert kernels._tables(p, n)[0] == n
 
 
 def test_prime_table_is_ntt_friendly():
@@ -172,6 +217,16 @@ def test_prime_table_is_ntt_friendly():
     for p in primes:
         assert p < 1 << 31 and (p - 1) % (1 << 23) == 0
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    # each generated table: distinct primes P < 2^31 with P = 1 mod its
+    # length, reaching the product of the fixed table in at most 13 primes
+    small = np.array([d for d in range(2, 46341) if kernels._is_prime(d)])
+    assert len(small) == 4792  # the primes below sqrt(2^31)
+    for ell, n, table in _ell_tables():
+        assert len(set(table)) == len(table) <= 13, n
+        assert math.prod(table) >= math.prod(primes), n
+        for p in table:
+            assert p < 1 << 31 and p % n == 1, (n, p)
+            assert np.all(p % small[small < p]), (n, p)
 
 
 def test_solution_count_matches_naive():
@@ -212,7 +267,7 @@ def brute_restricted_count(ring, coeffs, target, planes):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_solution_count_matches_naive_on_every_field(data):
-    field = data.draw(st.sampled_from((Q2, Q4, R2, F3, F5)))
+    field = data.draw(st.sampled_from((Q2, Q4, R2, F3, F5, F7, Q9)))
     planes = data.draw(st.integers(0, 1))
     ncoeffs = data.draw(st.integers(1 - planes, 3))
     nvars = ncoeffs + 2 * planes
@@ -278,6 +333,42 @@ def test_primitive_zero_exists_matches_enumeration():
             assert got == brute(), (field.q, coeffs, level)
 
 
+@pytest.mark.parametrize("field, levels", [(Q2, (0, 1, 4, 9)), (F3, (1, 3, 6)),
+                                           (F5, (2, 4)), (F7, (1, 3))])
+def test_square_terms_read_from_the_squares_transform(field, levels):
+    # on one cyclic axis solution_count reads each c x^2 from the transform
+    # of the squares at c f; the histogram route must give the same counts
+    rng = np.random.default_rng(3)
+    for level in levels:
+        ring = field.ring(level)
+        for planes, restrict in itertools.product((0, 1), (False, True)):
+            coeffs = [(int(c),) for c in rng.integers(-50, 50, 3)]
+            coeffs += [coeffs[0], (field.p,), (0,)]
+            hists = kernels.form_histograms(ring, coeffs, planes, restrict)
+            for t in range(0, ring.size, max(1, ring.size // 7)):
+                got = kernels.solution_count(ring, coeffs, (t,), planes,
+                                             restrict)
+                assert got == kernels.convolution_entry(hists, (t,)), \
+                    (field.q, level, planes, restrict, t)
+
+
+def test_count_at_p_131_takes_the_padded_fallback():
+    # 131 has no leaf up to 128: its axes are padded to a power of two
+    for level, coeffs in ((1, [1, 2]), (1, [5]), (2, [1]), (2, [7])):
+        ring = F131.ring(level)
+        lengths = kernels._plan(ring.moduli, len(coeffs))[0]
+        assert lengths[0] & (lengths[0] - 1) == 0 and lengths != ring.moduli
+        cc = [(c,) for c in coeffs]
+        for t in (0, 1, 2, 130, 131 * 5 + 3):
+            want = kernels.naive_count(ring, cc, (t,))
+            assert kernels.solution_count(ring, cc, (t,)) == want
+        if level == 1:
+            dist = kernels.ValueDistribution(kernels.form_histograms(ring, cc))
+            for t in range(131):
+                want = kernels.naive_count(ring, cc, (t,))
+                assert dist.count(ring.moduli, (t,)) == want
+
+
 def test_naive_count_budget():
     ring = Q2.ring(6)
     with pytest.raises(kernels.EnumBudgetError):
@@ -298,7 +389,7 @@ def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
 
 def test_value_distribution_matches_brute_force():
     rng = np.random.default_rng(5)
-    for shape in ((1,), (8,), (9,), (27,), (4, 8), (9, 3), (512,), (2, 256)):
+    for shape in ENGINE_SHAPES:
         for n in (1, 2, 3):
             hists = [rng.integers(0, 50, shape) for _ in range(n)]
             want = brute_convolution(hists)
