@@ -120,8 +120,8 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
                          "pass direct=True for full counting")
     counted = [L if direct else min(L, _cutoff(field, rho)) for rho in rhos]
     deep = field.ring(max(counted, default=0) + field.e)
-    dist = kernels.ValueDistribution(kernels.form_histograms(
-        deep, _coeff_coords(B), B.planes)) if B.n else None
+    dist = kernels.ValueDistribution(
+        deep, _coeff_coords(B), B.planes) if B.n else None
 
     def count(ring, coeffs, target):
         return (dist.count(ring.moduli, target)

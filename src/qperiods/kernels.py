@@ -1,27 +1,29 @@
 """Exact vectorized counting kernels over residue rings.
 
-Each variable contributes a histogram of its values over the additive group
-of the ring, and a count is one entry of their convolution.  One engine
-transforms the histograms by number-theoretic transforms modulo as many
-primes as the count's bound needs, and joins residues by CRT; every count
-is an exact integer.  It reads the transforms back two ways:
-convolution_entry takes one entry by a dot product per prime, and
-ValueDistribution takes the whole convolution by one inverse transform per
+A count of sum c x^2 + planes * 2xy = t over o/pi^L is one entry of the
+convolution of the summands' histograms over the additive group of the
+ring.  One engine transforms the summands by number-theoretic transforms
+modulo as many primes as the count's bound (#x)^terms (#pairs)^planes
+needs, and joins residues by CRT; every count is an exact integer.
+_summand_transforms gives, for one prime, the transforms of a form's
+distinct summands with their multiplicities, and two readers use them:
+solution_count takes one entry by a dot product per prime, and
+ValueDistribution the whole convolution by one inverse transform per
 prime, so that every target at every coarser level is a coset sum of it.
 
 One transform routine, a mixed-radix four-step NTT, serves every length
 ell^k: it cuts the axis into leaves ell^j <= 128, each one exact float64
-matrix product, with a twiddle multiplication between levels.  A ring
-o/pi^L has axes of length p^k, so each axis is transformed at its own
+matrix product, with a twiddle multiplication between levels.  _plan
+alone decides the shape: when every axis is a power of one prime below
+128 (Q2, Q4, Q3, Q9 and the ramified rings) each axis keeps its own
 length, modulo primes P = 1 mod that length (a fixed table for powers of
-two, and one found on first use for odd p).  Only a shape with no leaf
-(p > 127, or mixed primes such as 12) is zero-padded to powers of two and
-folded back.  No table is built at import time.
-
-On a one-axis ring Z/n, solution_count builds no histogram for a square
-term: the histogram of c x^2 has the transform f -> T(S)[c f mod n] of
-the squares' histogram S, so one transform of S per ring and prime
-serves every coefficient.
+two, and one found on first use for odd p).  There a square term has no
+histogram and no transform of its own: the transform of c x^2's histogram
+is T(S), the transform of the squares' histogram, read at the dual of
+multiplication by c (c f on one axis); T(S) is ring data, kept for the
+last ring.  Only a padded shape (p > 127, or mixed primes such as 12)
+transforms a histogram per term, zero-padded to powers of two, and folds
+the result back.  No table is built at import time.
 
 Ring arithmetic is not repeated here: values come from the ResidueRing
 methods (coords, mul, add, ord_of, is_unit) applied to whole arrays of
@@ -65,19 +67,17 @@ def _squares(ring, restrict_nonunit):
 
 
 def square_histograms(ring, coeff_list, restrict_nonunit=False):
-    """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0;
-    equal coefficients mod the ring share one count."""
+    """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0."""
     sq = _squares(ring, bool(restrict_nonunit))
-    cs = [ring.reduce(c) for c in coeff_list]
-    keys = list(dict.fromkeys(cs))
-    cc = np.array(keys, dtype=np.int64).reshape(-1, len(ring.moduli))
-    cc = cc.T[:, :, None]
-    idx = ring.flat_index(ring.mul(cc, sq))
-    idx += ring.size * np.arange(len(keys))[:, None]
-    h = np.bincount(idx.ravel(), minlength=ring.size * len(keys))
-    return h.reshape((len(keys),) + ring.moduli)[[keys.index(c) for c in cs]]
+    cc = np.array([ring.reduce(c) for c in coeff_list], dtype=np.int64)
+    cc = cc.reshape(-1, len(ring.moduli))  # (0, ncoords) for no coefficient
+    idx = ring.flat_index(ring.mul(cc.T[:, :, None], sq))
+    idx += ring.size * np.arange(len(cc))[:, None]
+    h = np.bincount(idx.ravel(), minlength=ring.size * len(cc))
+    return h.reshape((len(cc),) + ring.moduli)
 
 
+@lru_cache(maxsize=2)  # the last ring, whole and restricted to non-units
 def plane_histogram(ring, restrict_nonunit=False):
     """Histogram of 2xy over pairs (x, y); the hyperbolic-plane summand.
 
@@ -112,18 +112,27 @@ _LEAF = 128  # a leaf this long or shorter takes one exact matrix product
 _CHUNK = 1 << 13  # entries per leaf product, to bound its float temporaries
 
 
+# Below this bound no composite is a strong pseudoprime to all of the
+# first 13 prime bases (Sorenson and Webster, Math. Comp. 86 (2017))
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n) -> bool:
-    """Deterministic Miller-Rabin, exact below 3,215,031,751 (bases 2, 3,
-    5 and 7 admit no common strong pseudoprime there)."""
+    """Deterministic Miller-Rabin to the first 13 prime bases, exact
+    below _PRIME_TEST_LIMIT; ValueError past it."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError("primality of %d is not decided: the test is exact "
+                         "only below %d" % (n, _PRIME_TEST_LIMIT))
     if n < 2:
         return False
-    for b in (2, 3, 5, 7):
+    for b in _PRIME_BASES:
         if n % b == 0:
             return n == b
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for b in (2, 3, 5, 7):
+    for b in _PRIME_BASES:
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -336,7 +345,8 @@ def _product(acc, a, mults, p):
 def _entry_mod(p, a, mults, shape, target):
     """The target entry mod p of the convolution whose distinct factors
     have the transforms a (histograms of this shape, as _forward leaves
-    them) with these multiplicities; see convolution_entry."""
+    them) with these multiplicities, by one dot product with the weights
+    of _fold (summed over t, t + m, ... on a padded axis)."""
     lengths = a.shape[1:]
     acc = None
     for ax, (n, m, t) in enumerate(zip(lengths, shape, target)):
@@ -349,11 +359,11 @@ def _entry_mod(p, a, mults, shape, target):
     return int(acc.sum()) * pow(prod(lengths), -1, p) % p
 
 
-def _distribution_mod(p, stack, mults, lengths):
-    """The whole convolution mod p, on the histogram shape; see
-    ValueDistribution."""
-    acc = _product(np.ones(lengths, dtype=np.int64),
-                   _forward(stack, lengths, p), mults, p)
+def _distribution_mod(p, a, mults, shape):
+    """The whole convolution mod p, on the histogram shape, of the factors
+    with the transforms a and multiplicities of _entry_mod."""
+    lengths = a.shape[1:]
+    acc = _product(np.ones(lengths, dtype=np.int64), a, mults, p)
     # the inverse is the forward transform of the negated frequencies: put
     # frequency -f in natural slot f, transform, and read the result in the
     # slot order the transform leaves
@@ -366,7 +376,7 @@ def _distribution_mod(p, stack, mults, lengths):
         x[:, -negfreq % n] = b
     acc = acc * pow(prod(lengths), -1, p) % p
     # a padded axis holds the linear convolution: fold it back onto Z/m
-    for ax, (n, m) in enumerate(zip(lengths, stack.shape[1:])):
+    for ax, (n, m) in enumerate(zip(lengths, shape)):
         if n != m:
             x = np.moveaxis(acc, ax, 0)
             x = np.concatenate([x, np.zeros((-n % m,) + x.shape[1:],
@@ -374,21 +384,6 @@ def _distribution_mod(p, stack, mults, lengths):
             acc = np.moveaxis(x.reshape((-1, m) + x.shape[1:]).sum(0) % p,
                               0, ax)
     return acc
-
-
-def _group(hists):
-    """Distinct histograms stacked, their multiplicities, the transform
-    lengths of _plan, and the primes of its table that reconstruct any
-    count up to the product of the histogram sums."""
-    groups = {}  # equal histograms share one transform
-    for h in hists:
-        groups.setdefault(h.tobytes(), [h, 0])[1] += 1
-    stack = np.array([h for h, _ in groups.values()], dtype=np.int64)
-    mults = [c for _, c in groups.values()]
-    lengths, table = _plan(stack.shape[1:], len(hists))
-    sums = stack.reshape(len(stack), -1).sum(axis=1).tolist()
-    bound = prod(s ** c for s, c in zip(sums, mults))
-    return stack, mults, lengths, _primes_for(table, bound)
 
 
 def _primes_for(table, bound):
@@ -410,40 +405,105 @@ def _crt(residues, primes) -> int:
     return count
 
 
-def convolution_entry(hists, target) -> int:
-    """Entry `target` of the convolution of integer histograms over the
-    group Z/m0 (x Z/m1), m the histogram shape.
+_SQUARE_TRANSFORMS = {}  # (ring, restrict, p) -> T(S), for the last ring
 
-    Each distinct histogram is transformed once per prime and the
-    transforms multiplied; one dot product per prime reads back the target
-    entry alone, and CRT joins the residues.  An axis of prime-power
-    length m = ell^k, ell < 128, is transformed at length m; any other is
-    zero-padded past n(m - 1), the support of the linear convolution of n
-    histograms, and the target folded over t, t + m, ...
-    """
-    stack, mults, lengths, primes = _group(hists)
-    return _crt([_entry_mod(p, _forward(stack, lengths, p), mults,
-                            stack.shape[1:], target) for p in primes], primes)
 
+def _square_transform(ring, restrict, p):
+    """T(S) mod p, flat in natural frequency order, for the histogram S of
+    x^2 over a ring at its own lengths (x over its non-units with
+    restrict): ring data that serves every coefficient."""
+    key = (ring, restrict, p)
+    if key not in _SQUARE_TRANSFORMS:
+        if any(k[0] is not ring for k in _SQUARE_TRANSFORMS):
+            _SQUARE_TRANSFORMS.clear()
+        s = np.bincount(ring.flat_index(_squares(ring, restrict)),
+                        minlength=ring.size)
+        a = _forward(s.reshape((1,) + ring.moduli), ring.moduli, p)[0]
+        ts = np.empty(a.shape, dtype=np.int32)  # residues below P < 2^31
+        ts[np.ix_(*(-_tables(p, m)[1] % m for m in ring.moduli))] = a
+        _SQUARE_TRANSFORMS[key] = ts.ravel()
+    return _SQUARE_TRANSFORMS[key]
+
+
+def _dual_indices(ring, coeffs, p):
+    """For each c, the flat natural index of c*(f) for the frequency f of
+    every slot, so that T(H_c) = T(S)[index] for the histogram H_c of c x^2.
+    Slot f holds the character chi_f(x) = w^(sum_i f_i x_i M / m_i), w of
+    order M = max m, and chi_f(c x) = chi_c*(f)(x) for the dual c*(f)_j =
+    sum_i f_i (c e_j)_i (M / m_i) / (M / m_j) mod m_j, e_j the basis
+    vectors; on one axis c*(f) = c f mod n."""
+    moduli = ring.moduli
+    M, d = max(moduli), len(moduli)
+    freqs = [(-_tables(p, m)[1] % m).reshape((-1,) + (1,) * (d - i - 1))
+             for i, m in enumerate(moduli)]
+    for c in coeffs:
+        idx = None
+        for j, mj in enumerate(moduli):
+            ce = ring.mul(c, tuple(int(i == j) for i in range(d)))
+            terms = [f * (x * (M // mi))
+                     for f, x, mi in zip(freqs, ce, moduli) if x]
+            g = sum(terms[1:], terms[0]) if terms else 0
+            if M > mj:  # exact: x -> chi_f(c x) is a character
+                g //= M // mj
+            g %= mj
+            idx = g if idx is None else idx * mj + g
+        yield idx
+
+
+def _summand_transforms(ring, coeff_list, planes, restrict, p, lengths):
+    """The transforms mod p, as _forward leaves them, of the distinct
+    summands of sum c x^2 + planes * 2xy (x over the non-units with
+    restrict), stacked, and their multiplicities.  On a natural shape a
+    square term is T(S) read at the dual of c; a padded one transforms
+    the histogram of each term."""
+    cs = {}  # distinct coefficients mod the ring, with their multiplicities
+    for c in coeff_list:
+        c = ring.reduce(c)
+        cs[c] = cs.get(c, 0) + 1
+    mults = list(cs.values()) + [planes] * bool(planes)
+    plane = [plane_histogram(ring, restrict)] if planes else []
+    if lengths != ring.moduli:
+        hists = [*square_histograms(ring, list(cs), restrict), *plane]
+        return _forward(np.array(hists), lengths, p), mults
+    a = np.empty((len(mults),) + lengths, dtype=np.int64)
+    ts = _square_transform(ring, restrict, p)
+    for i, idx in enumerate(_dual_indices(ring, cs, p)):
+        a[i] = ts[idx]
+    if planes:
+        a[-1] = _forward(plane[0][None], lengths, p)[0]
+    return a, mults
+
+
+def _count_plan(ring, terms, planes, restrict):
+    """The lengths of _plan and the CRT primes for every count of a form
+    with these summands, up to (#x)^terms (#pairs)^planes; refuses before
+    anything is allocated."""
+    lengths, table = _plan(ring.moduli, terms + planes)
+    nx = ring.size // ring.field.q if restrict and ring.level else ring.size
+    return lengths, _primes_for(table, nx ** (terms + 2 * planes))
+
+
+# ---------------------------------------------------------------------------
+# Solution counting
+# ---------------------------------------------------------------------------
 
 class ValueDistribution:
-    """Every entry of the convolution of integer histograms at once, as
-    convolution_entry computes one: for a form's histograms, the number
-    N(v) of tuples with value v, for every v in the ring.
+    """For sum c x^2 + planes * 2xy over a ring, the number N(v) of
+    tuples with value v, for every v at once.
 
-    Per prime, the transforms are multiplied and one inverse transform
-    returns the whole convolution; a padded axis is folded back onto Z/m.
-    The entries stay residues mod each prime the count bound needs, and
+    Per prime, one inverse transform returns the whole convolution.  The
+    entries stay residues mod each prime the count bound needs, and
     `count` joins only the coset sum it returns by CRT: every such sum is
     at most the bound, so it is exact however many primes that takes.
     """
 
     __slots__ = ("primes", "residues")
 
-    def __init__(self, hists):
-        stack, mults, lengths, self.primes = _group(hists)
-        self.residues = np.array([_distribution_mod(p, stack, mults, lengths)
-                                  for p in self.primes])
+    def __init__(self, ring, coeffs, planes=0):
+        lengths, self.primes = _count_plan(ring, len(coeffs), planes, False)
+        self.residues = np.array([_distribution_mod(
+            p, *_summand_transforms(ring, coeffs, planes, False, p, lengths),
+            ring.moduli) for p in self.primes])
 
     def count(self, moduli, target) -> int:
         """The sum of N(v) over v = target mod moduli, where each modulus
@@ -454,68 +514,20 @@ class ValueDistribution:
         return _crt(sums % np.array(self.primes), self.primes)
 
 
-# ---------------------------------------------------------------------------
-# Solution counting
-# ---------------------------------------------------------------------------
-
-def form_histograms(ring, coeff_list, planes=0, restrict_nonunit=False):
-    """The histogram of each summand of sum c x^2 + planes * 2xy; refuses
-    an axis the primes cannot transform before allocating anything."""
-    _plan(ring.moduli, len(coeff_list) + planes)
-    hists = list(square_histograms(ring, coeff_list, restrict_nonunit))
-    if planes:
-        hists += [plane_histogram(ring, restrict_nonunit)] * planes
-    return hists
-
-
-@lru_cache(maxsize=2)
-def _square_transform(ring, restrict_nonunit, p):
-    """The transform mod p of the histogram S of x^2 over a one-axis ring
-    Z/n kept at its own length (over its non-units with restrict_nonunit),
-    in natural frequency order: ring data that serves every coefficient,
-    since c x^2 has the transform f -> T(S)[c f mod n]."""
-    n = ring.size
-    a = np.bincount(_squares(ring, restrict_nonunit)[0], minlength=n) % p
-    _ntt(a.reshape(1, n, 1), p)
-    out = np.empty_like(a)
-    out[-_tables(p, n)[1] % n] = a
-    return out
-
-
 def solution_count(ring, coeff_list, target_coords, planes=0,
                    restrict_nonunit=False) -> int:
-    """Number of tuples over the ring with sum of terms equal to target.
-
-    On a one-axis ring transformed at its own length the square terms
-    take no histogram and no transform of their own: each reads the
-    squares' transform of _square_transform at c f."""
+    """Number of tuples over the ring with sum of terms equal to target:
+    one entry of the convolution of the summands' histograms, read by a
+    dot product per prime (x over the non-units with restrict_nonunit)."""
     target = ring.reduce(target_coords)
     if not (coeff_list or planes):
         return 1 if all(c == 0 for c in target) else 0
-    lengths, table = _plan(ring.moduli, len(coeff_list) + planes)
-    if len(lengths) > 1 or lengths != ring.moduli:
-        hists = form_histograms(ring, coeff_list, planes, restrict_nonunit)
-        return convolution_entry(hists, target)
-    n, restrict = ring.size, bool(restrict_nonunit)
-    cs = {}  # distinct coefficients mod the ring, with their multiplicities
-    for c in coeff_list:
-        c = ring.reduce(c)[0]
-        cs[c] = cs.get(c, 0) + 1
-    mults = list(cs.values())
-    bound = len(_squares(ring, restrict)[0]) ** len(coeff_list)
-    if planes:
-        plane = plane_histogram(ring, restrict)
-        mults.append(planes)
-        bound *= int(plane.sum()) ** planes
-    primes = _primes_for(table, bound)
-    residues = []
-    for p in primes:
-        ts, freq = _square_transform(ring, restrict, p), -_tables(p, n)[1] % n
-        a = [ts[c * freq % n] for c in cs]
-        if planes:
-            a.append(_forward(plane[None], lengths, p)[0])
-        residues.append(_entry_mod(p, np.array(a), mults, lengths, target))
-    return _crt(residues, primes)
+    restrict = bool(restrict_nonunit)
+    lengths, primes = _count_plan(ring, len(coeff_list), planes, restrict)
+    return _crt([_entry_mod(
+        p, *_summand_transforms(ring, coeff_list, planes, restrict, p,
+                                lengths), ring.moduli, target)
+        for p in primes], primes)
 
 
 def primitive_zero_exists(ring, coeffs) -> bool:

@@ -40,21 +40,6 @@ class InternalConsistencyError(RuntimeError):
     """Two independent routes to the same quantity disagreed."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _v(p: int, x: int):
     """p-adic valuation of a rational integer, inf for 0."""
     if x == 0:
@@ -184,9 +169,10 @@ def make_field(p: int, f: int = 1, variant: str = "base",
     """Build a field descriptor.
 
     variant is "base", "unramified" (requires f = 2), or "ramified"
-    (p = 2, f = 1 only, with Eisenstein data x^2 + c1 x + c0).
+    (p = 2, f = 1 only, with Eisenstein data x^2 + c1 x + c0).  p must be
+    below kernels._PRIME_TEST_LIMIT, where primality is decided exactly.
     """
-    if not _is_prime(p):
+    if not kernels._is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
     if f not in (1, 2):
         raise ValueError("residue degree f must be 1 or 2")

@@ -23,7 +23,7 @@ from .ratfunc import (RF, Poly, IQv, AVv, VAR_Z, VAR_AV,
                       ratio_if_proportional, pretty_rf)
 from .closedforms import (PiecewiseGeometric, closed_profile, pi_geometric,
                           zeta_Z, local_factor_chain)
-from .localfield import _is_prime
+from .kernels import _is_prime
 from .qform import witt_profile
 
 ONE = RF.const(1)

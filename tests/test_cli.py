@@ -8,7 +8,7 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qperiods
 
@@ -392,6 +392,23 @@ def test_searches_past_their_budget_exit_2(capsys):
         assert "exceeds the budget" in err
 
 
+def test_fields_past_trial_division_exit_2_at_once(capsys):
+    # 10^24 + 7 is prime, which Miller-Rabin decides at once, and its
+    # square-class table is refused; from 3317044064679887385961981 on the
+    # test is not proven, and below it a strong pseudoprime to the bases
+    # 2..37 is still found composite
+    for field, message in (
+            ("1000000000000000000000007", "exceeds the budget"),
+            ("3317044064679887385961981", "primality of 3317044064679887385961981"
+                                          " is not decided"),
+            ("318665857834031151167461", "is not prime")):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "hilbert", "--field", field, "--a", "3",
+                             "--b", "5")
+        assert perf_counter() - t0 < 5
+        assert code == 2 and out == "" and message in err, err
+
+
 def test_count_without_target_exits_2(capsys):
     code, out, err = run(capsys, "count", "--field", "Q2", "--form",
                          "x1^2+x2^2+x3^2", "--ell", "3")
@@ -480,19 +497,12 @@ _CHILD = ("import resource, sys; "
           "from qperiods.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-@given(field=st.sampled_from(("q2", "q4", "ram(0,-2)", "3", "5", "7", "q9",
-                              "131")),
-       squares=st.integers(1, 6), planes=st.integers(0, 1),
-       ell=st.integers(0, 40),
-       target=st.sampled_from((("--rho", "1"), ("--zero",))))
-@settings(max_examples=12, derandomize=True, deadline=None)
-def test_count_answers_or_refuses_every_accepted_input(field, squares, planes,
-                                                       ell, target):
-    # the input contract of count: an answer (exit 0) or a refusal with a
-    # message (exit 2), within a bounded time and memory, never a traceback
-    form = "+".join("x%d^2" % i for i in range(1, squares + 1))
-    argv = ["count", "--field", field, "--form", form, "--planes",
-            str(planes), "--ell", str(ell), *target]
+FIELDS = st.sampled_from(("q2", "q4", "ram(0,-2)", "3", "5", "7", "q9", "131"))
+
+
+def _child(argv):
+    """cli.main(argv) in a child under the limits above: its exit code
+    and stdout, after checking that it answered or refused."""
     src = str(Path(qperiods.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -500,10 +510,69 @@ def test_count_answers_or_refuses_every_accepted_input(field, squares, planes,
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode in (0, 2), (argv, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, proc.stderr)
-    if proc.returncode == 0:
-        assert re.fullmatch(r"X_%d = \d+(/\d+)?\n" % ell, proc.stdout)
-    else:
+    if proc.returncode == 2:
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    return proc.returncode, proc.stdout
+
+
+def _form(squares):
+    return "+".join("x%d^2" % i for i in range(1, squares + 1))
+
+
+@given(field=FIELDS, squares=st.integers(1, 6), planes=st.integers(0, 1),
+       ell=st.integers(0, 40),
+       target=st.sampled_from((("--rho", "1"), ("--zero",))))
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_count_answers_or_refuses_every_accepted_input(field, squares, planes,
+                                                       ell, target):
+    # the input contract of count: an answer (exit 0) or a refusal with a
+    # message (exit 2), within a bounded time and memory, never a traceback
+    code, out = _child(["count", "--field", field, "--form", _form(squares),
+                        "--planes", str(planes), "--ell", str(ell), *target])
+    if code == 0:
+        assert re.fullmatch(r"X_%d = \d+(/\d+)?\n" % ell, out)
+
+
+_COEFFS = r"coeffs -?\d+(/\d+)?(,-?\d+(/\d+)?){%d}\n"
+
+
+@given(field=FIELDS, squares=st.integers(1, 6), planes=st.integers(0, 1),
+       L=st.integers(-1, 24),
+       target=st.sampled_from((("--rho", "1"), ("--T", "1"), ("--zero",))))
+@example("q4", 2, 1, 6, ("--T", "1"))
+@example("ram(0,-2)", 4, 0, 12, ("--zero",))
+@example("q9", 3, 0, 4, ("--rho", "1"))
+@settings(max_examples=6, derandomize=True, deadline=None)
+def test_direct_xseries_answers_or_refuses_every_accepted_input(
+        field, squares, planes, L, target):
+    # the same contract for xseries --direct: every level counted
+    code, out = _child(["xseries", "--field", field, "--form", _form(squares),
+                        "--planes", str(planes), "--L", str(L), "--direct",
+                        *target])
+    if code == 0:
+        assert re.fullmatch(_COEFFS % L, out)
+
+
+# anisotropic over some of the fields and isotropic over others
+_PI_FORMS = ("x1^2", "x1^2+w*x2^2", "x1^2+x2^2+w*x3^2",
+             "x1^2+3*x2^2+w*x3^2+3*w*x4^2")
+
+
+@given(field=FIELDS, form=st.sampled_from(_PI_FORMS),
+       alpha=st.sampled_from(("1/4", "1/3", "2", "-1/2", "0", "1/0")),
+       L=st.integers(-1, 12), T_max=st.integers(-1, 12))
+@example("q4", _PI_FORMS[1], "1/4", 6, 8)
+@example("ram(0,-2)", _PI_FORMS[3], "-1/2", 12, 12)
+@example("q9", _PI_FORMS[1], "2", 4, 6)
+@settings(max_examples=6, derandomize=True, deadline=None)
+def test_pi_alpha_value_answers_or_refuses_every_accepted_input(
+        field, form, alpha, L, T_max):
+    # the same contract for pi --alpha-value: stabilized series at every T
+    code, out = _child(["pi", "--field", field, "--form", form,
+                        "--alpha-value=" + alpha, "--L", str(L),
+                        "--T-max", str(T_max)])
+    if code == 0:
+        assert re.fullmatch(_COEFFS % L, out)
 
 
 def test_xseries_closed_negative_L_exits_2(capsys):

@@ -105,6 +105,38 @@ def brute_convolution(hists):
     return out
 
 
+def _engine(hists):
+    """The stacked histograms, their shape, the transform lengths and the
+    CRT primes for the product of their sums, as the engine plans them."""
+    stack = np.array(hists, dtype=np.int64)
+    shape = stack.shape[1:]
+    lengths, table = kernels._plan(shape, len(hists))
+    bound = math.prod(int(h.sum()) for h in hists)
+    return stack, shape, lengths, kernels._primes_for(table, bound)
+
+
+def engine_entry(hists, target):
+    """Entry `target` of the convolution of the histograms through the
+    engine's steps: _forward, _entry_mod per prime and CRT."""
+    stack, shape, lengths, primes = _engine(hists)
+    return kernels._crt([kernels._entry_mod(
+        p, kernels._forward(stack, lengths, p), [1] * len(hists), shape,
+        target) for p in primes], primes)
+
+
+def engine_distribution(hists):
+    """Every entry of the convolution through _forward, _distribution_mod
+    per prime and CRT, as an array of exact ints."""
+    stack, shape, lengths, primes = _engine(hists)
+    res = [kernels._distribution_mod(p, kernels._forward(stack, lengths, p),
+                                     [1] * len(hists), shape)
+           for p in primes]
+    out = np.empty(shape, dtype=object)
+    for t in np.ndindex(shape):
+        out[t] = kernels._crt([r[t] for r in res], primes)
+    return out
+
+
 # prime-power axes with a leaf are cyclic at their own length; the rest
 # (12 = 4 * 3, or 131 with no leaf up to 128) are padded and folded back
 ENGINE_SHAPES = ((1,), (4,), (8,), (16,), (9,), (27,), (25,), (125,), (49,),
@@ -124,7 +156,7 @@ def test_convolution_entry_matches_brute_force():
             if len(targets) > 600:  # a sample, always with the corners
                 targets = targets[::97] + [targets[-1]]
             for t in targets:
-                assert kernels.convolution_entry(hists, t) == want[t], \
+                assert engine_entry(hists, t) == want[t], \
                     (shape, n, t)
 
 
@@ -136,7 +168,7 @@ def test_convolution_entry_large_values_exact():
         want = brute_convolution(hists)
         assert max(want.ravel()) > 1 << 100
         for t in np.ndindex(shape):
-            assert kernels.convolution_entry(hists, t) == want[t]
+            assert engine_entry(hists, t) == want[t]
 
 
 def test_convolution_entry_exact_at_its_bound():
@@ -145,16 +177,19 @@ def test_convolution_entry_exact_at_its_bound():
     for e in range(10, 62, 3):
         w = (1 << e) + 1
         hists = [np.array([w, 0, 0, 0]), np.array([0, 0, 3, 0])]
-        assert kernels.convolution_entry(hists, (2,)) == 3 * w
+        assert engine_entry(hists, (2,)) == 3 * w
         hists = [np.array([0, w, 0]), np.array([0, w, 0]), np.array([w, 0, 0])]
-        assert kernels.convolution_entry(hists, (2,)) == w ** 3
-        assert kernels.convolution_entry(hists, (0,)) == 0
+        assert engine_entry(hists, (2,)) == w ** 3
+        assert engine_entry(hists, (0,)) == 0
 
 
 def test_convolution_entry_refuses_bound_past_prime_table():
     hists = [np.full(4, 1 << 40, dtype=np.int64)] * 9
     with pytest.raises(kernels.PrimeBoundError):
-        kernels.convolution_entry(hists, (0,))
+        engine_entry(hists, (0,))
+    # 19 squares over o/2^20 have a bound of 2^380, past the table's product
+    with pytest.raises(kernels.PrimeBoundError, match="count bound"):
+        kernels.solution_count(Q2.ring(20), [(1,)] * 19, (0,))
     assert issubclass(kernels.PrimeBoundError, kernels.EnumBudgetError)
 
 
@@ -227,6 +262,28 @@ def test_prime_table_is_ntt_friendly():
         for p in table:
             assert p < 1 << 31 and p % n == 1, (n, p)
             assert np.all(p % small[small < p]), (n, p)
+
+
+def test_is_prime_is_exact_below_its_limit():
+    # against a sieve, and on strong pseudoprimes to the bases 2..7 and to
+    # the bases 2..37 (the least one, Sorenson and Webster's psi_12)
+    N = 10 ** 5
+    sieve = np.ones(N, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(N) + 1):
+        sieve[d * d::d] = False
+    assert [kernels._is_prime(n) for n in range(N)] == sieve.tolist()
+    for n, want in ((3215031751, False), (318665857834031151167461, False),
+                    (2 ** 61 - 1, True), (10 ** 24 + 7, True),
+                    (kernels._PRIME_TEST_LIMIT - 1, False)):
+        assert kernels._is_prime(n) == want, n
+        if want:
+            assert make_field(n).p == n
+    # psi_13, a strong pseudoprime to all 13 bases, is where it stops
+    with pytest.raises(ValueError, match="not decided"):
+        make_field(kernels._PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError, match="not prime"):
+        make_field(318665857834031151167461)
 
 
 def test_solution_count_matches_naive():
@@ -333,23 +390,77 @@ def test_primitive_zero_exists_matches_enumeration():
             assert got == brute(), (field.q, coeffs, level)
 
 
-@pytest.mark.parametrize("field, levels", [(Q2, (0, 1, 4, 9)), (F3, (1, 3, 6)),
-                                           (F5, (2, 4)), (F7, (1, 3))])
-def test_square_terms_read_from_the_squares_transform(field, levels):
-    # on one cyclic axis solution_count reads each c x^2 from the transform
-    # of the squares at c f; the histogram route must give the same counts
-    rng = np.random.default_rng(3)
-    for level in levels:
+RAMIFIED = tuple(make_field(2, 1, "ramified", c1=c1, c0=c0)
+                 for c1, c0 in ((0, -2), (2, 2), (0, 6)))
+
+
+def _coefficients(field):
+    """Units, p, the uniformizer and 0: every kind of square term."""
+    pairs = ((3, 1), (2, 5)) if field.ncoords == 2 else ()
+    units = [u for u in (field.elt(1), field.elt(-5), field.elt(7),
+                         *(field.elt(*c) for c in pairs)) if u.is_unit()]
+    return [c.coords for c in units + [field.elt(field.p),
+                                       field.uniformizer(), field.zero()]]
+
+
+@pytest.mark.parametrize("field", (Q2, F3, F5, F7, Q4, Q9) + RAMIFIED, ids=(
+    "q2", "q3", "q5", "q7", "q4", "q9", "ram(0,-2)", "ram(2,2)", "ram(0,6)"))
+def test_square_terms_read_at_the_dual_of_multiplication(field):
+    # the transform of c x^2's histogram is the squares' transform read at
+    # the dual c*(f), slot for slot, on one axis and on two
+    for level, restrict in itertools.product(range(5), (False, True)):
         ring = field.ring(level)
-        for planes, restrict in itertools.product((0, 1), (False, True)):
-            coeffs = [(int(c),) for c in rng.integers(-50, 50, 3)]
-            coeffs += [coeffs[0], (field.p,), (0,)]
-            hists = kernels.form_histograms(ring, coeffs, planes, restrict)
-            for t in range(0, ring.size, max(1, ring.size // 7)):
-                got = kernels.solution_count(ring, coeffs, (t,), planes,
-                                             restrict)
-                assert got == kernels.convolution_entry(hists, (t,)), \
-                    (field.q, level, planes, restrict, t)
+        table = kernels._plan(ring.moduli, 1)[1]
+        cs = _coefficients(field)
+        for p in (table[0], table[-1]):
+            ts = kernels._square_transform(ring, restrict, p)
+            hists = kernels.square_histograms(ring, cs, restrict)
+            want = kernels._forward(hists, ring.moduli, p)
+            for c, w, idx in zip(cs, want,
+                                 kernels._dual_indices(ring, cs, p)):
+                got = np.broadcast_to(ts[idx], ring.moduli)
+                assert np.array_equal(got, w), (field, level, restrict, c)
+
+
+def test_transposed_dual_fails_on_q4():
+    # multiplication by g (g^2 = -g - 1) on Q4 has the matrix
+    # [[0, -1], [1, -1]], which is not symmetric: reading T(S) at the
+    # transpose of the dual gives another transform
+    ring = Q4.ring(2)
+    p = kernels._plan(ring.moduli, 1)[1][0]
+    m = ring.moduli[0]
+    f0, f1 = (-kernels._tables(p, m)[1] % m for _ in range(2))
+    f0 = f0[:, None]
+    c = (0, 1)
+    cols = [ring.mul(c, e) for e in ((1, 0), (0, 1))]  # c e_j
+    ts = kernels._square_transform(ring, False, p)
+    want = kernels._forward(kernels.square_histograms(ring, [c]),
+                            ring.moduli, p)[0]
+    dual = [(f0 * cols[j][0] + f1 * cols[j][1]) % m for j in (0, 1)]
+    transposed = [(f0 * cols[0][j] + f1 * cols[1][j]) % m for j in (0, 1)]
+    assert np.array_equal(ts[dual[0] * m + dual[1]], want)
+    assert not np.array_equal(ts[transposed[0] * m + transposed[1]], want)
+
+
+def test_square_transforms_kept_for_the_last_ring(monkeypatch):
+    # primitive_zero_exists on Q4 counts the whole ring and its non-units,
+    # each with several primes: a second call transforms nothing
+    ring = Q4.ring(6)
+    coeffs = [(1, 0), (1, 1), (2, 1)]
+    first = kernels.primitive_zero_exists(ring, coeffs)
+    keys = set(kernels._SQUARE_TRANSFORMS)
+    primes = {r: kernels._count_plan(ring, 3, 0, r)[1] for r in (False, True)}
+    assert len(primes[False]) >= 2
+    assert keys == {(ring, r, p) for r in primes for p in primes[r]}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a transform of the squares was rebuilt")
+    monkeypatch.setattr(kernels, "_forward", fail)
+    assert kernels.primitive_zero_exists(ring, coeffs) == first
+    monkeypatch.undo()
+    # another ring replaces them
+    kernels.solution_count(Q4.ring(5), coeffs, (0, 0))
+    assert {k[0] for k in kernels._SQUARE_TRANSFORMS} == {Q4.ring(5)}
 
 
 def test_count_at_p_131_takes_the_padded_fallback():
@@ -362,8 +473,14 @@ def test_count_at_p_131_takes_the_padded_fallback():
         for t in (0, 1, 2, 130, 131 * 5 + 3):
             want = kernels.naive_count(ring, cc, (t,))
             assert kernels.solution_count(ring, cc, (t,)) == want
+    # a plane alone, and with a square: no square histogram, or one
+    ring = F131.ring(1)
+    for cc in ([], [(3,)]):
+        for t in (0, 1, 5):
+            want = kernels.naive_count(ring, cc, (t,), planes=1)
+            assert kernels.solution_count(ring, cc, (t,), planes=1) == want
         if level == 1:
-            dist = kernels.ValueDistribution(kernels.form_histograms(ring, cc))
+            dist = kernels.ValueDistribution(ring, cc)
             for t in range(131):
                 want = kernels.naive_count(ring, cc, (t,))
                 assert dist.count(ring.moduli, (t,)) == want
@@ -377,14 +494,20 @@ def test_naive_count_budget():
 
 
 def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
+    # the plan refuses before any square, histogram or transform of the
+    # squares is built, for single counts and whole distributions alike
     def fail(*args, **kwargs):
         raise AssertionError("histogram built before the axis check")
-    monkeypatch.setattr(kernels, "square_histograms", fail)
-    monkeypatch.setattr(kernels, "plane_histogram", fail)
+    for name in ("square_histograms", "plane_histogram", "_squares"):
+        monkeypatch.setattr(kernels, name, fail)
     # Q4 at level 23: each axis passes, their 2^46-entry product does not
     for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1), (Q4.ring(23), 0)):
         with pytest.raises(kernels.PrimeBoundError, match="axis length"):
             kernels.solution_count(ring, [(1,)], (1,), planes=planes)
+        with pytest.raises(kernels.PrimeBoundError, match="axis length"):
+            kernels.ValueDistribution(ring, [(1,)], planes)
+    with pytest.raises(kernels.PrimeBoundError, match="axis length"):
+        x_series(DiagonalForm(Q2, [1]), 1, 30, direct=True)
 
 
 def test_value_distribution_matches_brute_force():
@@ -393,11 +516,10 @@ def test_value_distribution_matches_brute_force():
         for n in (1, 2, 3):
             hists = [rng.integers(0, 50, shape) for _ in range(n)]
             want = brute_convolution(hists)
-            dist = kernels.ValueDistribution(hists)
+            got = engine_distribution(hists)
             for t in np.ndindex(shape):
-                assert dist.count(shape, t) == want[t], (shape, n, t)
-            assert dist.count((1,) * len(shape), (0,) * len(shape)) \
-                == sum(want.ravel())
+                assert got[t] == want[t], (shape, n, t)
+            assert sum(got.ravel()) == sum(want.ravel())
 
 
 @pytest.mark.parametrize("field, coeffs, planes, top", [
@@ -410,7 +532,7 @@ def test_value_distribution_matches_solution_count_and_naive(field, coeffs,
     ring = field.ring(top)
     cc = [field.elt(c).coords for c in coeffs]
     n = len(cc) + 2 * planes
-    dist = kernels.ValueDistribution(kernels.form_histograms(ring, cc, planes))
+    dist = kernels.ValueDistribution(ring, cc, planes)
     for level in range(top + 1):
         low = field.ring(level)
         cover = (ring.size // low.size) ** n
@@ -427,7 +549,7 @@ def test_value_distribution_exact_past_two_primes():
     # a count bound of 2^(11 * 7) needs three primes of the table
     ring = Q2.ring(11)
     cc = [(1,), (3,), (5,), (7,), (1,)]
-    dist = kernels.ValueDistribution(kernels.form_histograms(ring, cc, 1))
+    dist = kernels.ValueDistribution(ring, cc, 1)
     assert len(dist.primes) >= 3
     total = 0
     for t in range(ring.size):
@@ -442,15 +564,3 @@ def test_value_distribution_exact_past_two_primes():
             want = kernels.solution_count(low, cc, (t,), planes=1)
             assert dist.count(low.moduli, (t,)) \
                 == want * (ring.size // low.size) ** 7
-
-
-def test_form_histograms_refuse_long_axes_before_any_histogram(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("histogram built before the axis check")
-    monkeypatch.setattr(kernels, "square_histograms", fail)
-    monkeypatch.setattr(kernels, "plane_histogram", fail)
-    for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1), (Q4.ring(23), 0)):
-        with pytest.raises(kernels.PrimeBoundError, match="axis length"):
-            kernels.form_histograms(ring, [(1,)], planes=planes)
-    with pytest.raises(kernels.PrimeBoundError, match="axis length"):
-        x_series(DiagonalForm(Q2, [1]), 1, 30, direct=True)
