@@ -492,18 +492,30 @@ def test_naive_count_budget():
         kernels.naive_count(ring, [(1,), (1,), (1,)], (0,), budget=100)
 
 
-
-def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
+def _refuse_histograms(monkeypatch):
     # the plan refuses before any square, histogram or transform of the
-    # squares is built, for single counts and whole distributions alike
+    # squares is built
     def fail(*args, **kwargs):
         raise AssertionError("histogram built before the axis check")
     for name in ("square_histograms", "plane_histogram", "_squares"):
         monkeypatch.setattr(kernels, name, fail)
-    # Q4 at level 23: each axis passes, their 2^46-entry product does not
-    for ring, planes in ((Q2.ring(24), 0), (F3.ring(15), 1), (Q4.ring(23), 0)):
+
+
+# Q4 at level 23: each axis passes, their 2^46-entry product does not
+LONG_AXES = ((Q2.ring(24), 0), (F3.ring(15), 1), (Q4.ring(23), 0))
+
+
+def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
+    _refuse_histograms(monkeypatch)
+    for ring, planes in LONG_AXES:
         with pytest.raises(kernels.PrimeBoundError, match="axis length"):
             kernels.solution_count(ring, [(1,)], (1,), planes=planes)
+
+
+def test_form_histograms_refuse_long_axes_before_any_histogram(monkeypatch):
+    # whole distributions of a form's values, and x_series built on them
+    _refuse_histograms(monkeypatch)
+    for ring, planes in LONG_AXES:
         with pytest.raises(kernels.PrimeBoundError, match="axis length"):
             kernels.ValueDistribution(ring, [(1,)], planes)
     with pytest.raises(kernels.PrimeBoundError, match="axis length"):
