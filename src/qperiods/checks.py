@@ -11,7 +11,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .localfield import (make_field, quadratic_defect, hilbert_symbol,
-                         count_square_roots, unit_class_reps)
+                         count_square_roots, unit_class_reps,
+                         _symbol_by_search)
 from .qform import DiagonalForm
 from .counting import (x_series, x_series_many, conic_measure,
                        residually_anisotropic_pair)
@@ -198,16 +199,18 @@ def _checks_lemmas(quick=False):
                         C, bx, ay, d0, l)
         out.append(("conic measure %s" % fname, ok, detail))
 
-        # symbol properties; the symbol itself cross-checks rules against
-        # solution search on every call
+        # symbol properties: symmetric and bimultiplicative by construction
+        # from the Gram matrix, so also held against a solution search
         ok, detail = True, ""
         w = field.uniformizer()
         sample = list(unit_class_reps(field))
         sample += [s * w for s in sample[:3]]
-        for a in sample:
-            for b in sample:
-                if hilbert_symbol(field, a, b) != hilbert_symbol(field, b, a):
-                    ok, detail = False, "symmetry"
+        for i, a in enumerate(sample):
+            for b in sample[i:]:
+                s = _symbol_by_search(field, a, b)
+                if s != hilbert_symbol(field, a, b) or s != hilbert_symbol(
+                        field, b, a):
+                    ok, detail = False, "search at %r, %r" % (a, b)
         for a in sample[:4]:
             for b in sample[:4]:
                 for c in sample[:4]:

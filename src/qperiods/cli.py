@@ -27,7 +27,7 @@ from .closedforms import (case_for_form, closed_profile, UnsupportedCase,
                           pi_geometric)
 from .ratfunc import pretty_rf
 from .periods import (evaluate_period, local_factor_report, _PRETTY_NAMES,
-                      _decimal_digits, _frac_str)
+                      _STR_DIGITS, _decimal_digits, _frac_str)
 
 
 class UsageError(Exception):
@@ -317,15 +317,14 @@ def cmd_period(args) -> int:
         # only --json spells out value and tail_bound as fractions; for a
         # large alpha they have more digits than Python converts from int to
         # str by default
-        try:
-            obj = pv.to_json(args.digits)
-        except ValueError:
-            digits = max(_decimal_digits(m) for x in (pv.value, pv.tail_bound)
-                         for m in (x.numerator, x.denominator))
+        digits = max(_decimal_digits(m) for x in (pv.value, pv.tail_bound)
+                     for m in (x.numerator, x.denominator))
+        if digits > _STR_DIGITS:
             raise UsageError(
                 "--json prints value and tail_bound as exact fractions, "
                 "which have up to %d digits at alpha = %d; drop --json to "
-                "print the decimal" % (digits, args.alpha)) from None
+                "print the decimal" % (digits, args.alpha))
+        obj = pv.to_json(args.digits)
     _emit(args, obj, human)
     return 0
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import prod
+from math import log2, prod
 from operator import mul
 
 import numpy as np
@@ -49,6 +49,14 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 # Residue classes one exhaustive table or search may visit; every p <= 101
 # fits the anisotropy search over o/pi^(3e+3) (101^3 classes).
 SEARCH_BUDGET = 1 << 20
+
+
+def _check_search_budget(what, ring):
+    """EnumBudgetError when the exhaustive `what` over ring would pass
+    SEARCH_BUDGET, the one budget of every table and cross-check search."""
+    if ring.size > SEARCH_BUDGET:
+        raise EnumBudgetError("%s over %d residue classes exceeds the budget "
+                              "of %d" % (what, ring.size, SEARCH_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +154,15 @@ def _is_prime(n) -> bool:
 
 
 def _prime_power(n):
-    """(ell, k) with n = ell^k for a prime ell < _LEAF, the lengths that
-    leaves serve ((2, 0) for n = 1); None for any other n."""
+    """(ell, k) with n = ell^k for a prime ell < 2^40 ((2, 0) for n = 1);
+    None for any other n.  The largest k with an integer k-th root gives
+    the least root, and below 2^40 a float estimate rounds to it."""
     if n == 1:
         return 2, 0
-    ell = next((d for d in range(2, _LEAF) if n % d == 0), None)
-    k = 0
-    while ell and n % ell == 0:
-        n, k = n // ell, k + 1
-    return (ell, k) if n == 1 else None
+    for k in range(n.bit_length() - 1, (n.bit_length() - 1) // 40, -1):
+        ell = round(2 ** (log2(n) / k))  # below 2^(bit_length / k) <= 2^40
+        if ell ** k == n:
+            return (ell, k) if _is_prime(ell) else None
 
 
 @lru_cache(maxsize=None)
@@ -306,13 +314,19 @@ def _plan(shape, count):
     count (m - 1), the support of the linear convolution, and the fixed
     table serves.  PrimeBoundError past 2^23 on an axis or in all."""
     powers = [_prime_power(m) for m in shape]
-    natural = None not in powers and len({ell for ell, k in powers if k}) < 2
+    natural = (None not in powers and max(powers)[0] < _LEAF
+               and len({ell for ell, k in powers if k}) < 2)
     lengths = shape if natural else tuple(
         m if m & (m - 1) == 0 else 1 << (count * (m - 1)).bit_length()
         for m in shape)
-    if max(lengths) > 1 << 23:
-        raise PrimeBoundError("axis length %d is beyond the prime table"
-                              % max(lengths))
+    i = lengths.index(max(lengths))
+    if lengths[i] > 1 << 23:
+        # p^k, or the number for a p past the reach of _prime_power
+        axis = "%d^%d" % powers[i] if powers[i] else "%d" % shape[i]
+        if lengths[i] != shape[i]:
+            axis += ", padded to 2^%d," % (lengths[i].bit_length() - 1)
+        raise PrimeBoundError("axis length %s is beyond the prime table"
+                              % axis)
     if prod(lengths) > 1 << 23:
         raise PrimeBoundError("axis lengths %s give a transform of %d "
                               "entries, beyond 2^23" % (lengths, prod(lengths)))

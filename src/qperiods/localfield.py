@@ -11,10 +11,9 @@ Three families are implemented:
 
 Elements carry exact integer coordinates, so valuations are exact and all
 measures come out as Fractions.  On top of the ring layer sit the
-square-class table, the quadratic defect, the Hilbert symbol (rule-based
-answers are cross-checked against a primitive-solution search wherever
-that search is affordable), square-root counting, and the companion-unit
-search used by the binary and ternary form constructions.
+square-class table, the quadratic defect, the Hilbert symbol,
+square-root counting, and the companion-unit search used by the binary
+and ternary form constructions.
 
 Square classes and defects come from one table per field over
 o/pi^(2e+1): by the local square theorem (O'Meara, Introduction to
@@ -22,11 +21,15 @@ Quadratic Forms, section 63) a unit is a square exactly when its residue
 there is one.  An element is split as pi^ord times a unit (unit_part), and its
 class and defect are read from the table, so no call scans the ring once
 the table exists.
+
+The Hilbert symbol is a symmetric bilinear form on the F2-space K*/K*^2
+(O'Meara, section 63; Serre, A Course in Arithmetic, ch. III).  Every
+symbol is read from its Gram matrix, built once per field and checked for
+nondegeneracy, (x, -x) = 1 and the unit4 pairing (SquareClasses.gram).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -419,14 +422,13 @@ class SquareClasses:
     elements() order, so class 0 is the squares (rep 1).  kinds holds each
     class's kind: ("square", None), or for a nonsquare class its defect d,
     max ord(r - x^2) at that level, as ("unit4", 2e) or ("unitd", odd d).
+    gram, built on first use, is the Hilbert symbol on these classes.
     """
 
     def __init__(self, field):
+        self.field = field
         ring = field.ring(2 * field.e + 1)
-        if ring.size > kernels.SEARCH_BUDGET:
-            raise kernels.EnumBudgetError(
-                "square-class table over %d residues exceeds the budget of %d"
-                % (ring.size, kernels.SEARCH_BUDGET))
+        kernels._check_search_budget("square-class table", ring)
         xs = ring.coords()
         sq = ring.mul(xs, xs)
         unit = ring.is_unit(xs)
@@ -449,6 +451,50 @@ class SquareClasses:
     def of(self, u) -> int:
         """Class index of the unit u."""
         return int(self.index[self.ring.flat_index(self.ring.reduce(u))])
+
+    @cached_property
+    def gram(self):
+        """(coords, rows): coords[i] is the F2 vector of unit class i as a
+        bit mask, so pi^s u with u in class i has the vector s | coords[i],
+        and rows[v] is the mask of the vectors w with (v, w) = -1.
+
+        Bit 0 is pi, and each class the walk over reps finds unspanned
+        adds a bit.  The Gram entries over that basis are the tame formula
+        for odd p and one _symbol_by_search per pair for p = 2.  Checked:
+        nondegenerate, (x, -x) = 1 and (unit4, x) = (-1)^ord(x) for all x.
+        """
+        field, reps = self.field, self.reps
+        coords, basis = {0: 0}, []
+        for i, r in enumerate(reps):
+            if i not in coords:
+                bit = 2 << len(basis)
+                basis.append(r)
+                for j, v in list(coords.items()):
+                    coords[self.of(reps[j] * r)] = v | bit
+        minus = coords[self.of(field.elt(-1))]
+        if field.p == 2:
+            elems = [field.uniformizer()] + basis
+            gram = [0] * len(elems)
+            for i, x in enumerate(elems):
+                for j in range(i, len(elems)):
+                    if _symbol_by_search(field, x, elems[j]) < 0:
+                        gram[i] |= 1 << j
+                        gram[j] |= 1 << i
+        else:
+            # (pi, pi) = (pi, -1) = chi(-1), (pi, u) = -1 and (u, u) = 1
+            gram = [minus >> 1 | 2, 1]
+        rows = [0]
+        for g in gram:
+            rows += [r ^ g for r in rows]
+        unit4 = coords[[k for k, _ in self.kinds].index("unit4")]
+        for v, row in enumerate(rows):
+            # row & w has an odd number of bits exactly when (v, w) = -1
+            if ((v and not row) or (row & (v ^ minus)).bit_count() % 2
+                    or (rows[unit4] & v).bit_count() % 2 != v & 1):
+                raise InternalConsistencyError(
+                    "Hilbert symbol Gram matrix of %r breaks a law at the "
+                    "class vector %d" % (field, v))
+        return [coords[i] for i in range(len(reps))], rows
 
 
 def quadratic_defect(field: LocalField, rho) -> DefectResult:
@@ -537,47 +583,10 @@ def first_class_of_kind(field: LocalField, kind, d=None):
 # Hilbert symbol
 # ---------------------------------------------------------------------------
 
-def _symbol_tame(field: LocalField, ka, kb) -> int:
-    """Odd p, for a = pi^s u and b = pi^t v with class keys (s, i) and
-    (t, j): (a, b) = chi(-1)^(st) chi(u)^t chi(v)^s, where chi, the
-    residue character, is -1 exactly off the square class 0."""
-    (s, i), (t, j) = ka, kb
-    m = square_class_key(field, field.elt(-1))[1]
-    return -1 if (s * t * m + t * i + s * j) % 2 else 1
-
-
-def _symbol_by_rules(field: LocalField, a, b):
-    """Closed-form value of (a, b) from the square classes of a and b where
-    the case analysis is solid, else None."""
-    ka, kb = square_class_key(field, a), square_class_key(field, b)
-    if ka == (0, 0) or kb == (0, 0):
-        return 1  # class 0 is the squares
-    if field.p != 2:
-        return _symbol_tame(field, ka, kb)
-    if square_class_kind(field, a)[0] == "unit4":
-        return -1 if kb[0] else 1
-    if square_class_kind(field, b)[0] == "unit4":
-        return -1 if ka[0] else 1
-    if field.f == 2 and ka[0] == 0 and kb[0] == 0:
-        # express each unit as square * (1 + 2c); the symbol is (-1)^Tr(c d)
-        prod = field._mul(_one_plus_2c(field, ka), _one_plus_2c(field, kb))
-        return -1 if prod[1] % 2 else 1
-    return None
-
-
-def _one_plus_2c(field, key):
-    """Residue pair of c mod 2 with 1 + 2c in the unit class `key`, which
-    fixes it; unramified dyadic only."""
-    for c in itertools.product(range(4), repeat=2):
-        if square_class_key(field, field.elt(1 + 2 * c[0], 2 * c[1])) == key:
-            return c[0] % 2, c[1] % 2
-    raise InternalConsistencyError("unit not expressible as square*(1+2c)")
-
-
 def _symbol_by_search(field: LocalField, a, b) -> int:
     """Ground truth: does a x^2 + b y^2 - z^2 have a primitive zero?"""
-    level = 2 * field.e + 3
-    ring = field.ring(level)
+    ring = field.ring(2 * field.e + 3)
+    kernels._check_search_budget("symbol search", ring)
     found = kernels.primitive_zero_exists(ring, [a, b, field.elt(-1)])
     return 1 if found else -1
 
@@ -585,36 +594,20 @@ def _symbol_by_search(field: LocalField, a, b) -> int:
 def hilbert_symbol(field: LocalField, a, b) -> int:
     """+1 iff a x^2 + b y^2 = z^2 has a nontrivial solution.
 
-    Rule-based answers (squares, the defect-4o partner rule, the tame
-    formula, the unramified trace rule) are cross-checked against the
-    enumeration whenever the search ring is affordable; a disagreement is
-    an internal error, never a silent answer.
-    """
-    a = field.elt(a) if isinstance(a, int) else a
-    b = field.elt(b) if isinstance(b, int) else b
-    if a.is_zero() or b.is_zero():
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    ka = square_class_key(field, a)
-    kb = square_class_key(field, b)
+    Read as (-1)^(v_a^T G v_b), with v_a and v_b the F2 vectors of the
+    classes of a and b, from the Gram matrix G that SquareClasses.gram
+    builds and checks once per field: an entry breaking a law of the
+    symbol is an internal error, never a silent answer."""
+    ka, kb = square_class_key(field, a), square_class_key(field, b)
     key = (min(ka, kb), max(ka, kb))
     hit = field._symbol_cache.get(key)
-    if hit is not None:
-        return hit
-    ra = square_class_rep(field, a)
-    rb = square_class_rep(field, b)
-    rule = _symbol_by_rules(field, ra, rb)
-    search = None
-    if field.q ** (2 * field.e + 3) <= 1 << 13:
-        search = _symbol_by_search(field, ra, rb)
-    if rule is None and search is None:
-        raise InternalConsistencyError("no rule and search ring too large")
-    if rule is not None and search is not None and rule != search:
-        raise InternalConsistencyError(
-            "hilbert symbol mismatch for %r, %r: rules say %d, search says %d"
-            % (ra, rb, rule, search))
-    out = search if search is not None else rule
-    field._symbol_cache[key] = out
-    return out
+    if hit is None:
+        coords, rows = field.square_classes.gram
+        (s, i), (t, j) = key
+        odd = (rows[s | coords[i]] & (t | coords[j])).bit_count() & 1
+        hit = -1 if odd else 1
+        field._symbol_cache[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -650,18 +643,14 @@ def count_square_roots(field: LocalField, rho, ell: int) -> Fraction:
 
 def pick_companion_unit(field: LocalField, delta) -> FieldElt:
     """A partner a with (a, delta) = -1, preferring the shapes used in the
-    binary constructions: pi when delta has defect 4o, else a unit of
-    defect pi*o found by the fixed traversal.  Every candidate is verified
-    through hilbert_symbol before being returned."""
-    delta = field.elt(delta) if isinstance(delta, int) else delta
+    binary constructions: pi when delta has defect 4o, by the unit4 law the
+    Gram matrix checks, else a unit of defect pi*o found through
+    hilbert_symbol by the fixed traversal."""
     kind, d = unit_defect_kind(field, delta)
     if kind == "square":
         raise ValueError("delta is a square; no companion exists")
     if kind == "unit4":
-        pi = field.uniformizer()
-        if hilbert_symbol(field, pi, delta) != -1:
-            raise InternalConsistencyError("(pi, delta) != -1 for defect-4o delta")
-        return pi
+        return field.uniformizer()
     for u in unit_class_reps(field):
         if (square_class_kind(field, u) == ("unitd", 1)
                 and hilbert_symbol(field, u, delta) == -1):

@@ -49,7 +49,12 @@ def _decimal_digits(m: int) -> int:
 
 
 def _frac_str(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
+    """x as "p/q", or, once a part has more than the _STR_DIGITS digits
+    Python converts to str by default, as "<d digits>/<d digits>"."""
+    digits = [_decimal_digits(m) for m in (x.numerator, x.denominator)]
+    if max(digits) <= _STR_DIGITS:
+        return "%d/%d" % (x.numerator, x.denominator)
+    return "%s<%d digits>/<%d digits>" % ("-" * (x < 0), *digits)
 
 
 def _pretty(f: RF) -> str:

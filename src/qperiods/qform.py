@@ -129,14 +129,6 @@ def invariants(B: DiagonalForm) -> FormInvariants:
 # Anisotropy
 # ---------------------------------------------------------------------------
 
-def _quaternary_hmi(field) -> int:
-    """Symbol product of the canonical 4-dimensional anisotropic form."""
-    if not hasattr(field, "_quat_hmi"):
-        form = _quaternary_template(field)
-        field._quat_hmi = invariants(form).hmi
-    return field._quat_hmi
-
-
 def _anisotropic_by_rule(B: DiagonalForm):
     field = B.field
     if B.planes:
@@ -149,8 +141,9 @@ def _anisotropic_by_rule(B: DiagonalForm):
         return inv.disc_kind != "square"
     if m == 3:
         return inv.hmi == -hilbert_symbol(field, field.elt(-1), inv.disc_rep)
-    if m == 4:
-        return inv.disc_kind == "square" and inv.hmi == _quaternary_hmi(field)
+    if m == 4:  # Serre, A Course in Arithmetic, ch. IV, 2.2, thm 6
+        return (inv.disc_kind == "square"
+                and inv.hmi == -hilbert_symbol(field, -1, -1))
     return False
 
 
@@ -162,10 +155,7 @@ def _anisotropic_by_search(B: DiagonalForm):
         # a plane already carries the primitive zero (1, 0, ..)
         return False
     ring = field.ring(3 * field.e + 3)  # modulus 2 pi^(2e+3)
-    if ring.size > kernels.SEARCH_BUDGET:
-        raise kernels.EnumBudgetError(
-            "anisotropy search over %d residue classes exceeds the budget "
-            "of %d" % (ring.size, kernels.SEARCH_BUDGET))
+    kernels._check_search_budget("anisotropy search", ring)
     return not kernels.primitive_zero_exists(ring, B.coeffs)
 
 
@@ -294,12 +284,11 @@ def anisotropic_representative(field: LocalField, m: int, disc=None,
         raise ValueError("quaternary anisotropic forms have square discriminant")
     if disc_kind not in (None, "square"):
         raise ValueError("quaternary anisotropic forms have square discriminant")
-    form = _quaternary_template(field)
-    inv = invariants(form)
-    if hmi is not None and hmi != inv.hmi:
+    need = -hilbert_symbol(field, -1, -1)
+    if hmi is not None and hmi != need:
         raise ValueError("the quaternary anisotropic class has symbol product %+d"
-                         % inv.hmi)
-    return _check_request(form, field.one(), inv.hmi, 4)
+                         % need)
+    return _check_request(_quaternary_template(field), field.one(), need, 4)
 
 
 def _check_request(form: DiagonalForm, delta, hmi, m) -> DiagonalForm:

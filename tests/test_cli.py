@@ -15,7 +15,7 @@ import qperiods
 from qperiods.cli import main, parse_field, parse_element, parse_form, \
     parse_n_range, UsageError
 from qperiods.counting import pi_truncated
-from qperiods.periods import evaluate_period
+from qperiods.periods import evaluate_period, _frac_str
 from qperiods import cli
 from qperiods.localfield import make_field, InternalConsistencyError
 from qperiods.qform import DiagonalForm
@@ -282,6 +282,18 @@ def test_period_json_past_the_digit_limit_names_alpha(capsys):
     digits = int(m.group(1))
     assert digits > limit
     assert 10 ** (digits - 1) <= longest < 10 ** digits
+
+
+def test_verify_tables_past_the_str_digit_limit_in_bounded_time(capsys):
+    # check (a)'s ratio at n = 100000 has parts of about 15,000 digits, past
+    # the 4,300 that Python converts from int to str by default
+    t0 = perf_counter()
+    code, out, err = run(capsys, "verify", "--tables", "--n", "100000")
+    assert perf_counter() - t0 < 10.0
+    assert (code, out) == (0, "ok   tables n=100000  (a:ok b:ok c:ok)\n"
+                              "verify: 1/1 checks passed\n"), err
+    assert _frac_str(Fraction(-3, 7)) == "-3/7"
+    assert _frac_str(Fraction(-10 ** 5000, 7)) == "-<5001 digits>/<1 digits>"
 
 
 def test_period_past_the_str_digit_limit_prints_scientific(capsys):
@@ -575,6 +587,51 @@ def test_pi_alpha_value_answers_or_refuses_every_accepted_input(
         assert re.fullmatch(_COEFFS % L, out)
 
 
+def _signed_term(c, k, name):
+    return "%s%d*w^%d%s" % ("-" if c < 0 else "+", abs(c), k, name)
+
+
+# c * w^k with c = 0 among them, and with a sign the form grammar reads
+_ELEMENTS = st.builds(lambda c, k: _signed_term(c, k, "").lstrip("+"),
+                      st.integers(-9, 9), st.integers(0, 3))
+
+
+@given(field=FIELDS, a=_ELEMENTS, b=_ELEMENTS)
+@example("q4", "3*w^1", "-5*w^0")
+@example("ram(0,-2)", "-1*w^1", "3*w^2")
+@settings(max_examples=4, derandomize=True, deadline=None)
+def test_hilbert_answers_or_refuses_every_accepted_input(field, a, b):
+    # the same contract for hilbert, whose answer is symmetric
+    code, out = _child(["hilbert", "--field", field, "--a=" + a, "--b=" + b])
+    code_swapped, out_swapped = _child(["hilbert", "--field", field,
+                                        "--a=" + b, "--b=" + a])
+    assert code == code_swapped
+    if code == 0:
+        want = r"\(%s, %s\) = ([+-]1)\n"
+        symbol = re.fullmatch(want % (re.escape(a), re.escape(b)), out)[1]
+        assert re.fullmatch(want % (re.escape(b), re.escape(a)),
+                            out_swapped)[1] == symbol
+
+
+@given(field=FIELDS, terms=st.lists(st.tuples(st.integers(-9, 9),
+                                              st.integers(0, 2)),
+                                    min_size=1, max_size=5),
+       planes=st.integers(0, 1))
+@example("q2", [(1, 0)] * 4, 0)
+@example("q4", [(1, 0), (3, 1), (5, 0), (3, 1)], 0)
+@example("ram(0,-2)", [(1, 0), (-1, 1), (3, 0)], 0)
+@settings(max_examples=4, derandomize=True, deadline=None)
+def test_classify_answers_or_refuses_every_accepted_input(field, terms,
+                                                          planes):
+    # the same contract for classify
+    form = "".join(_signed_term(c, k, "*x%d^2" % i)
+                   for i, (c, k) in enumerate(terms, 1))
+    code, out = _child(["classify", "--field", field, "--form=" + form,
+                        "--planes", str(planes)])
+    if code == 0:
+        assert out.startswith("m=%d disc=" % (len(terms) + 2 * planes))
+
+
 def test_xseries_closed_negative_L_exits_2(capsys):
     for target in (("--T", "1"), ("--zero",)):
         code, out, err = run(capsys, "xseries", "--field", "q2", "--form",
@@ -587,12 +644,14 @@ def test_count_past_the_prime_table_exits_2_before_allocating(capsys):
     # o/pi^31 has 2^31 classes: its histogram alone would take 16 GiB.
     # Over Q4, o/pi^23 has 2^46 classes on two axes of 2^23 each.
     for field, ell, message in (
-            ("q2", "30", "axis length 2147483648 is beyond the prime table"),
+            ("q2", "30", "axis length 2^31 is beyond the prime table"),
             ("q4", "22", "axis lengths (8388608, 8388608) give a transform "
                          "of 70368744177664 entries, beyond 2^23"),
             # Z/p with p past every leaf is padded to a power of two
-            ("1000000007", "1", "axis length 1073741824 is beyond the "
-                                "prime table")):
+            ("1000000007", "1", "axis length 1000000007^1, padded to 2^30, "
+                                "is beyond the prime table"),
+            ("131", "34", "axis length 131^34, padded to 2^240, is beyond "
+                          "the prime table")):
         t0 = perf_counter()
         code, out, err = run(capsys, "count", "--field", field, "--form",
                              "x^2", "--rho", "1", "--ell", ell)

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qperiods import localfield
 from qperiods.localfield import (make_field, quadratic_defect, is_square,
                                  unit_defect_kind, unit_class_reps,
                                  square_class_key, square_class_rep,
                                  square_class_reps, hilbert_symbol,
-                                 count_square_roots, ResidueRing)
+                                 count_square_roots, ResidueRing,
+                                 InternalConsistencyError, LocalField,
+                                 _symbol_by_search)
+from qperiods.qform import invariants, _quaternary_template
 
 Q2 = make_field(2)
 Q4 = make_field(2, 2, "unramified")
@@ -299,13 +303,57 @@ def test_hilbert_symbol_squares_always_plus():
             assert hilbert_symbol(field, x * x, field.elt(-1)) == 1
 
 
+DYADIC_FIELDS = [Q2, Q4] + [make_field(2, 1, "ramified", c1=c1, c0=c0)
+                             for c1, c0 in ((0, 2), (0, -2), (0, 6), (0, -6),
+                                            (2, 2), (2, -2))]
+TAME_FIELDS = [F3, F5, make_field(7), F9]
+
+
+def _cli_name(field):
+    """The field as the command line spells it, for test ids."""
+    if field.variant == "ramified":
+        return "ram(%d,%d)" % (field.c1, field.c0)
+    return "q%d" % field.q
+
+
+def _symbols_match_search(field):
+    classes = square_class_reps(field)
+    for a in classes:
+        for b in classes:
+            assert hilbert_symbol(field, a, b) == _symbol_by_search(
+                field, a, b), (field, a, b)
+
+
+@pytest.mark.parametrize("field", DYADIC_FIELDS, ids=_cli_name)
+def test_hilbert_symbol_matches_search_on_every_dyadic_class_pair(field):
+    _symbols_match_search(field)
+
+
 def test_hilbert_symbol_tame_case():
-    # odd residue characteristic: (pi, u) = -1 exactly for nonsquare units
-    for field in (F3, F9):
-        pi = field.uniformizer()
-        for u in unit_class_reps(field):
-            want = 1 if is_square(field, u) else -1
-            assert hilbert_symbol(field, pi, u) == want
+    # odd residue characteristic: the tame formula in the Gram matrix,
+    # so (pi, u) = -1 exactly for nonsquare units and (pi, pi) = (pi, -1)
+    for field in TAME_FIELDS:
+        _symbols_match_search(field)
+
+
+@pytest.mark.parametrize("field", DYADIC_FIELDS + TAME_FIELDS, ids=_cli_name)
+def test_quaternary_template_symbol_product_is_minus_symbol_of_minus_ones(
+        field):
+    assert (invariants(_quaternary_template(field)).hmi
+            == -hilbert_symbol(field, -1, -1))
+
+
+def test_gram_build_refuses_an_entry_that_breaks_a_law(monkeypatch):
+    # (pi, pi) flipped on a fresh Q2: then (pi, -pi) = -1
+    field = LocalField(2, 1, "base")
+    pi = field.uniformizer()
+
+    def lying_search(f, a, b):
+        flip = -1 if a == pi and b == pi else 1
+        return flip * _symbol_by_search(f, a, b)
+    monkeypatch.setattr(localfield, "_symbol_by_search", lying_search)
+    with pytest.raises(InternalConsistencyError, match="breaks a law"):
+        hilbert_symbol(field, 3, 5)
 
 
 def test_hilbert_symbol_rejects_zero():
