@@ -400,3 +400,46 @@ def test_count_square_roots_vs_enumeration_sample():
                            if tuple(rl.mul(x, x)) == target)
                 assert count_square_roots(field, rho, ell) == \
                     Fraction(hits, rl.size), (field, rho, ell)
+
+
+# One line per field spelling, pinning what the ring layer gives: identity,
+# shape, ring moduli, the uniformizer, the unit classes and their Gram
+# matrix, and ord, unit part, normalized coefficient and square-class key of
+# every unit-class rep times pi^k.  Rewrite tests/data/fields.jsonl from
+# _field_record only for a deliberate change to one of these.
+FIELD_SPELLINGS = ("q2", "q4", "ram(0,2)", "ram(0,-2)", "ram(0,6)",
+                   "ram(0,-6)", "ram(2,2)", "ram(2,-2)", "3", "5", "7", "q9",
+                   "131")
+
+
+def _field_record(spelling):
+    from qperiods.cli import parse_field
+    from qperiods.qform import _normalize_coeff
+    field = parse_field(spelling)
+    table = field.square_classes
+    pi = field.uniformizer()
+    elements = []
+    for rep in table.reps:
+        for k in range(4):
+            x = rep * pi ** k
+            o, u = localfield.unit_part(field, x)
+            elements.append([repr(x), x.ord(), o, repr(u),
+                             repr(_normalize_coeff(field, x)),
+                             list(square_class_key(field, x))])
+    return {"spelling": spelling, "json": field.to_json(),
+            "repr": repr(field), "q": field.q, "e": field.e,
+            "ncoords": field.ncoords,
+            "moduli": [list(field.ring(L).moduli) for L in range(8)],
+            "uniformizer": repr(pi),
+            "reps": [repr(r) for r in table.reps],
+            "kinds": [list(k) for k in table.kinds],
+            "gram": list(table.gram), "elements": elements}
+
+
+def test_ring_layer_matches_golden_file():
+    import json
+    from pathlib import Path
+    lines = [json.dumps(_field_record(s), sort_keys=True) + "\n"
+             for s in FIELD_SPELLINGS]
+    path = Path(__file__).parent / "data" / "fields.jsonl"
+    assert "".join(lines) == path.read_text()
