@@ -202,52 +202,35 @@ def residually_anisotropic_pair(field: LocalField):
     """Units u, v with (1+2u, 1+2v) = -1, i.e. u x^2 + xy + v y^2 = 0 mod 2
     forces x = y = 0 mod 2.  Cross-checked both ways."""
     from .localfield import hilbert_symbol
-    if field.eram != 1 or field.p != 2:
+    if field.e != 1:
         raise ValueError("needs an unramified dyadic field")
     ring1 = field.ring(1)
     two = field.elt(2)
     units = [ring1.lift(c) for c in ring1.elements() if ring1.is_unit(c)]
     for u in units:
         for v in units:
-            a = field.one() + two * u
-            b = field.one() + two * v
-            if hilbert_symbol(field, a, b) == -1:
-                mod2 = _conic_kernel_trivial(field, u, v)
-                if not mod2:
+            if hilbert_symbol(field, 1 + two * u, 1 + two * v) == -1:
+                # the mod-2 conic's only zero is x = y = 0 mod 2
+                if conic_measure(field, u, v, 1) != Fraction(1, field.q ** 2):
                     raise InternalConsistencyError(
                         "symbol -1 but the mod-2 conic has a nonzero point")
                 return u, v
     raise InternalConsistencyError("no residually anisotropic pair found")
 
 
-def _conic_kernel_trivial(field, u, v) -> bool:
-    """True when u x^2 + xy + v y^2 = 0 mod 2 only for x = y = 0 mod 2."""
-    return conic_measure(field, u, v, 1) == Fraction(1, field.q ** 2)
-
-
 def conic_measure(field: LocalField, u, v, ell: int, C=1, bx=0, ay=0, d0=0) -> Fraction:
     """Measure of {(x, y) : u x^2 + C xy + v y^2 + bx*x + ay*y + d0 = 0 mod 2^ell}
     counted directly (vectorized over all residue pairs)."""
-    if field.eram != 1 or field.p != 2:
+    if field.e != 1:
         raise ValueError("the conic count is for unramified dyadic fields")
     if ell < 1:
         raise ValueError("need ell >= 1")
-    u = _as_element(field, u)
-    v = _as_element(field, v)
-    C = _as_element(field, C)
-    bx = _as_element(field, bx)
-    ay = _as_element(field, ay)
-    d0 = _as_element(field, d0)
     ring = field.ring(ell)
-    size = ring.size
-    base = ring.coords()
-    xs = tuple(np.repeat(c, size) for c in base)
-    ys = tuple(np.tile(c, size) for c in base)
-    val = ring.mul(ring.reduce(u), ring.mul(xs, xs))
-    val = ring.add(val, ring.mul(ring.reduce(C), ring.mul(xs, ys)))
-    val = ring.add(val, ring.mul(ring.reduce(v), ring.mul(ys, ys)))
-    val = ring.add(val, ring.mul(ring.reduce(bx), xs))
-    val = ring.add(val, ring.mul(ring.reduce(ay), ys))
-    val = ring.add(val, ring.reduce(d0))
+    xs = tuple(np.repeat(c, ring.size) for c in ring.coords())
+    ys = tuple(np.tile(c, ring.size) for c in ring.coords())
+    val = ring.reduce(_as_element(field, d0))
+    for coef, mono in ((u, ring.mul(xs, xs)), (C, ring.mul(xs, ys)),
+                       (v, ring.mul(ys, ys)), (bx, xs), (ay, ys)):
+        val = ring.add(val, ring.mul(ring.reduce(_as_element(field, coef)), mono))
     zero = np.logical_and.reduce([c == 0 for c in val])
-    return Fraction(int(zero.sum()), size * size)
+    return Fraction(int(zero.sum()), ring.size ** 2)

@@ -156,12 +156,13 @@ def _is_prime(n) -> bool:
 def _prime_power(n):
     """(ell, k) with n = ell^k for a prime ell < 2^40 ((2, 0) for n = 1);
     None for any other n.  The largest k with an integer k-th root gives
-    the least root, and below 2^40 a float estimate rounds to it."""
+    the least root, and below 2^40 a float estimate rounds to it.  Only a
+    root that divides n has its power taken."""
     if n == 1:
         return 2, 0
     for k in range(n.bit_length() - 1, (n.bit_length() - 1) // 40, -1):
         ell = round(2 ** (log2(n) / k))  # below 2^(bit_length / k) <= 2^40
-        if ell ** k == n:
+        if n % ell == 0 and ell ** k == n:
             return (ell, k) if _is_prime(ell) else None
 
 

@@ -1,13 +1,13 @@
 """Supported local fields and exact arithmetic in their residue rings o/pi^L.
 
-Three families are implemented:
-
-* the base field of p-adic numbers (any prime p),
-* its unramified quadratic extension, modelled at level L by the rank-2
-  Galois ring Z/p^L [g] with g^2 = -c1*g - c0,
-* for p = 2 only, a ramified quadratic extension cut out by an Eisenstein
-  polynomial x^2 + c1*x + c0 (c1 even, c0 = 2 mod 4), where o/pi^L is
-  Z/2^ceil(L/2) + Z/2^floor(L/2) * pi.
+Every field is one ring of integers o = W[pi]: W = Z_p[g] is the Galois
+ring of residue degree f, and pi is a root of an Eisenstein polynomial of
+degree e0 over W.  Coordinate (i, j) of an element is the integer
+coefficient of g^i pi^j, taken mod p^ceil((L - j)/e0) in o/pi^L, and a
+product is one bilinear sum over structure constants built from the two
+polynomials.  make_field's spellings are (f, e0) = (1, 1), Q_p with
+pi = p; (2, 1), the unramified quadratic extension with g^2 = -c1*g - c0;
+and (1, 2), for p = 2 the ramified quadratic extension by x^2 + c1*x + c0.
 
 Elements carry exact integer coordinates, so valuations are exact and all
 measures come out as Fractions.  On top of the ring layer sit the
@@ -61,34 +61,64 @@ def _smallest_nonresidue(p: int) -> int:
     raise ValueError("no quadratic nonresidue found for p = %d" % p)
 
 
+def _reduce(terms, gal, eis):
+    """Coordinates of the sum of the monomials c g^i pi^j in terms, a list
+    of ((i, j), c), reduced by g^f = -(gal[f-1] g^(f-1) + ... + gal[0]) and
+    pi^e0 = -(eis[e0-1] pi^(e0-1) + ... + eis[0]), eis[j] in W."""
+    f, e0 = len(gal), len(eis)
+    out = [0] * (f * e0)
+    while terms:
+        (i, j), c = terms.pop()
+        if i >= f:
+            terms += [((i - f + k, j), -c * a) for k, a in enumerate(gal) if a]
+        elif j >= e0:
+            terms += [((i + k, j - e0 + m), -c * a)
+                      for m, w in enumerate(eis) for k, a in enumerate(w) if a]
+        else:
+            out[i + f * j] += c
+    return tuple(out)
+
+
 class LocalField:
-    """Descriptor for one supported field; use make_field to construct."""
+    """Descriptor for one supported field; use make_field to construct.
+    variant, c1 and c0 only label the spelling; the ring is read from gal
+    and eis, the Galois and Eisenstein polynomials (see _reduce)."""
 
     def __init__(self, p, f, variant, c1=None, c0=None):
         self.p = p
         self.f = f
         self.variant = variant  # "base" | "unramified" | "ramified"
         self.q = p ** f
+        self.c1 = self.c0 = None
         if variant == "ramified":
             self.c1, self.c0 = c1, c0
-            self.ncoords = 2
-            self.e = 2  # ord 2
-            self.eram = 2
+            gal, eis = (-1,), ((c0,), (c1,))
         elif variant == "unramified":
-            if p == 2:
-                # g generates the Galois ring, g^2 = -g - 1 (cube root of 1)
-                self.c1, self.c0 = 1, 1
-            else:
-                r = _smallest_nonresidue(p)
-                self.c1, self.c0 = 0, -r
-            self.ncoords = 2
-            self.e = 1 if p == 2 else 0
-            self.eram = 1
+            # for p = 2, g is a cube root of 1: g^2 = -g - 1
+            self.c1, self.c0 = (1, 1) if p == 2 else (0, -_smallest_nonresidue(p))
+            gal, eis = (self.c0, self.c1), ((-p, 0),)
         else:
-            self.c1 = self.c0 = None
-            self.ncoords = 1
-            self.e = 1 if p == 2 else 0
-            self.eram = 1
+            gal, eis = (-1,), ((-p,),)
+        self.e0 = len(eis)
+        self.ncoords = self.e0 * f
+        self.e = self.e0 if p == 2 else 0  # ord 2, and 0 (tame) for odd p
+        basis = [(k % f, k // f) for k in range(self.ncoords)]  # g^i pi^j
+        self._pi_exps = tuple(j for _, j in basis)
+        # each coordinate's monomial as printed: g^i w^j, w the uniformizer
+        self._names = tuple(("g^%d" % i if i > 1 else "g" * i)
+                            + ("w^%d" % j if j > 1 else "w" * j) for i, j in basis)
+        table = [[_reduce([((i1 + i2, j1 + j2), 1)], gal, eis)
+                  for i2, j2 in basis] for i1, j1 in basis]
+        # coordinate k of a * b sums c * a[i] * b[j] over the terms (k, i, j, c)
+        self._mul_terms = tuple((k, i, j, c[k]) for i, row in enumerate(table)
+                                for j, c in enumerate(row)
+                                for k in range(self.ncoords) if c[k])
+        self._pi = _reduce([((0, 1), 1)], gal, eis)
+        # pi pi' = eis[0] for pi' = -(pi^(e0-1) + eis[e0-1] pi^(e0-2) + ...
+        # + eis[1]); unit_part multiplies by pi' eis[0] / p
+        self._unit_factor = _reduce(
+            [((i + k, j), -a * (b // p)) for j, w in enumerate(eis[1:] + ((1,),))
+             for i, a in enumerate(w) for k, b in enumerate(eis[0])], gal, eis)
         self._rings = {}
         self._defect_cache = {}
         self._symbol_cache = {}
@@ -108,9 +138,7 @@ class LocalField:
         return FieldElt(self, coords)
 
     def uniformizer(self) -> "FieldElt":
-        if self.variant == "ramified":
-            return self.elt(0, 1)
-        return self.elt(self.p)
+        return FieldElt(self, self._pi)
 
     def one(self) -> "FieldElt":
         return self.elt(1)
@@ -133,21 +161,22 @@ class LocalField:
     # -- arithmetic on raw coordinate tuples (no modulus) ---------------------
 
     def _mul(self, a, b):
-        if self.ncoords == 1:
-            return (a[0] * b[0],)
-        x1, y1 = a
-        x2, y2 = b
-        return (x1 * x2 - self.c0 * y1 * y2,
-                x1 * y2 + x2 * y1 - self.c1 * y1 * y2)
+        """One bilinear sum over the structure constants, on ints and int64
+        arrays alike (c * a[i] * b[j] stays within |c| times a product of
+        two reduced coordinates, so int64 products of reduced classes fit)."""
+        out = [0] * self.ncoords
+        for k, i, j, c in self._mul_terms:
+            out[k] = out[k] + (a[i] * b[j] if c == 1 else c * a[i] * b[j])
+        return tuple(out)
 
     def _ord(self, coords):
-        if self.ncoords == 1:
-            v = _v(self.p, coords[0])
-            return v if self.eram == 1 else 2 * v
-        x, y = coords
-        if self.variant == "ramified":
-            return min(2 * _v(2, x), 2 * _v(2, y) + 1)
-        return min(_v(self.p, x), _v(self.p, y))
+        """min over (i, j) of e0 * v_p(a_ij) + j; inf for 0."""
+        return min(self.e0 * _v(self.p, c) + j
+                   for c, j in zip(coords, self._pi_exps))
+
+    def _moduli(self, level):
+        """p^ceil((level - j)/e0) for each coordinate (i, j) of o/pi^level."""
+        return tuple(self.p ** -((j - level) // self.e0) for j in self._pi_exps)
 
     # -- identity / serialization ---------------------------------------------
 
@@ -279,15 +308,13 @@ class FieldElt:
         return hash((id(self.field), self.coords))
 
     def __repr__(self):
-        if self.field.ncoords == 1:
+        """The nonzero terms c g^i w^j, w the uniformizer; a lone
+        coefficient 1 in front of a generator is dropped."""
+        if not any(self.coords[1:]):
             return "%d" % self.coords[0]
-        x, y = self.coords
-        gen = "w" if self.field.variant == "ramified" else "g"
-        if y == 0:
-            return "%d" % x
-        if x == 0:
-            return "%d%s" % (y, gen) if y != 1 else gen
-        return "%d%+d%s" % (x, y, gen)
+        text = "".join("%+d%s" % (c, name) for c, name in
+                       zip(self.coords, self.field._names) if c).lstrip("+")
+        return text[1:] if text[0] == "1" and text[1].isalpha() else text
 
 
 class ResidueRing:
@@ -302,12 +329,7 @@ class ResidueRing:
     def __init__(self, field, level):
         self.field = field
         self.level = level
-        if field.ncoords == 1:
-            self.moduli = (field.p ** level,)
-        elif field.variant == "ramified":
-            self.moduli = (2 ** ((level + 1) // 2), 2 ** (level // 2))
-        else:
-            self.moduli = (field.p ** level, field.p ** level)
+        self.moduli = field._moduli(level)
         self.size = field.q ** level
 
     def reduce(self, x):
@@ -325,29 +347,30 @@ class ResidueRing:
 
     def ord_of(self, coords):
         """Valuation of each class, capped at the ring level, as an int64
-        array: one divisibility step per level (a class of ord >= k has
-        every coordinate divisible by the k-th step)."""
-        f = self.field
+        array: one divisibility step per level (a class has ord >= k
+        exactly when every coordinate vanishes in o/pi^k)."""
         o = np.zeros(np.broadcast(*coords).shape, dtype=np.int64)
         for k in range(1, self.level + 1):
-            steps = ((2 ** ((k + 1) // 2), 2 ** (k // 2))
-                     if f.variant == "ramified" else (f.p ** k,) * f.ncoords)
-            o += np.logical_and.reduce([c % s == 0 for c, s in zip(coords, steps)])
+            o += np.logical_and.reduce([c % s == 0 for c, s in
+                                        zip(coords, self.field._moduli(k))])
         return o
 
     def flat_index(self, coords):
         """Position of each class in the one flat layout of the ring's
-        histograms and tables: x-major, so y runs fastest there, unlike
-        in coords()."""
-        return (coords[0] if len(coords) == 1
-                else coords[0] * self.moduli[1] + coords[1])
+        histograms and tables: mixed radix with the first coordinate
+        most significant, so the last runs fastest there, unlike in
+        coords()."""
+        index = coords[0]
+        for c, m in zip(coords[1:], self.moduli[1:]):
+            index = index * m + c
+        return index
 
     def is_unit(self, coords):
-        """ord == 0, read from the residues mod p in one pass.  Every class
-        of the zero ring (level 0) is a unit."""
+        """ord == 0, read from the j = 0 coordinates mod p in one pass.
+        Every class of the zero ring (level 0) is a unit."""
         f = self.field
         unit = self.level == 0
-        for c in coords[:1] if f.variant == "ramified" else coords:
+        for c in coords[:f.f]:
             unit = unit | (c % f.p != 0)
         return unit
 
@@ -399,19 +422,15 @@ class DefectResult:
 
 def unit_part(field: LocalField, x):
     """(ord x, u) with u a unit in the square class of x / pi^ord(x), by
-    exact coordinate arithmetic."""
+    exact coordinate arithmetic: with pi pi' = N the Eisenstein constant,
+    u = x (pi' N/p)^o / p^o = (x / pi^o) (N/p)^(2o), and p^o divides
+    every coordinate."""
     x = field.elt(x) if isinstance(x, int) else x
     if x.is_zero():
         raise ValueError("zero has no square class")
     o = int(x.ord())
-    if field.variant == "ramified":
-        # x / pi^o = x conj(pi)^o / c0^o, and c0 = 2 * (c0/2) with c0/2 odd;
-        # times the square (c0/2)^(2o) only 2^o is left to divide, exactly
-        conj = field.elt(-field.c1, -1) * (field.c0 // 2)
-        x, den = x * conj ** o, 2 ** o
-    else:
-        den = field.p ** o  # pi = p
-    return o, field.elt(*[c // den for c in x.coords])
+    x = x * FieldElt(field, field._unit_factor) ** o
+    return o, field.elt(*[c // field.p ** o for c in x.coords])
 
 
 class SquareClasses:

@@ -16,7 +16,7 @@ from .localfield import (
     FieldElt, InternalConsistencyError, LocalField, first_class_of_kind,
     hilbert_symbol, is_square, make_field, pick_companion_unit,
     square_class_key, square_class_kind, square_class_rep, square_class_reps,
-    unit_class_reps, unit_part,
+    unit_class_reps,
 )
 # unused here, but perfbench's tracer test asserts this alias is rewrapped
 from .localfield import quadratic_defect  # noqa: F401
@@ -73,14 +73,9 @@ class DiagonalForm:
 
 
 def _normalize_coeff(field, a) -> FieldElt:
-    o, u = unit_part(field, a)
-    if o <= 1:
-        return a
-    if field.variant == "ramified":
-        # u is not a / pi^o there: swap in the canonical square-class
-        # representative, which differs from a by a square
-        return square_class_rep(field, a)
-    return u * field.uniformizer() ** (o % 2)
+    """a itself at ord 0 or 1, else the canonical rep of its square class,
+    unit_rep * pi^(ord mod 2)."""
+    return a if a.ord() <= 1 else square_class_rep(field, a)
 
 
 class FormInvariants:

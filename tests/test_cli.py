@@ -45,7 +45,7 @@ def test_parse_field_variants():
     assert parse_field("2").q == 2
     assert parse_field("q4").q == 4
     assert parse_field("9").q == 9
-    assert parse_field("ram(0,-2)").eram == 2
+    assert parse_field("ram(0,-2)").e0 == 2
     for bad in ("q6", "junk", "ram(1,1)", ""):
         with pytest.raises(UsageError):
             parse_field(bad)
@@ -632,6 +632,48 @@ def test_classify_answers_or_refuses_every_accepted_input(field, terms,
         assert out.startswith("m=%d disc=" % (len(terms) + 2 * planes))
 
 
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+# (syntax, a, b): an integer a, a * w^b, or the coordinate pair (a, b)
+_DEFECT_VALUES = st.one_of(
+    st.tuples(st.just("int"), _BIG, st.just(0)),
+    st.tuples(st.just("w"), _BIG, st.integers(0, 6)),
+    st.tuples(st.just("pair"), _BIG, _BIG))
+
+
+def _defect_value(field, syntax, a, b, shift):
+    """The value drawn, times w^shift, in the element grammar."""
+    if syntax != "pair":
+        return "%d*w^%d" % (a, b + shift)
+    parsed = parse_field(field)
+    if parsed.ncoords != 2:
+        return "(%d,%d)" % (a, b)  # refused either way
+    return "(%d,%d)" % (parsed.elt(a, b) * parsed.uniformizer() ** shift).coords
+
+
+@given(field=FIELDS, value=_DEFECT_VALUES)
+@example("q4", ("pair", 10 ** 30, -(10 ** 30)))
+@example("ram(0,-2)", ("w", -(10 ** 30) + 1, 5))
+@example("131", ("int", 131 ** 14, 0))
+@example("q2", ("pair", 3, 1))
+@settings(max_examples=6, derandomize=True, deadline=None)
+def test_defect_answers_or_refuses_every_accepted_input(field, value):
+    # the same contract for defect; value and value * w^2 have the same
+    # kind, and their ord and defect exponent differ by 2
+    syntax, a, b = value
+    text = "%d" % a if syntax == "int" else _defect_value(field, *value, 0)
+    answers = []
+    for v in (text, _defect_value(field, *value, 2)):
+        code, out = _child(["defect", "--field", field, "--value=" + v,
+                            "--json"])
+        answers.append((code, json.loads(out) if code == 0 else None))
+    (code, got), (code2, got2) = answers
+    assert code == code2
+    if code == 0:
+        assert got2["kind"] == got["kind"]
+        assert got2["ord"] == got["ord"] + 2
+        assert got2["d"] == (None if got["d"] is None else got["d"] + 2)
+
+
 def test_xseries_closed_negative_L_exits_2(capsys):
     for target in (("--T", "1"), ("--zero",)):
         code, out, err = run(capsys, "xseries", "--field", "q2", "--form",
@@ -651,7 +693,10 @@ def test_count_past_the_prime_table_exits_2_before_allocating(capsys):
             ("1000000007", "1", "axis length 1000000007^1, padded to 2^30, "
                                 "is beyond the prime table"),
             ("131", "34", "axis length 131^34, padded to 2^240, is beyond "
-                          "the prime table")):
+                          "the prime table"),
+            # naming the axis tries each root's power only if it divides
+            ("131", "1000", "axis length 131^1000, padded to 2^7034, is "
+                            "beyond the prime table")):
         t0 = perf_counter()
         code, out, err = run(capsys, "count", "--field", field, "--form",
                              "x^2", "--rho", "1", "--ell", ell)

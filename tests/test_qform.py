@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from qperiods.localfield import (make_field, is_square, hilbert_symbol,
-                                 square_class_key)
+                                 square_class_key, square_class_reps)
 from qperiods.qform import (DiagonalForm, invariants, is_anisotropic,
-                            anisotropic_representative, witt_profile)
+                            anisotropic_representative, witt_profile,
+                            _anisotropic_by_rule, _anisotropic_by_search)
 
 Q2 = make_field(2)
 Q4 = make_field(2, 2, "unramified")
@@ -168,3 +171,17 @@ def test_witt_profile_delta_sign_examples():
     assert witt_profile(5).delta == -1
     assert witt_profile(6).delta == +1
     assert witt_profile(7).delta == +1
+
+
+@pytest.mark.parametrize("field, top", [
+    (Q2, 4), (F3, 4), (make_field(5), 4), (make_field(7), 4),
+    (make_field(3, 2, "unramified"), 4), (Q4, 3), (R2, 3)],
+    ids=["q2", "3", "5", "7", "q9", "q4", "ram(0,-2)"])
+def test_anisotropy_rule_matches_search_on_every_diagonal_form(field, top):
+    # every multiset of square classes of size m <= top: the invariant rule
+    # (Serre, ch. IV, 2.2, thm 6) against the primitive-zero search
+    classes = square_class_reps(field)
+    for m in range(1, top + 1):
+        for coeffs in itertools.combinations_with_replacement(classes, m):
+            B = DiagonalForm(field, coeffs)
+            assert _anisotropic_by_rule(B) == _anisotropic_by_search(B), B
