@@ -63,7 +63,7 @@ def _smallest_nonresidue(p: int) -> int:
 
 def _reduce(terms, gal, eis):
     """Coordinates of the sum of the monomials c g^i pi^j in terms, a list
-    of ((i, j), c), reduced by g^f = -(gal[f-1] g^(f-1) + ... + gal[0]) and
+    of ((i, j), c) that the call consumes, reduced by g^f = -(gal[f-1] g^(f-1) + ... + gal[0]) and
     pi^e0 = -(eis[e0-1] pi^(e0-1) + ... + eis[0]), eis[j] in W."""
     f, e0 = len(gal), len(eis)
     out = [0] * (f * e0)
