@@ -229,8 +229,12 @@ def conic_measure(field: LocalField, u, v, ell: int, C=1, bx=0, ay=0, d0=0) -> F
     xs = tuple(np.repeat(c, ring.size) for c in ring.coords())
     ys = tuple(np.tile(c, ring.size) for c in ring.coords())
     val = ring.reduce(_as_element(field, d0))
-    for coef, mono in ((u, ring.mul(xs, xs)), (C, ring.mul(xs, ys)),
-                       (v, ring.mul(ys, ys)), (bx, xs), (ay, ys)):
-        val = ring.add(val, ring.mul(ring.reduce(_as_element(field, coef)), mono))
+    # one term at a time, so one monomial of size^2 classes is held at once
+    for coef, mono in ((u, (xs, xs)), (C, (xs, ys)), (v, (ys, ys)),
+                       (bx, (xs,)), (ay, (ys,))):
+        term = ring.reduce(_as_element(field, coef))
+        for m in mono:
+            term = ring.mul(term, m)
+        val = ring.add(val, term)
     zero = np.logical_and.reduce([c == 0 for c in val])
     return Fraction(int(zero.sum()), ring.size ** 2)

@@ -89,14 +89,13 @@ class LocalField:
         self.f = f
         self.variant = variant  # "base" | "unramified" | "ramified"
         self.q = p ** f
-        self.c1 = self.c0 = None
+        self.c1, self.c0 = c1, c0  # None but for "ramified"
         if variant == "ramified":
-            self.c1, self.c0 = c1, c0
             gal, eis = (-1,), ((c0,), (c1,))
         elif variant == "unramified":
-            # for p = 2, g is a cube root of 1: g^2 = -g - 1
-            self.c1, self.c0 = (1, 1) if p == 2 else (0, -_smallest_nonresidue(p))
-            gal, eis = (self.c0, self.c1), ((-p, 0),)
+            # g^2 = -g - 1 for p = 2, else g^2 = r, the least nonresidue
+            gal = (1, 1) if p == 2 else (-_smallest_nonresidue(p), 0)
+            eis = ((-p, 0),)
         else:
             gal, eis = (-1,), ((-p,),)
         self.e0 = len(eis)
@@ -187,8 +186,7 @@ class LocalField:
 
     def to_json(self):
         return {"p": self.p, "f": self.f, "variant": self.variant,
-                "c1": self.c1 if self.variant == "ramified" else None,
-                "c0": self.c0 if self.variant == "ramified" else None}
+                "c1": self.c1, "c0": self.c0}
 
 
 @lru_cache(maxsize=None)
@@ -310,11 +308,9 @@ class FieldElt:
     def __repr__(self):
         """The nonzero terms c g^i w^j, w the uniformizer; a lone
         coefficient 1 in front of a generator is dropped."""
-        if not any(self.coords[1:]):
-            return "%d" % self.coords[0]
         text = "".join("%+d%s" % (c, name) for c, name in
                        zip(self.coords, self.field._names) if c).lstrip("+")
-        return text[1:] if text[0] == "1" and text[1].isalpha() else text
+        return text[1:] if text[:1] == "1" and text[1:2].isalpha() else text or "0"
 
 
 class ResidueRing:
