@@ -425,7 +425,8 @@ def unit_part(field: LocalField, x):
     if x.is_zero():
         raise ValueError("zero has no square class")
     o = int(x.ord())
-    x = x * FieldElt(field, field._unit_factor) ** o
+    if o:
+        x = x * FieldElt(field, field._unit_factor) ** o
     return o, field.elt(*[c // field.p ** o for c in x.coords])
 
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from qperiods.localfield import (make_field, quadratic_defect, is_square,
                                  count_square_roots, ResidueRing,
                                  InternalConsistencyError, LocalField,
                                  _symbol_by_search)
-from qperiods.qform import invariants, _quaternary_template
+from qperiods.cli import parse_field
+from qperiods.qform import invariants, _quaternary_template, _normalize_coeff
 
 Q2 = make_field(2)
 Q4 = make_field(2, 2, "unramified")
@@ -413,8 +416,6 @@ FIELD_SPELLINGS = ("q2", "q4", "ram(0,2)", "ram(0,-2)", "ram(0,6)",
 
 
 def _field_record(spelling):
-    from qperiods.cli import parse_field
-    from qperiods.qform import _normalize_coeff
     field = parse_field(spelling)
     table = field.square_classes
     pi = field.uniformizer()
@@ -437,8 +438,6 @@ def _field_record(spelling):
 
 
 def test_ring_layer_matches_golden_file():
-    import json
-    from pathlib import Path
     lines = [json.dumps(_field_record(s), sort_keys=True) + "\n"
              for s in FIELD_SPELLINGS]
     path = Path(__file__).parent / "data" / "fields.jsonl"
