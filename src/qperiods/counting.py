@@ -116,8 +116,7 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
     field = B.field
     rhos = [_as_element(field, rho) for rho in rhos]
     if not direct and not is_anisotropic(B):
-        raise ValueError("stabilized extension needs an anisotropic form; "
-                         "pass direct=True for full counting")
+        raise ValueError("stabilized extension needs an anisotropic form")
     counted = [L if direct else min(L, _cutoff(field, rho)) for rho in rhos]
     deep = field.ring(max(counted, default=0) + field.e)
     dist = kernels.ValueDistribution(

@@ -1,6 +1,6 @@
 from collections import Counter
 
-from qperiods import checks
+from qperiods import checks, closedforms, periods
 from qperiods.localfield import make_field
 
 
@@ -15,3 +15,10 @@ def test_square_counts_match_elementwise_squaring():
             assert got == want, (field.q, field.e, level)
             assert sum(got.values()) == ring.size
 
+
+def test_table_row_whose_kernel_is_refused_fails_its_check(monkeypatch):
+    # an exception from the route under test is a failed row, not a crash
+    monkeypatch.setattr(closedforms, "is_anisotropic", lambda B: False)
+    monkeypatch.setattr(periods, "_KERNEL_PROFILES", {})
+    assert checks._checks_tables([3]) == [
+        ("tables n=3", False, "closed forms cover anisotropic forms only")]

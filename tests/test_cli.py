@@ -384,7 +384,18 @@ def test_usage_errors_exit_2(capsys):
     (("hilbert", "--field", "10007", "--a", "w", "--b", "5"), "(w, 5) = -1\n"),
     (("defect", "--field", "10007", "--value", "5"),
      "defect(5): kind=defect d=0 ideal=pi^0*o (ord 0)\n"),
-], ids=["hilbert-1009", "hilbert-10007", "hilbert-10007-w", "defect-10007"])
+    # anisotropy from the invariants: -1 is a square mod 1009, not mod 131
+    (("classify", "--field", "1009", "--form", "x1^2+x2^2+x3^2"),
+     "m=3 disc=1 kind=square d=None hmi=+1 anisotropic=no case=-\n"),
+    (("classify", "--field", "10007", "--form", "x1^2+x2^2+x3^2"),
+     "m=3 disc=5 kind=unit4 d=0 hmi=+1 anisotropic=no case=-\n"),
+    (("classify", "--field", "131", "--form", "x1^2+x2^2"),
+     "m=2 disc=2 kind=unit4 d=0 hmi=+1 anisotropic=yes case=-\n"),
+    # #{x^2 + y^2 = 1 mod 131} = 132
+    (("xseries", "--field", "131", "--form", "x1^2+x2^2", "--T", "0",
+      "--L", "3"), "coeffs 1/1,132/17161,132/2248091,132/294499921\n"),
+], ids=["hilbert-1009", "hilbert-10007", "hilbert-10007-w", "defect-10007",
+        "classify-1009", "classify-10007", "classify-131", "xseries-131"])
 def test_large_prime_fields_answer_in_bounded_time(capsys, argv, want):
     # 5 is a nonresidue mod 10007; the classes come from the field's table
     t0 = perf_counter()
@@ -394,14 +405,23 @@ def test_large_prime_fields_answer_in_bounded_time(capsys, argv, want):
 
 
 def test_searches_past_their_budget_exit_2(capsys):
-    for argv in (("classify", "--field", "1009", "--form", "x1^2+x2^2+x3^2"),
-                 # the unramified field of degree 2 over Q_10007
-                 ("hilbert", "--field", "q100140049", "--a", "3", "--b", "5")):
-        t0 = perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert perf_counter() - t0 < 5
-        assert code == 2 and out == ""
-        assert "exceeds the budget" in err
+    # the unramified field of degree 2 over Q_10007
+    t0 = perf_counter()
+    code, out, err = run(capsys, "hilbert", "--field", "q100140049", "--a",
+                         "3", "--b", "5")
+    assert perf_counter() - t0 < 5
+    assert code == 2 and out == ""
+    assert "exceeds the budget" in err
+
+
+def test_isotropic_form_needs_direct_counting(capsys):
+    form = ("--field", "5", "--form", "x1^2+x2^2")
+    for argv in (("pi", *form, "--alpha-value=1/3"),
+                 ("xseries", *form, "--T", "0", "--L", "3")):
+        assert run(capsys, *argv) == (
+            2, "", "error: stabilized extension needs an anisotropic form\n")
+    assert run(capsys, "xseries", *form, "--T", "0", "--L", "3",
+               "--direct") == (0, "coeffs 1/1,4/25,4/125,4/625\n", "")
 
 
 def test_fields_past_trial_division_exit_2_at_once(capsys):

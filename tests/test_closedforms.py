@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from qperiods import checks, qform
+from qperiods import checks, periods, qform
 from qperiods.localfield import make_field
 from qperiods.qform import (DiagonalForm, anisotropic_representative,
                             is_anisotropic)
-from qperiods.localfield import InternalConsistencyError
 from qperiods.counting import count_level_histogram, x_series_at
 from qperiods.ratfunc import RF, Zv, IQv, AVv, VAR_Z, VAR_AV
 from qperiods.closedforms import (ClosedFormCase, PiecewiseGeometric,
@@ -15,6 +14,8 @@ from qperiods.closedforms import (ClosedFormCase, PiecewiseGeometric,
                                   x_from_levels_zero, pi_from_x, pi_geometric,
                                   dimension_reduce, zeta_Z,
                                   local_factor_chain, halfstep_sum)
+from qperiods.cli import main
+from qperiods.periods import verify_table_row
 
 Q2 = make_field(2)
 R2 = make_field(2, 1, "ramified", c1=0, c0=-2)
@@ -247,33 +248,36 @@ def test_halfstep_sum_identity():
         halfstep_sum(-1, 0)
 
 
-def _count_searches(monkeypatch):
-    searched = []
-    search = qform._anisotropic_by_search
-
-    def counted(B):
-        searched.append(B)
-        return search(B)
-    monkeypatch.setattr(qform, "_anisotropic_by_search", counted)
-    return searched
-
-
-def test_one_anisotropy_search_per_form(monkeypatch):
-    searched = _count_searches(monkeypatch)
+def test_hot_paths_run_no_anisotropy_search(monkeypatch):
+    # the invariant rule decides; the search is verify's and the tests' oracle
+    def refuse(B):
+        raise AssertionError("anisotropy search on a hot path: %r" % (B,))
+    monkeypatch.setattr(qform, "_anisotropic_by_search", refuse)
+    # rebuild the table rows' kernels and their closed profiles
+    qform._chain_kernel.cache_clear()
+    monkeypatch.setattr(periods, "_KERNEL_PROFILES", {})
     B = case_representative(Q2, "binary_unit4_minus", d=2)
     assert case_for_form(B).tag == "binary_unit4_minus"
+    closed_profile(B)
     for T in (0, 1, 2, 3, None):
         x_series_at(B, T, 4)
-    assert searched == [B]
-    # an equal but distinct form runs its own cross-check
-    twin = DiagonalForm(Q2, B.coeffs)
-    assert twin == B and is_anisotropic(twin)
-    assert len(searched) == 2 and searched[1] is twin
+    for field in (Q2, make_field(2, 2, "unramified"), R2):
+        for m in range(5):
+            for kind in ("square", "prime", "unit4"):
+                try:
+                    B = anisotropic_representative(field, m, disc_kind=kind)
+                except ValueError:
+                    continue  # no anisotropic class with this discriminant
+                assert B.m == m
+    for n in range(3, 11):
+        assert verify_table_row(n)["pass"]
 
 
-def test_anisotropy_disagreement_raises_on_first_call(monkeypatch):
-    monkeypatch.setattr(qform, "_anisotropic_by_search", lambda B: False)
-    B = DiagonalForm(Q2, [1, 1])
-    for _ in range(2):  # a failed cross-check stores no verdict
-        with pytest.raises(InternalConsistencyError):
-            is_anisotropic(B)
+def test_anisotropy_search_disagreement_fails_verify(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "_anisotropic_by_search",
+                        lambda B: not is_anisotropic(B))
+    assert main(["verify", "--closedforms", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL closedform q=2 e=1 empty d=None  (anisotropy search)" in out
+    # the Pi assemblies read the profiles of the rows that passed it
+    assert "FAIL pi assembly agreement" in out
