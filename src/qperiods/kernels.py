@@ -21,7 +21,7 @@ two, and one found on first use for odd p).  There a square term has no
 histogram and no transform of its own: the transform of c x^2's histogram
 is T(S), the transform of the squares' histogram, read at the dual of
 multiplication by c (c f on one axis); T(S) is ring data, kept for the
-last ring.  Only a padded shape (p > 127, or mixed primes such as 12)
+last two rings.  Only a padded shape (p > 127, or mixed primes such as 12)
 transforms a histogram per term, zero-padded to powers of two, and folds
 the result back.  No table is built at import time.
 
@@ -63,20 +63,17 @@ def _check_search_budget(what, ring):
 # Histograms of quadratic values
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=2)  # the last ring, whole and restricted to non-units
-def _squares(ring, restrict_nonunit):
-    """x^2 for every class x of the ring, or for every non-unit: ring data
-    that every coefficient and every count over the ring shares."""
+@lru_cache(maxsize=2)  # the last two rings
+def _squares(ring):
+    """x^2 for every class x of the ring: ring data that every coefficient
+    and every count over the ring shares."""
     xs = ring.coords()
-    if restrict_nonunit and ring.level:  # at level 0 the one class is in pi*o
-        keep = ~ring.is_unit(xs)
-        xs = tuple(c[keep] for c in xs)
     return ring.mul(xs, xs)
 
 
-def square_histograms(ring, coeff_list, restrict_nonunit=False):
+def square_histograms(ring, coeff_list):
     """Histograms of c * x^2 for every c in coeff_list, stacked on axis 0."""
-    sq = _squares(ring, bool(restrict_nonunit))
+    sq = _squares(ring)
     cc = np.array([ring.reduce(c) for c in coeff_list], dtype=np.int64)
     cc = cc.reshape(-1, len(ring.moduli))  # (0, ncoords) for no coefficient
     idx = ring.flat_index(ring.mul(cc.T[:, :, None], sq))
@@ -85,8 +82,8 @@ def square_histograms(ring, coeff_list, restrict_nonunit=False):
     return h.reshape((len(cc),) + ring.moduli)
 
 
-@lru_cache(maxsize=2)  # the last ring, whole and restricted to non-units
-def plane_histogram(ring, restrict_nonunit=False):
+@lru_cache(maxsize=2)  # the last two rings
+def plane_histogram(ring):
     """Histogram of 2xy over pairs (x, y); the hyperbolic-plane summand.
 
     Counted by valuations: a pair with ord x + ord y = s < level has a
@@ -97,10 +94,9 @@ def plane_histogram(ring, restrict_nonunit=False):
     ords = ring.ord_of(np.indices(ring.moduli))  # the ord of 0 is level
     per_ord = np.bincount(ords.ravel(), minlength=level + 1)
     s = np.arange(level + 1)
-    free = per_ord * (s >= min(restrict_nonunit, level))  # level 0: 0 is pi*o
     pairs = np.zeros(level + 1, dtype=np.int64)
     np.add.at(pairs, np.minimum(np.add.outer(s, s) + ring.field.e, level),
-              np.outer(free, free))
+              np.outer(per_ord, per_ord))
     return pairs[ords] // per_ord[ords]
 
 
@@ -420,24 +416,25 @@ def _crt(residues, primes) -> int:
     return count
 
 
-_SQUARE_TRANSFORMS = {}  # (ring, restrict, p) -> T(S), for the last ring
+# the last two rings: a primitive-zero search alternates o/pi^L and o/pi^(L-2)
+@lru_cache(maxsize=2)
+def _square_transforms(ring):
+    """The ring's T(S) per prime p, filled by _square_transform."""
+    return {}
 
 
-def _square_transform(ring, restrict, p):
+def _square_transform(ring, p):
     """T(S) mod p, flat in natural frequency order, for the histogram S of
-    x^2 over a ring at its own lengths (x over its non-units with
-    restrict): ring data that serves every coefficient."""
-    key = (ring, restrict, p)
-    if key not in _SQUARE_TRANSFORMS:
-        if any(k[0] is not ring for k in _SQUARE_TRANSFORMS):
-            _SQUARE_TRANSFORMS.clear()
-        s = np.bincount(ring.flat_index(_squares(ring, restrict)),
-                        minlength=ring.size)
+    x^2 over a ring at its own lengths: ring data that serves every
+    coefficient."""
+    per_prime = _square_transforms(ring)
+    if p not in per_prime:
+        s = np.bincount(ring.flat_index(_squares(ring)), minlength=ring.size)
         a = _forward(s.reshape((1,) + ring.moduli), ring.moduli, p)[0]
         ts = np.empty(a.shape, dtype=np.int32)  # residues below P < 2^31
         ts[np.ix_(*(-_tables(p, m)[1] % m for m in ring.moduli))] = a
-        _SQUARE_TRANSFORMS[key] = ts.ravel()
-    return _SQUARE_TRANSFORMS[key]
+        per_prime[p] = ts.ravel()
+    return per_prime[p]
 
 
 def _dual_indices(ring, coeffs, p):
@@ -465,23 +462,22 @@ def _dual_indices(ring, coeffs, p):
         yield idx
 
 
-def _summand_transforms(ring, coeff_list, planes, restrict, p, lengths):
+def _summand_transforms(ring, coeff_list, planes, p, lengths):
     """The transforms mod p, as _forward leaves them, of the distinct
-    summands of sum c x^2 + planes * 2xy (x over the non-units with
-    restrict), stacked, and their multiplicities.  On a natural shape a
-    square term is T(S) read at the dual of c; a padded one transforms
-    the histogram of each term."""
+    summands of sum c x^2 + planes * 2xy, stacked, and their
+    multiplicities.  On a natural shape a square term is T(S) read at the
+    dual of c; a padded one transforms the histogram of each term."""
     cs = {}  # distinct coefficients mod the ring, with their multiplicities
     for c in coeff_list:
         c = ring.reduce(c)
         cs[c] = cs.get(c, 0) + 1
     mults = list(cs.values()) + [planes] * bool(planes)
-    plane = [plane_histogram(ring, restrict)] if planes else []
+    plane = [plane_histogram(ring)] if planes else []
     if lengths != ring.moduli:
-        hists = [*square_histograms(ring, list(cs), restrict), *plane]
+        hists = [*square_histograms(ring, list(cs)), *plane]
         return _forward(np.array(hists), lengths, p), mults
     a = np.empty((len(mults),) + lengths, dtype=np.int64)
-    ts = _square_transform(ring, restrict, p)
+    ts = _square_transform(ring, p)
     for i, idx in enumerate(_dual_indices(ring, cs, p)):
         a[i] = ts[idx]
     if planes:
@@ -489,13 +485,12 @@ def _summand_transforms(ring, coeff_list, planes, restrict, p, lengths):
     return a, mults
 
 
-def _count_plan(ring, terms, planes, restrict):
+def _count_plan(ring, terms, planes):
     """The lengths of _plan and the CRT primes for every count of a form
     with these summands, up to (#x)^terms (#pairs)^planes; refuses before
     anything is allocated."""
     lengths, table = _plan(ring.moduli, terms + planes)
-    nx = ring.size // ring.field.q if restrict and ring.level else ring.size
-    return lengths, _primes_for(table, nx ** (terms + 2 * planes))
+    return lengths, _primes_for(table, ring.size ** (terms + 2 * planes))
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +510,9 @@ class ValueDistribution:
     __slots__ = ("primes", "residues")
 
     def __init__(self, ring, coeffs, planes=0):
-        lengths, self.primes = _count_plan(ring, len(coeffs), planes, False)
+        lengths, self.primes = _count_plan(ring, len(coeffs), planes)
         self.residues = np.array([_distribution_mod(
-            p, *_summand_transforms(ring, coeffs, planes, False, p, lengths),
+            p, *_summand_transforms(ring, coeffs, planes, p, lengths),
             ring.moduli) for p in self.primes])
 
     def count(self, moduli, target) -> int:
@@ -529,29 +524,34 @@ class ValueDistribution:
         return _crt(sums % np.array(self.primes), self.primes)
 
 
-def solution_count(ring, coeff_list, target_coords, planes=0,
-                   restrict_nonunit=False) -> int:
+def solution_count(ring, coeff_list, target_coords, planes=0) -> int:
     """Number of tuples over the ring with sum of terms equal to target:
     one entry of the convolution of the summands' histograms, read by a
-    dot product per prime (x over the non-units with restrict_nonunit)."""
+    dot product per prime."""
     target = ring.reduce(target_coords)
     if not (coeff_list or planes):
         return 1 if all(c == 0 for c in target) else 0
-    restrict = bool(restrict_nonunit)
-    lengths, primes = _count_plan(ring, len(coeff_list), planes, restrict)
+    lengths, primes = _count_plan(ring, len(coeff_list), planes)
     return _crt([_entry_mod(
-        p, *_summand_transforms(ring, coeff_list, planes, restrict, p,
-                                lengths), ring.moduli, target)
-        for p in primes], primes)
+        p, *_summand_transforms(ring, coeff_list, planes, p, lengths),
+        ring.moduli, target) for p in primes], primes)
 
 
 def primitive_zero_exists(ring, coeffs) -> bool:
-    """Does sum a_i x_i^2 = 0 mod pi^level admit a solution with a unit coord?"""
+    """Does B = sum a_i x_i^2 = 0 mod pi^L, L the ring's level, have a
+    solution with a unit coordinate, that is, one not in pi*o?  The
+    solutions in pi*o are counted two levels down: such a tuple is x =
+    pi y with y mod pi^(L-1), B(pi y) = pi^2 B(y) vanishes mod pi^L
+    exactly when B(y) = 0 mod pi^(L-2), and each y mod pi^(L-2) lifts to
+    q^n classes mod pi^(L-1).  Below L = 2 only x = 0 is in pi*o."""
     coeff_list = [c.coords if hasattr(c, "coords") else c for c in coeffs]
     zero = (0,) * len(ring.moduli)
     full = solution_count(ring, coeff_list, zero)
-    sub = solution_count(ring, coeff_list, zero, restrict_nonunit=True)
-    return full > sub
+    if ring.level < 2:
+        return full > 1
+    field = ring.field
+    return full > field.q ** len(coeff_list) * solution_count(
+        field.ring(ring.level - 2), coeff_list, zero)
 
 
 # ---------------------------------------------------------------------------

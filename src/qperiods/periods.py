@@ -330,24 +330,6 @@ def _row_entries(row, n, k, ell):
     return ((_Z(1, 0), _Z(1, n)) + pi, pi_a), (corr, corr_a), v, flags
 
 
-def rejected_variants(n: int) -> dict:
-    """Shortcut table entries that look plausible but fail the symbolic
-    checks; exposed so the tests can prove they stay rejected."""
-    row, k = _row_base(n), witt_profile(n).k
-    ell = (n - row) // 8
-    out = {}
-    if row == 6:
-        out["x1"] = PiecewiseGeometric(n, 1, {0: ONE}, 1, [])
-        out["pi2"] = ONE
-        out["correction2"] = _entry_rf(
-            (_Z(2, -n), _Z(1, 0, -1), _Z(1, -n, -1), _Z(1, -(n // 2), -1)), -1)
-    elif row == 7:
-        out["correction2"] = _entry_rf(
-            (_Z(1, -(4 * ell + 1)),
-             _LogShiftedZ(-(n + 1), _row7_head(n, k), "(1+w+u)", -1)), -1)
-    return out
-
-
 class GlobalPeriodSpec:
     """The table row for dimension n >= 3: the Witt data, the kernel's X
     entry, Pi, the uncorrected zeta/L expression, and the even-prime

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -22,14 +21,12 @@ Q9 = make_field(3, 2, "unramified")
 F131 = make_field(131)  # no leaf of 131 fits: the padded fallback
 
 
-def brute_square_histogram(ring, coeff, restrict_nonunit=False):
+def brute_square_histogram(ring, coeff):
     # flat histogram indexed like ResidueRing.flat_index; the library reshapes
     # two-coordinate rings, so compare through ravel()
     h = np.zeros(ring.size, dtype=object)
     cc = ring.reduce(coeff.coords)
     for x in ring.elements():
-        if restrict_nonunit and ring.is_unit(x):
-            continue
         v = ring.mul(cc, ring.mul(x, x))
         h[ring.flat_index(v)] += 1
     return h
@@ -43,16 +40,6 @@ def test_square_term_histogram_matches_brute_force():
             want = brute_square_histogram(ring, a)
             assert [int(x) for x in got] == [int(x) for x in want]
             assert int(np.sum(got)) == ring.size
-
-
-def test_square_term_histogram_nonunit_restriction():
-    ring = Q2.ring(3)
-    full = kernels.square_histograms(ring, [(1,)])[0]
-    part = kernels.square_histograms(ring, [(1,)], restrict_nonunit=True)[0]
-    want = brute_square_histogram(ring, Q2.elt(1), restrict_nonunit=True)
-    assert [int(x) for x in part] == [int(x) for x in want]
-    assert int(np.sum(part)) == ring.size // 2
-    assert all(int(p) <= int(f) for p, f in zip(part, full))
 
 
 def test_plane_histogram_counts_2xy():
@@ -75,18 +62,14 @@ def test_plane_histogram_matches_pairs_on_every_field():
             if ring.size > 64:
                 continue
             two = ring.reduce(field.elt(2).coords)
-            for restrict in (False, True):
-                # at level 0 the one class is 0, which lies in pi*o
-                xs = [x for x in ring.elements()
-                      if not (restrict and level and ring.is_unit(x))]
-                want = np.zeros(ring.size, dtype=np.int64)
-                for x in xs:
-                    for y in xs:
-                        v = ring.mul(two, ring.mul(x, y))
-                        want[ring.flat_index(v)] += 1
-                got = kernels.plane_histogram(ring, restrict)
-                assert got.shape == ring.moduli
-                assert list(got.ravel()) == list(want), (field, level, restrict)
+            want = np.zeros(ring.size, dtype=np.int64)
+            for x in ring.elements():
+                for y in ring.elements():
+                    v = ring.mul(two, ring.mul(x, y))
+                    want[ring.flat_index(v)] += 1
+            got = kernels.plane_histogram(ring)
+            assert got.shape == ring.moduli
+            assert list(got.ravel()) == list(want), (field, level)
 
 
 def brute_convolution(hists):
@@ -305,22 +288,6 @@ def test_solution_count_matches_naive():
                 assert fast == slow, (field.q, coeffs, planes, level)
 
 
-def brute_restricted_count(ring, coeffs, target, planes):
-    """Tuples of non-units solving the congruence, one by one."""
-    nonunits = [x for x in ring.elements() if not ring.is_unit(x)]
-    two = ring.reduce(ring.field.elt(2).coords)
-    want = ring.reduce(target)
-    count = 0
-    for xs in itertools.product(nonunits, repeat=len(coeffs) + 2 * planes):
-        acc = ring.reduce((0,) * ring.field.ncoords)
-        for c, x in zip(coeffs, xs):
-            acc = ring.add(acc, ring.mul(ring.reduce(c), ring.mul(x, x)))
-        for i in range(len(coeffs), len(xs), 2):
-            acc = ring.add(acc, ring.mul(two, ring.mul(xs[i], xs[i + 1])))
-        count += acc == want
-    return count
-
-
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_solution_count_matches_naive_on_every_field(data):
@@ -334,21 +301,8 @@ def test_solution_count_matches_naive_on_every_field(data):
     elt = st.tuples(*[st.integers(-40, 40)] * field.ncoords)
     coeffs = data.draw(st.lists(elt, min_size=ncoeffs, max_size=ncoeffs))
     target = data.draw(elt)
-    restrict = data.draw(st.booleans())
-    got = kernels.solution_count(ring, coeffs, target, planes=planes,
-                                 restrict_nonunit=restrict)
-    if not restrict:
-        want = kernels.naive_count(ring, coeffs, target, planes=planes)
-    elif planes == 0:
-        # x = pi*x' covers each non-unit x exactly q times
-        pi2 = field._mul(field.uniformizer().coords, field.uniformizer().coords)
-        scaled = [field._mul(c, pi2) for c in coeffs]
-        total = kernels.naive_count(ring, scaled, target)
-        assert total % field.q ** nvars == 0
-        want = total // field.q ** nvars
-    else:
-        want = brute_restricted_count(ring, coeffs, target, planes)
-    assert got == want
+    got = kernels.solution_count(ring, coeffs, target, planes=planes)
+    assert got == kernels.naive_count(ring, coeffs, target, planes=planes)
 
 
 @pytest.mark.parametrize("field, ell", [(Q2, 15), (Q4, 7)])
@@ -363,35 +317,44 @@ def test_plane_at_level_11_counts_exactly():
     assert count_level_histogram(B, Q2.one(), 11) == Fraction(1, 2048)
 
 
-def test_primitive_zero_exists_matches_enumeration():
-    for field, coeffs in [(Q2, [1, -1]), (Q2, [1, 1, 1]), (Q2, [1, -5]),
-                          (Q2, [1, 2]), (F3, [1, 1]), (F3, [1, -1])]:
-        celts = [field.elt(c) for c in coeffs]
-        for level in (1, 2, 3, 4):
-            ring = field.ring(level)
-            got = kernels.primitive_zero_exists(
-                ring, [c.coords for c in celts])
-            zero = (0,) * field.ncoords
-
-            def brute():
-                import itertools
-                for xs in itertools.product(ring.elements(),
-                                            repeat=len(celts)):
-                    if all(not ring.is_unit(x) for x in xs):
-                        continue
-                    acc = zero
-                    for c, x in zip(celts, xs):
-                        acc = ring.add(acc, ring.mul(
-                            ring.reduce(c.coords), ring.mul(x, x)))
-                    if acc == zero:
-                        return True
-                return False
-
-            assert got == brute(), (field.q, coeffs, level)
-
-
 RAMIFIED = tuple(make_field(2, 1, "ramified", c1=c1, c0=c0)
                  for c1, c0 in ((0, -2), (2, 2), (0, 6)))
+
+
+def brute_primitive_zero(ring, coeffs):
+    """Is sum c x^2 = 0 for some tuple with a unit entry?  Every tuple at
+    once, by broadcasting; the one class of the zero ring lies in pi*o."""
+    xs = ring.coords()
+    sq = ring.mul(xs, xs)
+    unit = ring.is_unit(xs) & (ring.level > 0)
+    n = len(coeffs)
+    acc, primitive = (0,) * len(ring.moduli), np.zeros((1,) * n, dtype=bool)
+    for i, c in enumerate(coeffs):
+        shape = (1,) * i + (ring.size,) + (1,) * (n - i - 1)
+        acc = ring.add(acc, tuple(v.reshape(shape) for v in
+                                  ring.mul(ring.reduce(c.coords), sq)))
+        primitive = primitive | unit.reshape(shape)
+    zero = np.logical_and.reduce([v == 0 for v in acc])
+    return bool(np.any(zero & primitive))
+
+
+def test_primitive_zero_exists_matches_enumeration():
+    # the non-units come from the ring two levels down (x = pi y); the
+    # coefficients 2 and pi reach its pi^2 scaling, and levels 0 and 1,
+    # where only x = 0 is left
+    for field in (Q2, Q4, RAMIFIED[0], RAMIFIED[1], F3, F5, Q9):
+        one, two, pi = field.elt(1), field.elt(2), field.uniformizer()
+        for coeffs in ([one, field.elt(-1)], [one, one, one],
+                       [one, field.elt(-5)], [one, two], [one, pi],
+                       [two, pi], [pi, one, pi]):
+            # keep the enumeration's size^n tuples near 2^16
+            top = int(16 // (len(coeffs) * math.log2(field.q)))
+            for level in range(top + 1):
+                ring = field.ring(level)
+                got = kernels.primitive_zero_exists(
+                    ring, [c.coords for c in coeffs])
+                assert got == brute_primitive_zero(ring, coeffs), (
+                    field.to_json(), [c.coords for c in coeffs], level)
 
 
 def _coefficients(field):
@@ -408,18 +371,18 @@ def _coefficients(field):
 def test_square_terms_read_at_the_dual_of_multiplication(field):
     # the transform of c x^2's histogram is the squares' transform read at
     # the dual c*(f), slot for slot, on one axis and on two
-    for level, restrict in itertools.product(range(5), (False, True)):
+    for level in range(5):
         ring = field.ring(level)
         table = kernels._plan(ring.moduli, 1)[1]
         cs = _coefficients(field)
         for p in (table[0], table[-1]):
-            ts = kernels._square_transform(ring, restrict, p)
-            hists = kernels.square_histograms(ring, cs, restrict)
+            ts = kernels._square_transform(ring, p)
+            hists = kernels.square_histograms(ring, cs)
             want = kernels._forward(hists, ring.moduli, p)
             for c, w, idx in zip(cs, want,
                                  kernels._dual_indices(ring, cs, p)):
                 got = np.broadcast_to(ts[idx], ring.moduli)
-                assert np.array_equal(got, w), (field, level, restrict, c)
+                assert np.array_equal(got, w), (field, level, c)
 
 
 def test_transposed_dual_fails_on_q4():
@@ -433,7 +396,7 @@ def test_transposed_dual_fails_on_q4():
     f0 = f0[:, None]
     c = (0, 1)
     cols = [ring.mul(c, e) for e in ((1, 0), (0, 1))]  # c e_j
-    ts = kernels._square_transform(ring, False, p)
+    ts = kernels._square_transform(ring, p)
     want = kernels._forward(kernels.square_histograms(ring, [c]),
                             ring.moduli, p)[0]
     dual = [(f0 * cols[j][0] + f1 * cols[j][1]) % m for j in (0, 1)]
@@ -442,25 +405,25 @@ def test_transposed_dual_fails_on_q4():
     assert not np.array_equal(ts[transposed[0] * m + transposed[1]], want)
 
 
-def test_square_transforms_kept_for_the_last_ring(monkeypatch):
-    # primitive_zero_exists on Q4 counts the whole ring and its non-units,
-    # each with several primes: a second call transforms nothing
+def test_square_transforms_kept_for_the_last_two_rings(monkeypatch):
+    # primitive_zero_exists on Q4 counts o/pi^6 and o/pi^4, each with
+    # several primes: a second call transforms nothing
     ring = Q4.ring(6)
     coeffs = [(1, 0), (1, 1), (2, 1)]
     first = kernels.primitive_zero_exists(ring, coeffs)
-    keys = set(kernels._SQUARE_TRANSFORMS)
-    primes = {r: kernels._count_plan(ring, 3, 0, r)[1] for r in (False, True)}
-    assert len(primes[False]) >= 2
-    assert keys == {(ring, r, p) for r in primes for p in primes[r]}
+    assert len(kernels._count_plan(ring, 3, 0)[1]) >= 2
 
     def fail(*args, **kwargs):
         raise AssertionError("a transform of the squares was rebuilt")
     monkeypatch.setattr(kernels, "_forward", fail)
     assert kernels.primitive_zero_exists(ring, coeffs) == first
     monkeypatch.undo()
-    # another ring replaces them
+    # a third ring evicts the oldest, o/pi^6, and keeps o/pi^4
     kernels.solution_count(Q4.ring(5), coeffs, (0, 0))
-    assert {k[0] for k in kernels._SQUARE_TRANSFORMS} == {Q4.ring(5)}
+    monkeypatch.setattr(kernels, "_forward", fail)
+    kernels.solution_count(Q4.ring(4), coeffs, (0, 0))
+    with pytest.raises(AssertionError, match="rebuilt"):
+        kernels.solution_count(ring, coeffs, (0, 0))
 
 
 def test_count_at_p_131_takes_the_padded_fallback():

@@ -10,12 +10,13 @@ from qperiods.closedforms import (PiecewiseGeometric, closed_profile,
                                   pi_geometric, zeta_Z, local_factor_chain)
 from qperiods import periods, qform
 from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
-                              uncorrected_factors, rejected_variants,
+                              uncorrected_factors,
                               PeriodValue, table_row,
                               verify_table_row, verify_rows,
                               specialize_profile, evaluate_period,
                               constant_ratio_at_q2, local_factor_report,
-                              _round_up_64, _enclosing_product)
+                              _round_up_64, _enclosing_product, _row_base,
+                              _row7_head, _entry_rf, _Z, _LogShiftedZ)
 
 ONE = RF.const(1)
 DATA = Path(__file__).parent / "data"
@@ -265,6 +266,24 @@ def _check_c_holds(spec, pi2, corr):
     target = target * corr
     return ratio_if_proportional(local2, target,
                                  constant_free_of=(VAR_AV,)) is not None
+
+
+def rejected_variants(n: int) -> dict:
+    """Shortcut table entries that look plausible but fail the symbolic
+    checks, so that the tests can prove they stay rejected."""
+    row, k = _row_base(n), qform.witt_profile(n).k
+    ell = (n - row) // 8
+    out = {}
+    if row == 6:
+        out["x1"] = PiecewiseGeometric(n, 1, {0: ONE}, 1, [])
+        out["pi2"] = ONE
+        out["correction2"] = _entry_rf(
+            (_Z(2, -n), _Z(1, 0, -1), _Z(1, -n, -1), _Z(1, -(n // 2), -1)), -1)
+    elif row == 7:
+        out["correction2"] = _entry_rf(
+            (_Z(1, -(4 * ell + 1)),
+             _LogShiftedZ(-(n + 1), _row7_head(n, k), "(1+w+u)", -1)), -1)
+    return out
 
 
 def test_rejected_variants_row6():
