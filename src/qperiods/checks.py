@@ -148,20 +148,32 @@ def _checks_lemmas(quick=False):
         q, e = field.q, field.e
         fname = "q=%d" % q
 
-        # one-step decay of the level counts past ord(2 rho)
+        # one-step decay of the level counts past ord(2 rho), and the
+        # recursion that derives the targets pi^(k+2), k = 2, 3: X_l(0)
+        # while e + l <= k + 2, else q^-n X_(l-2)(pi^k)
         ok, detail = True, ""
         reps = [case_representative(field, tag) for tag in
                 ("unit_square", "prime", "binary_unit4_minus", "ternary_square")]
-        rhos = [field.elt(1), field.uniformizer(),
-                field.uniformizer() ** 2, field.elt(2) * field.elt(3)]
+        w = field.uniformizer()
+        rhos = [field.elt(1), w, w ** 2, field.elt(2) * field.elt(3)]
         cuts = [int(rho.ord()) + e + 1 for rho in rhos]
+        L = max(cuts) + 3
         for B in reps:
-            series = x_series_many(B, rhos, max(cuts) + 3, direct=True)
+            *series, zero, s3, s4, s5 = x_series_many(
+                B, rhos + [None, w ** 3, w ** 4, w ** 5], L, direct=True)
             for rho, c, s in zip(rhos, cuts, series):
                 for l in range(c, c + 3):
                     if s[l + 1] * q != s[l]:
                         ok, detail = False, "m=%d ord=%d l=%d" % (
                             B.m, int(rho.ord()), l)
+            by_ord = {2: series[2], 3: s3, 4: s4, 5: s5}
+            for k in (2, 3):
+                for l in range(L + 1):
+                    want = (zero[l] if e + l <= k + 2
+                            else by_ord[k][l - 2] / q ** B.n)
+                    if by_ord[k + 2][l] != want:
+                        ok, detail = False, "m=%d ord=%d l=%d" % (
+                            B.m, k + 2, l)
         out.append(("stabilized decay %s" % fname, ok, detail))
 
         # square-root counts against enumeration
@@ -207,7 +219,6 @@ def _checks_lemmas(quick=False):
         # symbol properties: symmetric and bimultiplicative by construction
         # from the Gram matrix, so also held against a solution search
         ok, detail = True, ""
-        w = field.uniformizer()
         sample = list(unit_class_reps(field))
         sample += [s * w for s in sample[:3]]
         for i, a in enumerate(sample):

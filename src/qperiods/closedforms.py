@@ -307,7 +307,12 @@ def x_closed(case: ClosedFormCase) -> PiecewiseGeometric:
 
 
 def case_for_form(B) -> ClosedFormCase:
-    """Classify an anisotropic diagonal form into its closed-form case."""
+    """Classify an anisotropic diagonal form into its closed-form case.
+
+    The rational invariants pick the case, but each builder holds only for
+    the lattice shape of case_representative: a form whose number of
+    odd-order coefficients differs from the representative's has another
+    series, and is refused with UnsupportedCase."""
     if B.planes:
         raise ValueError("forms with hyperbolic planes are isotropic; "
                          "split them off first")
@@ -321,9 +326,18 @@ def case_for_form(B) -> ClosedFormCase:
     if tag is None:
         raise ValueError("no closed-form case for an anisotropic form with "
                          "m = %d and %s discriminant" % (m, inv.disc_kind))
-    _row(tag, B.field.e)
+    rep = case_representative(B.field, tag, inv.d)
+    if _odd_order_count(B) != _odd_order_count(rep):
+        raise UnsupportedCase(
+            "the %s closed form holds for the lattice shape of %r, with %d "
+            "odd-order coefficients; this form has %d"
+            % (tag, rep, _odd_order_count(rep), _odd_order_count(B)))
     return ClosedFormCase(tag, m, B.field.e, d=inv.d, disc_kind=inv.disc_kind,
                           hmi=inv.hmi if m >= 2 else None)
+
+
+def _odd_order_count(B) -> int:
+    return sum(int(a.ord()) % 2 for a in B.coeffs)
 
 
 def case_representative(field, tag, d=None):

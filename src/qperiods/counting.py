@@ -7,6 +7,14 @@ count_level_histogram counts one level and target on its own;
 x_series_many reads every level of several targets from one value
 distribution of the form, and x_series is its one-target case.
 Everything returns Fractions; nothing here is symbolic.
+
+The stabilized mode of an anisotropic form counts only the zero target
+and the targets with ord rho < 2e + 2.  A deeper target comes from the
+ring two levels down: X_l(rho) = X_l(0) while e + l <= ord rho, and
+X_l(rho) = q^-n X_(l-2)(rho / pi^2) past that, because every solution
+there is x = pi y.  Its hypothesis, that no primitive vector has ord B >=
+2e + 2, is the one the zero-target law X_(e+2) = X_e / q^n rests on, so
+the series of every target costs the rings of T <= e alone.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .localfield import InternalConsistencyError, LocalField
+from .localfield import InternalConsistencyError, LocalField, unit_part
 from .qform import DiagonalForm, is_anisotropic
 
 
@@ -102,6 +110,28 @@ def _cutoff(field, rho) -> int:
     return field.e + 1 + (0 if rho.is_zero() else int(rho.ord()))
 
 
+def _derived(field, rho) -> bool:
+    """Is rho a target the stabilized mode derives, ord rho >= 2e + 2,
+    rather than counts?"""
+    return not rho.is_zero() and int(rho.ord()) >= 2 * field.e + 2
+
+
+def _first_law_level(field, rho) -> int:
+    """The first level of rho's stabilized series that a law supplies
+    rather than a count: ord rho - e + 1 for a derived target, where the
+    recursion starts, else _cutoff + 1."""
+    if _derived(field, rho):
+        return int(rho.ord()) - field.e + 1
+    return _cutoff(field, rho) + 1
+
+
+def _down(field, rho):
+    """rho / pi^2 up to a unit square, u pi^(o - 2) for (o, u) =
+    unit_part(rho); X depends on a target only modulo unit squares."""
+    o, u = unit_part(field, rho)
+    return u * field.uniformizer() ** (o - 2)
+
+
 def x_series_many(B: DiagonalForm, rhos, L: int,
                   direct: bool = False) -> list:
     """x_series(B, rho, L, direct=direct) for every rho in rhos, all read
@@ -110,6 +140,17 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
     A level-l measure is a coset sum of that distribution: reduction to a
     lower level is componentwise, and every tuple over the deep ring
     covers (deep size / level size)^n tuples over o/2 pi^l.
+
+    The stabilized mode counts only the zero target and the targets with
+    ord rho < 2e + 2; a deeper target is derived from the ring two levels
+    down (x = pi y).  At the levels with e + l <= ord rho, rho = 0 mod
+    2 pi^l, so X_l(rho) = X_l(0).  At the others a solution has ord B(a) =
+    ord rho >= 2e + 2, so it is not primitive, and X_l(rho) = q^-n
+    X_(l-2)(rho / pi^2).  That no primitive vector has ord B >= 2e + 2 is
+    the hypothesis of the zero-target law X_(e+2) = X_e / q^n as well, so
+    the recursion assumes nothing more.  Chains such as T = 3 -> 2 -> 1
+    are followed once per call, and the deep ring is sized from the
+    counted targets only.
     """
     if L < 0:
         raise ValueError("negative truncation order")
@@ -117,8 +158,18 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
     rhos = [_as_element(field, rho) for rho in rhos]
     if not direct and not is_anisotropic(B):
         raise ValueError("stabilized extension needs an anisotropic form")
-    counted = [L if direct else min(L, _cutoff(field, rho)) for rho in rhos]
-    deep = field.ring(max(counted, default=0) + field.e)
+    chains = []  # each target, then rho / pi^2 down to a counted target
+    for rho in rhos:
+        chain = [rho]
+        while not direct and _derived(field, chain[-1]):
+            chain.append(_down(field, chain[-1]))
+        chains.append(chain)
+    bases = {chain[-1] for chain in chains}
+    if any(len(chain) > 1 for chain in chains):
+        bases.add(field.zero())
+    counted = {rho: L if direct else min(L, _cutoff(field, rho))
+               for rho in bases}
+    deep = field.ring(max(counted.values(), default=0) + field.e)
     dist = kernels.ValueDistribution(
         deep, _coeff_coords(B), B.planes) if B.n else None
 
@@ -126,8 +177,8 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
         return (dist.count(ring.moduli, target)
                 // (deep.size // ring.size) ** B.n)
 
-    out = []
-    for rho, k in zip(rhos, counted):
+    done = {}
+    for rho, k in counted.items():
         vals = [_level_measure(B, rho, l, count) for l in range(k + 1)]
         if rho.is_zero():
             step = Fraction(1, field.q ** B.n)
@@ -137,8 +188,15 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
             step = Fraction(1, field.q)
             while len(vals) <= L:
                 vals.append(vals[-1] * step)
-        out.append(TruncatedSeries(vals))
-    return out
+        done[rho] = vals
+    step = Fraction(1, field.q ** B.n)
+    for chain in chains:
+        for rho, below in reversed(list(zip(chain, chain[1:]))):
+            if rho not in done:
+                cut = _first_law_level(field, rho)
+                done[rho] = done[field.zero()][:cut] + [
+                    v * step for v in done[below][cut - 2:L - 1]]
+    return [TruncatedSeries(done[rho]) for rho in rhos]
 
 
 def x_series(B: DiagonalForm, rho, L: int, verify: int = 0,
@@ -147,16 +205,19 @@ def x_series(B: DiagonalForm, rho, L: int, verify: int = 0,
 
     In the default stabilized mode, levels beyond ord(2 rho) + 1 come from
     the one-step law X_{l+1} = X_l / q (two-step X_{l+2} = X_l / q^n for the
-    zero target); that shortcut is only sound for anisotropic forms, so
-    isotropic input is rejected unless `direct` asks for full counting.
-    `verify` recomputes that many extended levels by direct counting, one
-    level at a time through count_level_histogram.
+    zero target), and a target with ord rho >= 2e + 2 comes whole from the
+    recursion X_l(rho) = q^-n X_(l-2)(rho / pi^2) past level ord rho - e
+    (X_l(0) up to it; see x_series_many).  Those shortcuts are only sound
+    for anisotropic forms, so isotropic input is rejected unless `direct`
+    asks for full counting.  `verify` recomputes that many levels a law
+    supplies, from the first one on, by direct counting, one level at a
+    time through count_level_histogram.
     """
     series = x_series_many(B, [rho], L, direct)[0]
     if verify > 0 and not direct:
         rho = _as_element(B.field, rho)
-        cutoff = _cutoff(B.field, rho)
-        for l in range(cutoff + 1, min(L, cutoff + verify) + 1):
+        first = _first_law_level(B.field, rho)
+        for l in range(first, min(L, first + verify - 1) + 1):
             got = count_level_histogram(B, rho, l)
             if got != series.coeffs[l]:
                 raise InternalConsistencyError(
@@ -225,15 +286,18 @@ def conic_measure(field: LocalField, u, v, ell: int, C=1, bx=0, ay=0, d0=0) -> F
     if ell < 1:
         raise ValueError("need ell >= 1")
     ring = field.ring(ell)
-    xs = tuple(np.repeat(c, ring.size) for c in ring.coords())
-    ys = tuple(np.tile(c, ring.size) for c in ring.coords())
-    val = ring.reduce(_as_element(field, d0))
-    # one term at a time, so one monomial of size^2 classes is held at once
-    for coef, mono in ((u, (xs, xs)), (C, (xs, ys)), (v, (ys, ys)),
-                       (bx, (xs,)), (ay, (ys,))):
-        term = ring.reduce(_as_element(field, coef))
-        for m in mono:
-            term = ring.mul(term, m)
-        val = ring.add(val, term)
+    xs = ring.coords()
+    sq = ring.mul(xs, xs)
+    u, v, C, bx, ay, d0 = (ring.reduce(_as_element(field, c))
+                           for c in (u, v, C, bx, ay, d0))
+    # the parts in x alone and in y alone once over the ring; only C x y is
+    # formed over the size^2 pairs (x runs slowest, as np.repeat lays it)
+    fx = ring.add(ring.add(ring.mul(u, sq), ring.mul(bx, xs)), d0)
+    gy = ring.add(ring.mul(v, sq), ring.mul(ay, xs))
+    cx = ring.mul(C, xs)
+    pair_x = partial(np.repeat, repeats=ring.size)
+    pair_y = partial(np.tile, reps=ring.size)
+    val = ring.add(ring.add(tuple(map(pair_x, fx)), tuple(map(pair_y, gy))),
+                   ring.mul(tuple(map(pair_x, cx)), tuple(map(pair_y, xs))))
     zero = np.logical_and.reduce([c == 0 for c in val])
     return Fraction(int(zero.sum()), ring.size ** 2)

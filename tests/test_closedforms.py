@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from qperiods import checks, periods, qform
-from qperiods.localfield import make_field
+from qperiods import checks, closedforms, periods, qform
+from qperiods.localfield import make_field, square_class_reps
 from qperiods.qform import (DiagonalForm, anisotropic_representative,
                             is_anisotropic)
-from qperiods.counting import count_level_histogram, x_series_at
+from qperiods.counting import count_level_histogram, x_series_at, x_series_many
 from qperiods.ratfunc import RF, Zv, IQv, AVv, VAR_Z, VAR_AV
 from qperiods.closedforms import (ClosedFormCase, PiecewiseGeometric,
                                   UnsupportedCase, CASE_TAGS, case_for_form,
@@ -79,6 +80,55 @@ def test_second_method_cases_refused_on_ramified_and_odd_fields():
                   anisotropic_representative(field, 4)):
             with pytest.raises(UnsupportedCase):
                 case_for_form(B)
+
+
+@pytest.mark.parametrize("field,n_refused", [
+    (Q2, 54), (make_field(2, 2, "unramified"), 328), (R2, 14), (F3, 0),
+    (make_field(5), 0), (make_field(3, 2, "unramified"), 0)],
+    ids=["q2", "q4", "ram(0,-2)", "q3", "q5", "q9"])
+def test_closed_forms_match_counts_or_are_refused(field, n_refused,
+                                                  monkeypatch):
+    # every anisotropic diagonal form with m <= 4 over the square classes:
+    # its closed form equals its counted series (T = 0..3 and the zero
+    # target), or it is refused for its lattice shape, and then the closed
+    # form its invariants alone would pick is wrong
+    reps = square_class_reps(field)
+    w = field.uniformizer()
+    L = 6
+    refused = []
+    for m in range(5):
+        for coeffs in combinations_with_replacement(reps, m):
+            B = DiagonalForm(field, list(coeffs))
+            if not is_anisotropic(B):
+                continue
+            try:
+                prof = closed_profile(B)
+            except UnsupportedCase as ex:
+                if "odd-order" in str(ex):
+                    refused.append(B)
+                continue
+            *series, zero = x_series_many(
+                B, [w ** (2 * T) for T in range(4)] + [None], L)
+            assert [prof.series_at(T, field.q, L) for T in range(4)] == [
+                list(s) for s in series], B
+            assert prof.zero_series(field.q, L) == list(zero), B
+    assert len(refused) == n_refused
+    monkeypatch.setattr(closedforms, "_odd_order_count", lambda B: 0)
+    for B in refused:
+        prof = closed_profile(B)
+        *series, zero = x_series_many(
+            B, [w ** (2 * T) for T in range(4)] + [None], L)
+        assert ([prof.series_at(T, field.q, L) for T in range(4)]
+                + [prof.zero_series(field.q, L)]) != [
+            list(s) for s in series] + [list(zero)], B
+
+
+def test_closed_forms_refuse_other_lattice_shapes():
+    # <2, 2> has the invariants of <1, -3> but two odd-order coefficients
+    with pytest.raises(UnsupportedCase, match="odd-order"):
+        case_for_form(DiagonalForm(Q2, [2, 2]))
+    assert main(["xseries", "--field", "q2", "--form", "2*x1^2+2*x2^2",
+                 "--T", "1", "--L", "5", "--closed"]) == 2
 
 
 def test_x_closed_second_method_needs_e_1():

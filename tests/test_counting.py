@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 
 from qperiods.kernels import EnumBudgetError
-from qperiods.localfield import make_field, hilbert_symbol
-from qperiods.qform import DiagonalForm
+from itertools import combinations_with_replacement
+
+from qperiods import counting
+from qperiods.localfield import make_field, hilbert_symbol, square_class_reps
+from qperiods.qform import DiagonalForm, is_anisotropic
 from qperiods.counting import (TruncatedSeries, count_level_naive,
                                count_level_histogram, x_series, x_series_at,
                                x_series_many, pi_truncated, conic_measure,
@@ -100,6 +103,69 @@ def test_x_series_many_matches_one_level_at_a_time():
                 else:
                     assert s == x_series(B, rho, L, verify=L), (B, rho)
     assert x_series_many(DiagonalForm(Q2, [1]), [], 3) == []
+
+
+# every ring below 2^14 classes; L reaches the first derived level of a
+# target of ord 9 (ord - e + 1) but on Q4 and Q9
+DERIVED_FIELDS = [(Q2, 11), (Q4, 6), (R2, 10),
+                  (make_field(2, 1, "ramified", c1=2, c0=2), 10), (F3, 8),
+                  (make_field(3, 2, "unramified"), 4)]
+
+
+@pytest.mark.parametrize("field,L", DERIVED_FIELDS,
+                         ids=["q2", "q4", "ram(0,-2)", "ram(2,2)", "q3", "q9"])
+def test_derived_targets_match_direct_counts(field, L):
+    # every target of ord >= 2e + 2 is derived from the ring two levels
+    # down; hold it, the counted targets and the zero target against
+    # direct counts on every anisotropic form of m <= 2 over the square
+    # classes and every eleventh of m = 3 (odd-ord coefficients such as
+    # <2, 6> have primitive values of ord 2e + 1)
+    reps = square_class_reps(field)
+    w = field.uniformizer()
+    nonsquare = [u for u in reps if u.is_unit()][-1]
+    rhos = ([None] + [w ** k for k in range(10)]
+            + [nonsquare * w ** k for k in range(10)])
+    seen = 0
+    for m in (1, 2, 3):
+        for coeffs in combinations_with_replacement(reps, m):
+            B = DiagonalForm(field, list(coeffs))
+            if not is_anisotropic(B):
+                continue
+            seen += 1
+            if m == 3 and seen % 11:
+                continue
+            got = x_series_many(B, rhos, L)
+            want = x_series_many(B, rhos, L, direct=True)
+            for rho, a, b in zip(rhos, got, want):
+                assert a == b, (B, rho)
+
+
+def test_derived_target_counts_its_small_ring_only(monkeypatch):
+    # x_1^2 + x_2^2 over Q131: T = 1 comes from T = 0, so one count over
+    # o/131 and none over o/131^3
+    F131 = make_field(131)
+    rings = []
+    real = counting.kernels.ValueDistribution
+    monkeypatch.setattr(counting.kernels, "ValueDistribution",
+                        lambda ring, *a: rings.append(ring.size) or real(ring, *a))
+    B = DiagonalForm(F131, [1, 1])
+    assert list(x_series_at(B, 1, 4)) == [
+        1, Fraction(1, 131 ** 2), Fraction(1, 131 ** 2),
+        Fraction(132, 131 ** 4), Fraction(132, 131 ** 5)]
+    assert rings == [131]
+
+
+def test_x_series_verify_recounts_derived_levels(monkeypatch):
+    # pi^4 over Q2 (e = 1) is derived from level ord - e + 1 = 4 on, pi^2
+    # is counted to level ord + e + 1 = 4; verify recounts from there
+    levels = []
+    real = counting.count_level_histogram
+    monkeypatch.setattr(counting, "count_level_histogram",
+                        lambda B, rho, l: levels.append(l) or real(B, rho, l))
+    B = DiagonalForm(Q2, [1, 1, 1])
+    x_series(B, Q2.elt(16), 8, verify=2)
+    x_series(B, Q2.elt(4), 8, verify=2)
+    assert levels == [4, 5, 5, 6]
 
 
 def test_x_series_verify_mode_is_quiet():
