@@ -29,9 +29,8 @@ from .closedforms import (ClosedFormCase, PiecewiseGeometric, UnsupportedCase,
                           x_from_levels, x_from_levels_zero, pi_from_x,
                           pi_geometric, dimension_reduce,
                           local_factor_chain, halfstep_sum, zeta_Z)
-from .periods import (GlobalPeriodSpec, PeriodValue, chi1, mod4_character,
-                      table_row, verify_table_row, verify_rows,
-                      evaluate_period)
+from .periods import (GlobalPeriodSpec, PeriodValue, mod4_character,
+                      table_row, verify_table_row, evaluate_period)
 
 __all__ = [
     "LocalField", "FieldElt", "DefectResult", "make_field",
@@ -49,6 +48,6 @@ __all__ = [
     "case_for_form", "x_closed", "closed_profile", "x_from_levels",
     "x_from_levels_zero", "pi_from_x", "pi_geometric", "dimension_reduce",
     "local_factor_chain", "halfstep_sum", "zeta_Z",
-    "GlobalPeriodSpec", "PeriodValue", "chi1", "mod4_character", "table_row",
-    "verify_table_row", "verify_rows", "evaluate_period",
+    "GlobalPeriodSpec", "PeriodValue", "mod4_character", "table_row",
+    "verify_table_row", "evaluate_period",
 ]

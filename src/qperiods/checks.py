@@ -150,7 +150,9 @@ def _checks_lemmas(quick=False):
 
         # one-step decay of the level counts past ord(2 rho), and the
         # recursion that derives the targets pi^(k+2), k = 2, 3: X_l(0)
-        # while e + l <= k + 2, else q^-n X_(l-2)(pi^k)
+        # while e + l <= k + 2, else q^-n X_(l-2)(pi^k); the stabilized
+        # series of pi^3, pi^4 and pi^5, counted or derived, are the direct
+        # ones
         ok, detail = True, ""
         reps = [case_representative(field, tag) for tag in
                 ("unit_square", "prime", "binary_unit4_minus", "ternary_square")]
@@ -166,6 +168,8 @@ def _checks_lemmas(quick=False):
                     if s[l + 1] * q != s[l]:
                         ok, detail = False, "m=%d ord=%d l=%d" % (
                             B.m, int(rho.ord()), l)
+            if x_series_many(B, [w ** 3, w ** 4, w ** 5], L) != [s3, s4, s5]:
+                ok, detail = False, "m=%d stabilized ord 3..5" % B.m
             by_ord = {2: series[2], 3: s3, 4: s4, 5: s5}
             for k in (2, 3):
                 for l in range(L + 1):

@@ -148,9 +148,10 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
     ord rho >= 2e + 2, so it is not primitive, and X_l(rho) = q^-n
     X_(l-2)(rho / pi^2).  That no primitive vector has ord B >= 2e + 2 is
     the hypothesis of the zero-target law X_(e+2) = X_e / q^n as well, so
-    the recursion assumes nothing more.  Chains such as T = 3 -> 2 -> 1
-    are followed once per call, and the deep ring is sized from the
-    counted targets only.
+    the recursion assumes nothing more.  Each derived target's rho / pi^2
+    is found once per call, so a chain such as T = 3 -> 2 -> 1 stops at a
+    target already walked, and the deep ring is sized from the counted
+    targets only.
     """
     if L < 0:
         raise ValueError("negative truncation order")
@@ -158,14 +159,13 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
     rhos = [_as_element(field, rho) for rho in rhos]
     if not direct and not is_anisotropic(B):
         raise ValueError("stabilized extension needs an anisotropic form")
-    chains = []  # each target, then rho / pi^2 down to a counted target
+    below = {}  # each derived target's rho / pi^2, found once per call
     for rho in rhos:
-        chain = [rho]
-        while not direct and _derived(field, chain[-1]):
-            chain.append(_down(field, chain[-1]))
-        chains.append(chain)
-    bases = {chain[-1] for chain in chains}
-    if any(len(chain) > 1 for chain in chains):
+        while not direct and _derived(field, rho) and rho not in below:
+            below[rho] = _down(field, rho)
+            rho = below[rho]
+    bases = {rho for rho in rhos + list(below.values()) if rho not in below}
+    if below:
         bases.add(field.zero())
     counted = {rho: L if direct else min(L, _cutoff(field, rho))
                for rho in bases}
@@ -190,12 +190,15 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
                 vals.append(vals[-1] * step)
         done[rho] = vals
     step = Fraction(1, field.q ** B.n)
-    for chain in chains:
-        for rho, below in reversed(list(zip(chain, chain[1:]))):
-            if rho not in done:
-                cut = _first_law_level(field, rho)
-                done[rho] = done[field.zero()][:cut] + [
-                    v * step for v in done[below][cut - 2:L - 1]]
+    for rho in rhos:
+        path = []  # rho and its derived targets down to one already done
+        while rho not in done:
+            path.append(rho)
+            rho = below[rho]
+        for rho in reversed(path):
+            cut = _first_law_level(field, rho)
+            done[rho] = done[field.zero()][:cut] + [
+                v * step for v in done[below[rho]][cut - 2:L - 1]]
     return [TruncatedSeries(done[rho]) for rho in rhos]
 
 

@@ -14,16 +14,17 @@ prime, so that every target at every coarser level is a coset sum of it.
 One transform routine, a mixed-radix four-step NTT, serves every length
 ell^k: it cuts the axis into leaves ell^j <= 128, each one exact float64
 matrix product, with a twiddle multiplication between levels.  _plan
-alone decides the shape: when every axis is a power of one prime below
-128 (Q2, Q4, Q3, Q9 and the ramified rings) each axis keeps its own
-length, modulo primes P = 1 mod that length (a fixed table for powers of
-two, and one found on first use for odd p).  There a square term has no
-histogram and no transform of its own: the transform of c x^2's histogram
-is T(S), the transform of the squares' histogram, read at the dual of
-multiplication by c (c f on one axis); T(S) is ring data, kept for the
-last two rings.  Only a padded shape (p > 127, or mixed primes such as 12)
-transforms a histogram per term, zero-padded to powers of two, and folds
-the result back.  No table is built at import time.
+alone decides the shape, from the ring's residue prime p: every axis has
+length p^k, so below 128 (Q2, Q4, Q3, Q9 and the ramified rings) each
+axis keeps its own length, modulo the primes P = 1 mod every power of p
+up to 2^23, one table per p that every level of the field shares.  There
+a square term has no histogram and no transform of its own: the
+transform of c x^2's histogram is T(S), the transform of the squares'
+histogram, read at the dual of multiplication by c (c f on one axis);
+T(S) is ring data, kept for the last two rings.  Only p > 127 pads: each
+term's histogram is transformed zero-padded to a power of two, with the
+table of p = 2, and the result is folded back.  No table is built at
+import time.
 
 Ring arithmetic is not repeated here: values come from the ResidueRing
 methods (coords, mul, add, ord_of, is_unit) applied to whole arrays of
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import log2, prod
+from math import log, prod
 from operator import mul
 
 import numpy as np
@@ -108,12 +109,10 @@ class PrimeBoundError(EnumBudgetError):
     """The prime table cannot reconstruct this count exactly."""
 
 
-# Primes below 2^31 (residue products fit in int64), 2^23 | p - 1, largest first
-_NTT_PRIMES = (2130706433, 2113929217, 2088763393, 2013265921, 1811939329,
-               1711276033, 1484783617, 1300234241, 1224736769, 1107296257,
-               998244353, 469762049)
 _LEAF = 128  # a leaf this long or shorter takes one exact matrix product
 _CHUNK = 1 << 13  # entries per leaf product, to bound its float temporaries
+# every prime table passes this product: 12 or 13 primes for each p < _LEAF
+_CRT_REACH = 1 << 365
 
 
 # Below this bound no composite is a strong pseudoprime to all of the
@@ -149,30 +148,25 @@ def _is_prime(n) -> bool:
     return True
 
 
-def _prime_power(n):
-    """(ell, k) with n = ell^k for a prime ell < 2^40 ((2, 0) for n = 1);
-    None for any other n.  The largest k with an integer k-th root gives
-    the least root, and below 2^40 a float estimate rounds to it.  Only a
-    root that divides n has its power taken."""
-    if n == 1:
-        return 2, 0
-    for k in range(n.bit_length() - 1, (n.bit_length() - 1) // 40, -1):
-        ell = round(2 ** (log2(n) / k))  # below 2^(bit_length / k) <= 2^40
-        if n % ell == 0 and ell ** k == n:
-            return (ell, k) if _is_prime(ell) else None
+def _ell_k(n):
+    """(ell, k) with n = ell^k for a transform length n, a power of the
+    ring's p below _LEAF or of 2 on a padded axis ((2, 0) for n = 1)."""
+    ell = next((d for d in range(2, _LEAF) if n % d == 0), 2)
+    return ell, round(log(n, ell))
 
 
 @lru_cache(maxsize=None)
-def _ntt_primes(n):
-    """The CRT primes for transforms of every length dividing n = ell^k:
-    the fixed table for powers of two; for odd ell the primes P < 2^31 with
-    P = 1 mod n, largest first, until their product reaches that of the
-    fixed table, so they reconstruct every count it does (tests check that
-    every ell < _LEAF and n <= 2^23 gets there, with at most 13 primes)."""
-    if n & (n - 1) == 0:
-        return _NTT_PRIMES
+def _ntt_primes(ell):
+    """The CRT primes for transforms of every length ell^k <= 2^23: the
+    primes P < 2^31 (residue products fit in int64) with P = 1 mod the
+    largest such length, largest first, until their product passes
+    _CRT_REACH (tests check that every prime ell < _LEAF gets there with
+    at most 13 primes)."""
+    n = ell
+    while n * ell <= 1 << 23:
+        n *= ell
     primes, P = [], (2 ** 31 - 2) // n * n + 1
-    while prod(primes) < prod(_NTT_PRIMES) and P > n:
+    while prod(primes) < _CRT_REACH and P > n:
         if _is_prime(P):
             primes.append(P)
         P -= n
@@ -190,33 +184,30 @@ def _generator(p, ell):
 @lru_cache(maxsize=64)
 def _limbs(p, L):
     """The length-L DFT matrix mod p as float limbs, L x 2L: a signed low
-    16 bits, then the high bits.  None when a partial sum of a leaf product
-    could reach 2^53: it is at most p - 1 times a column sum of absolute
-    limbs, below 2^53 for every L <= 128 (each limb is at most 2^15)."""
-    ell = _prime_power(L)[0]
+    16 bits, then the high bits.  A partial sum of a leaf product is at
+    most p - 1 times a column sum of absolute limbs, below 2^53 for every
+    P < 2^31 and L <= _LEAF (each limb is at most 2^15); ArithmeticError
+    otherwise."""
+    ell = _ell_k(L)[0]
     root = pow(_generator(p, ell), (p - 1) // L, p)
     pw = np.array([pow(root, j, p) for j in range(L)], dtype=np.int64)
     mat = pw[np.outer(np.arange(L), np.arange(L)) % L]
     low = (mat + 0x8000 & 0xFFFF) - 0x8000
     limbs = np.hstack([low, (mat - low) >> 16]).astype(float)
     if (p - 1) * int(np.abs(limbs).sum(axis=0).max()) >= 1 << 53:
-        return None
+        raise ArithmeticError("leaf products of length %d mod %d could "
+                              "pass 2^53" % (L, p))
     return limbs
 
 
-def _leaf_length(p, ell, k):
-    """The first leaf of a length-ell^k transform mod p: the exponent k
-    spread evenly over the fewest levels of leaves ell^j <= _LEAF (a leaf
-    product costs flops in proportion to its length), with a smaller j
-    whenever the leaf's limbs fail the 2^53 bound (ell itself passes)."""
+def _leaf_length(ell, k):
+    """The first leaf of a length-ell^k transform: the exponent k spread
+    evenly over the fewest levels of leaves ell^j <= _LEAF (a leaf product
+    costs flops in proportion to its length)."""
     j = 1
     while ell ** (j + 1) <= _LEAF:
         j += 1
-    while True:
-        L = ell ** -(-k // -(-k // j))  # k over ceil(k / j) levels
-        if _limbs(p, L) is not None:
-            return L
-        j -= 1
+    return ell ** -(-k // -(-k // j))
 
 
 @lru_cache(maxsize=256)
@@ -226,13 +217,13 @@ def _tables(p, n):
     is: the leaf length L, the negated frequency of each output slot of
     _ntt, and either the twiddles w^(f1 i2) of the first level (n > L) or
     the powers of w (n = L)."""
-    ell, k = _prime_power(n)
+    ell, k = _ell_k(n)
     root = pow(_generator(p, ell), (p - 1) // n, p)
     pw = np.ones(1, dtype=np.int64)
     while len(pw) < n:
         pw = np.concatenate([pw, pw * pow(root, len(pw), p) % p])
     pw = pw[:n]
-    L = _leaf_length(p, ell, k) if n > 1 else 1
+    L = _leaf_length(ell, k) if n > 1 else 1
     if L == n:
         return L, -np.arange(n) % n, pw
     m = n // L
@@ -302,24 +293,21 @@ def _ntt(a, p):
 
 
 @lru_cache(maxsize=256)
-def _plan(shape, count):
-    """Transform length of each axis and the CRT prime table for a
-    convolution of `count` histograms of this shape.  When every axis is a
-    power of one prime ell < _LEAF, each axis keeps its own length (the
-    transform is cyclic on Z/m) and the primes are 1 mod the longest.
-    Otherwise a power of two stays cyclic, any other m is padded past
-    count (m - 1), the support of the linear convolution, and the fixed
-    table serves.  PrimeBoundError past 2^23 on an axis or in all."""
-    powers = [_prime_power(m) for m in shape]
-    natural = (None not in powers and max(powers)[0] < _LEAF
-               and len({ell for ell, k in powers if k}) < 2)
-    lengths = shape if natural else tuple(
-        m if m & (m - 1) == 0 else 1 << (count * (m - 1)).bit_length()
-        for m in shape)
+def _plan(p, shape, terms, planes):
+    """Transform length of each axis and the CRT primes for every count of
+    a form with these summands over a ring of this shape, whose axes are
+    powers of its residue prime p: counts up to (#x)^terms (#pairs)^planes.
+    Below _LEAF each axis keeps its own length (the transform is cyclic on
+    Z/m), modulo the primes of _ntt_primes(p).  Otherwise each axis is
+    padded past (terms + planes) (m - 1), the support of the linear
+    convolution, to a power of two, modulo those of _ntt_primes(2).
+    PrimeBoundError past 2^23 on an axis or in all, or past the table's
+    product; refuses before anything is allocated."""
+    lengths = shape if p < _LEAF else tuple(
+        1 << ((terms + planes) * (m - 1)).bit_length() for m in shape)
     i = lengths.index(max(lengths))
     if lengths[i] > 1 << 23:
-        # p^k, or the number for a p past the reach of _prime_power
-        axis = "%d^%d" % powers[i] if powers[i] else "%d" % shape[i]
+        axis = "%d^%d" % (p, round(log(shape[i], p)))
         if lengths[i] != shape[i]:
             axis += ", padded to 2^%d," % (lengths[i].bit_length() - 1)
         raise PrimeBoundError("axis length %s is beyond the prime table"
@@ -327,7 +315,14 @@ def _plan(shape, count):
     if prod(lengths) > 1 << 23:
         raise PrimeBoundError("axis lengths %s give a transform of %d "
                               "entries, beyond 2^23" % (lengths, prod(lengths)))
-    return lengths, _ntt_primes(max(lengths)) if natural else _NTT_PRIMES
+    table = _ntt_primes(p if p < _LEAF else 2)
+    bound = prod(shape) ** (terms + 2 * planes)
+    k = next((k for k, m in enumerate(accumulate(table, mul), 1)
+              if m > bound), 0)
+    if not k:
+        raise PrimeBoundError("count bound %d is beyond the prime table"
+                              % bound)
+    return lengths, table[:k]
 
 
 def _forward(stack, lengths, p):
@@ -395,16 +390,6 @@ def _distribution_mod(p, a, mults, shape):
             acc = np.moveaxis(x.reshape((-1, m) + x.shape[1:]).sum(0) % p,
                               0, ax)
     return acc
-
-
-def _primes_for(table, bound):
-    """The first primes of the table whose product passes the bound."""
-    k = next((i for i, m in enumerate(accumulate(table, mul), 1)
-              if m > bound), 0)
-    if not k:
-        raise PrimeBoundError("count bound %d is beyond the prime table"
-                              % bound)
-    return table[:k]
 
 
 def _crt(residues, primes) -> int:
@@ -485,14 +470,6 @@ def _summand_transforms(ring, coeff_list, planes, p, lengths):
     return a, mults
 
 
-def _count_plan(ring, terms, planes):
-    """The lengths of _plan and the CRT primes for every count of a form
-    with these summands, up to (#x)^terms (#pairs)^planes; refuses before
-    anything is allocated."""
-    lengths, table = _plan(ring.moduli, terms + planes)
-    return lengths, _primes_for(table, ring.size ** (terms + 2 * planes))
-
-
 # ---------------------------------------------------------------------------
 # Solution counting
 # ---------------------------------------------------------------------------
@@ -510,7 +487,8 @@ class ValueDistribution:
     __slots__ = ("primes", "residues")
 
     def __init__(self, ring, coeffs, planes=0):
-        lengths, self.primes = _count_plan(ring, len(coeffs), planes)
+        lengths, self.primes = _plan(ring.field.p, ring.moduli,
+                                     len(coeffs), planes)
         self.residues = np.array([_distribution_mod(
             p, *_summand_transforms(ring, coeffs, planes, p, lengths),
             ring.moduli) for p in self.primes])
@@ -531,7 +509,8 @@ def solution_count(ring, coeff_list, target_coords, planes=0) -> int:
     target = ring.reduce(target_coords)
     if not (coeff_list or planes):
         return 1 if all(c == 0 for c in target) else 0
-    lengths, primes = _count_plan(ring, len(coeff_list), planes)
+    lengths, primes = _plan(ring.field.p, ring.moduli, len(coeff_list),
+                            planes)
     return _crt([_entry_mod(
         p, *_summand_transforms(ring, coeff_list, planes, p, lengths),
         ring.moduli, target) for p in primes], primes)

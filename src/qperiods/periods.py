@@ -19,11 +19,10 @@ from itertools import compress
 import math
 from math import prod
 
-from .ratfunc import (RF, Poly, IQv, AVv, VAR_Z, VAR_AV,
+from .ratfunc import (RF, Poly, IQv, AVv, VAR_AV,
                       ratio_if_proportional, pretty_rf)
 from .closedforms import (PiecewiseGeometric, closed_profile, pi_geometric,
                           zeta_Z, local_factor_chain)
-from .kernels import _is_prime
 from .qform import witt_profile
 
 ONE = RF.const(1)
@@ -96,17 +95,9 @@ def primes_up_to(N: int):
     return list(compress(range(N + 1), flags))
 
 
-def chi1(p: int) -> int:
-    """The quadratic character attached to discriminant -1: +1 on primes
-    that are 1 mod 4, -1 on primes that are 3 mod 4, 0 at the even prime."""
-    if not isinstance(p, int) or not _is_prime(p):
-        raise ValueError("chi1 expects a prime, got %r" % (p,))
-    return 0 if p == 2 else mod4_character(p)
-
-
 def mod4_character(m: int) -> int:
-    """chi1 extended multiplicatively to all odd integers (no primality
-    requirement); chi1 agrees with this on odd primes."""
+    """The quadratic character attached to discriminant -1 (chi1) on odd
+    integers: +1 on 1 mod 4, -1 on 3 mod 4, multiplicative."""
     if m % 2 == 0:
         raise ValueError("the mod-4 character needs an odd argument")
     return 1 if m % 4 == 1 else -1
@@ -420,17 +411,6 @@ def _verdict(ratio, show) -> dict:
             "ratio": None if ratio is None else show(ratio)}
 
 
-def specialize_profile(prof: PiecewiseGeometric, k: int) -> PiecewiseGeometric:
-    """Substitute z -> q^-k (that is, beta = k) into a profile in (z, iq);
-    tail ratios z^a iq^b collapse to iq^(ak+b)."""
-    def sub(f):
-        return f.subst_monomial(VAR_Z, 1, (0, k, 0))
-    exc = {T: sub(val) for T, val in prof.exceptional.items()}
-    tail = [(sub(c), (0, ez * k + eiq)) for c, (ez, eiq) in prof.tail]
-    return PiecewiseGeometric(prof.n, prof.e, exc, prof.T0, tail,
-                              sub(prof.zero_value))
-
-
 # closed_profile of each chain kernel, keyed by its Witt class (m, delta,
 # hmi): n mod 8 fixes the class, so rows n and n + 8 share one entry
 _KERNEL_PROFILES = {}
@@ -486,12 +466,6 @@ def verify_table_row(n: int) -> dict:
 
     return {**spec.to_json(), "checks": checks,
             "pass": all(entry["pass"] for entry in checks.values())}
-
-
-def verify_rows(ns=range(3, 19)):
-    """verify_table_row over a range; returns (all_pass, reports)."""
-    reports = [verify_table_row(n) for n in ns]
-    return all(r["pass"] for r in reports), reports
 
 
 def local_factor_report(n: int, alpha: int = None) -> dict:

@@ -714,7 +714,7 @@ def test_count_past_the_prime_table_exits_2_before_allocating(capsys):
                                 "is beyond the prime table"),
             ("131", "34", "axis length 131^34, padded to 2^240, is beyond "
                           "the prime table"),
-            # naming the axis tries each root's power only if it divides
+            # the axis is named from the field's own p, with no factoring
             ("131", "1000", "axis length 131^1000, padded to 2^7034, is "
                             "beyond the prime table")):
         t0 = perf_counter()

@@ -155,6 +155,24 @@ def test_derived_target_counts_its_small_ring_only(monkeypatch):
     assert rings == [131]
 
 
+def test_derived_chains_walk_each_target_once(monkeypatch):
+    # pi_truncated at T_max = 300 over Q2 derives T = 2..300, one rho / pi^2
+    # each: rebuilding every target's chain down to T = 1 took 44,850
+    calls = []
+    real = counting._down
+    monkeypatch.setattr(counting, "_down",
+                        lambda field, rho: calls.append(rho) or real(field, rho))
+    B = DiagonalForm(Q2, [1, 1, 1])
+    pi_truncated(B, Fraction(1, 3), 4, 300)
+    assert len(calls) <= 299
+    # chains shared in any order give each target its own series
+    w = Q2.uniformizer()
+    rhos = [w ** 12, w ** 6, w ** 16, w ** 6, 3 * w ** 10, w ** 4, None]
+    got = x_series_many(B, rhos, 9)
+    assert got == [x_series_many(B, [rho], 9)[0] for rho in rhos]
+    assert got[:3] == [x_series(B, rho, 9, direct=True) for rho in rhos[:3]]
+
+
 def test_x_series_verify_recounts_derived_levels(monkeypatch):
     # pi^4 over Q2 (e = 1) is derived from level ord - e + 1 = 4 on, pi^2
     # is counted to level ord + e + 1 = 4; verify recounts from there

@@ -88,29 +88,33 @@ def brute_convolution(hists):
     return out
 
 
-def _engine(hists):
-    """The stacked histograms, their shape, the transform lengths and the
-    CRT primes for the product of their sums, as the engine plans them."""
+def _engine(p, hists):
+    """The stacked histograms, their shape, the transform lengths _plan
+    gives a ring of residue prime p with this shape, and the first primes
+    of p's table past the product of the histograms' sums."""
     stack = np.array(hists, dtype=np.int64)
     shape = stack.shape[1:]
-    lengths, table = kernels._plan(shape, len(hists))
+    lengths = kernels._plan(p, shape, len(hists), 0)[0]
+    table = kernels._ntt_primes(p if lengths == shape else 2)
     bound = math.prod(int(h.sum()) for h in hists)
-    return stack, shape, lengths, kernels._primes_for(table, bound)
+    k = next(k for k in range(1, len(table) + 1)
+             if math.prod(table[:k]) > bound)
+    return stack, shape, lengths, table[:k]
 
 
-def engine_entry(hists, target):
+def engine_entry(p, hists, target):
     """Entry `target` of the convolution of the histograms through the
     engine's steps: _forward, _entry_mod per prime and CRT."""
-    stack, shape, lengths, primes = _engine(hists)
+    stack, shape, lengths, primes = _engine(p, hists)
     return kernels._crt([kernels._entry_mod(
         p, kernels._forward(stack, lengths, p), [1] * len(hists), shape,
         target) for p in primes], primes)
 
 
-def engine_distribution(hists):
+def engine_distribution(p, hists):
     """Every entry of the convolution through _forward, _distribution_mod
     per prime and CRT, as an array of exact ints."""
-    stack, shape, lengths, primes = _engine(hists)
+    stack, shape, lengths, primes = _engine(p, hists)
     res = [kernels._distribution_mod(p, kernels._forward(stack, lengths, p),
                                      [1] * len(hists), shape)
            for p in primes]
@@ -120,18 +124,20 @@ def engine_distribution(hists):
     return out
 
 
-# prime-power axes with a leaf are cyclic at their own length; the rest
-# (12 = 4 * 3, or 131 with no leaf up to 128) are padded and folded back
-ENGINE_SHAPES = ((1,), (4,), (8,), (16,), (9,), (27,), (25,), (125,), (49,),
-                 (4, 8), (9, 3), (2, 1), (512,), (243,), (2, 256), (81, 81),
-                 (12,), (131,))
+# each shape with the residue prime p of its ring: axes of p < 128 are
+# cyclic at their own length; 131, with no leaf up to 128, is padded and
+# folded back
+ENGINE_SHAPES = ((2, (1,)), (2, (4,)), (2, (8,)), (2, (16,)), (3, (9,)),
+                 (3, (27,)), (5, (25,)), (5, (125,)), (7, (49,)),
+                 (2, (4, 8)), (3, (9, 3)), (2, (2, 1)), (2, (512,)),
+                 (3, (243,)), (2, (2, 256)), (3, (81, 81)), (131, (131,)))
 
 
 def test_convolution_entry_matches_brute_force():
     rng = np.random.default_rng(7)
-    for shape in ENGINE_SHAPES:
-        lengths = kernels._plan(shape, 3)[0]
-        assert (lengths == shape) == (shape not in ((12,), (131,))), shape
+    for p, shape in ENGINE_SHAPES:
+        lengths = kernels._plan(p, shape, 3, 0)[0]
+        assert (lengths == shape) == (p < kernels._LEAF), shape
         for n in (1, 2, 3):
             hists = [rng.integers(0, 50, shape) for _ in range(n)]
             want = brute_convolution(hists)
@@ -139,19 +145,19 @@ def test_convolution_entry_matches_brute_force():
             if len(targets) > 600:  # a sample, always with the corners
                 targets = targets[::97] + [targets[-1]]
             for t in targets:
-                assert engine_entry(hists, t) == want[t], \
+                assert engine_entry(p, hists, t) == want[t], \
                     (shape, n, t)
 
 
 def test_convolution_entry_large_values_exact():
     # counts far past 2^63 need several primes and must still come out exact
     rng = np.random.default_rng(11)
-    for shape in ((8,), (9,)):
+    for p, shape in ((2, (8,)), (3, (9,))):
         hists = [rng.integers(10 ** 12, 2 * 10 ** 12, shape) for _ in range(3)]
         want = brute_convolution(hists)
         assert max(want.ravel()) > 1 << 100
         for t in np.ndindex(shape):
-            assert engine_entry(hists, t) == want[t]
+            assert engine_entry(p, hists, t) == want[t]
 
 
 def test_convolution_entry_exact_at_its_bound():
@@ -160,19 +166,21 @@ def test_convolution_entry_exact_at_its_bound():
     for e in range(10, 62, 3):
         w = (1 << e) + 1
         hists = [np.array([w, 0, 0, 0]), np.array([0, 0, 3, 0])]
-        assert engine_entry(hists, (2,)) == 3 * w
+        assert engine_entry(2, hists, (2,)) == 3 * w
         hists = [np.array([0, w, 0]), np.array([0, w, 0]), np.array([w, 0, 0])]
-        assert engine_entry(hists, (2,)) == w ** 3
-        assert engine_entry(hists, (0,)) == 0
+        assert engine_entry(3, hists, (2,)) == w ** 3
+        assert engine_entry(3, hists, (0,)) == 0
 
 
 def test_convolution_entry_refuses_bound_past_prime_table():
-    hists = [np.full(4, 1 << 40, dtype=np.int64)] * 9
-    with pytest.raises(kernels.PrimeBoundError):
-        engine_entry(hists, (0,))
-    # 19 squares over o/2^20 have a bound of 2^380, past the table's product
+    # 19 squares over o/2^20 have a bound of 2^380, past the table's
+    # product; 18 of them (2^360) are not
     with pytest.raises(kernels.PrimeBoundError, match="count bound"):
         kernels.solution_count(Q2.ring(20), [(1,)] * 19, (0,))
+    assert len(kernels._plan(2, (1 << 20,), 18, 0)[1]) == 12
+    # a whole distribution over o/3^12 with a bound of 3^240, past 2^380
+    with pytest.raises(kernels.PrimeBoundError, match="count bound"):
+        kernels.ValueDistribution(F3.ring(12), [(1,)] * 12, 4)
     assert issubclass(kernels.PrimeBoundError, kernels.EnumBudgetError)
 
 
@@ -180,11 +188,13 @@ def test_ntt_is_exact_at_extreme_residues():
     # residues near p drive the float partial sums of the leaf products to
     # their largest values; compare with the defining sum, on one leaf, on
     # two and three levels of the four-step, and along a middle axis
-    for n in (8, 128, 256, 1 << 15, 81, 729, 3 ** 8, 125, 5 ** 5, 49, 343):
-        table = kernels._ntt_primes(n)
+    for ell, n in ((2, 8), (2, 128), (2, 256), (2, 1 << 15), (3, 81),
+                   (3, 729), (3, 3 ** 8), (5, 125), (5, 5 ** 5), (7, 49),
+                   (7, 343)):
+        assert kernels._ell_k(n) == (ell, round(math.log(n, ell)))
+        table = kernels._ntt_primes(ell)
         for p in (table[0], table[-1]):
             freq = -kernels._tables(p, n)[1] % n
-            ell = kernels._prime_power(n)[0]
             w = pow(kernels._generator(p, ell), (p - 1) // n, p)
             x = np.full((2, n, 3), p - 1, dtype=np.int64)
             x[1, 1::2] -= 1
@@ -203,13 +213,13 @@ def test_ntt_is_exact_at_extreme_residues():
 
 
 def _ell_tables():
-    """Every prime ell < 128 with the prime table of each length ell^k up
-    to 2^23, the lengths the natural-length transform may use."""
+    """Every prime ell < 128 with its prime table and the lengths ell^k up
+    to 2^23 that the natural-length transform may use."""
     for ell in filter(kernels._is_prime, range(2, kernels._LEAF)):
-        n = ell
-        while n <= 1 << 23:
-            yield ell, n, kernels._ntt_primes(n)
-            n *= ell
+        lengths = [ell]
+        while lengths[-1] * ell <= 1 << 23:
+            lengths.append(lengths[-1] * ell)
+        yield ell, lengths, kernels._ntt_primes(ell)
 
 
 def test_leaf_products_stay_below_float_precision():
@@ -217,34 +227,56 @@ def test_leaf_products_stay_below_float_precision():
     # absolute limbs: check every leaf length with every prime of every
     # table that may use it
     limbs = kernels._limbs.__wrapped__  # keep the engine's cache small
-    for ell, n, table in _ell_tables():
+    for ell, _, table in _ell_tables():
         leaves = [ell ** j for j in range(1, 8) if ell ** j <= kernels._LEAF]
         for p in table:
             for L in leaves:
                 col = np.abs(limbs(p, L)).sum(axis=0)
                 assert (p - 1) * int(col.max()) < 1 << 53, (p, L)
     # so every transform takes the longest leaves its length allows
-    for n in (1 << 7, 3 ** 4, 5 ** 3, 7 ** 2, 11 ** 2, 127):
-        p = kernels._ntt_primes(n)[0]
+    for ell, n in ((2, 1 << 7), (3, 3 ** 4), (5, 5 ** 3), (7, 7 ** 2),
+                   (11, 11 ** 2), (127, 127)):
+        p = kernels._ntt_primes(ell)[0]
         assert kernels._tables(p, n)[0] == n
+    # the bound is checked, not assumed
+    with pytest.raises(ArithmeticError, match="2\\^53"):
+        limbs((1 << 40) * 3 + 1, 4)
+
+
+# the CRT primes of an earlier fixed table for powers of two
+FIXED_TABLE = (2130706433, 2113929217, 2088763393, 2013265921, 1811939329,
+               1711276033, 1484783617, 1300234241, 1224736769, 1107296257,
+               998244353, 469762049)
 
 
 def test_prime_table_is_ntt_friendly():
-    primes = kernels._NTT_PRIMES
-    assert len(set(primes)) == len(primes)
-    for p in primes:
-        assert p < 1 << 31 and (p - 1) % (1 << 23) == 0
-        assert all(p % d for d in range(2, math.isqrt(p) + 1))
-    # each generated table: distinct primes P < 2^31 with P = 1 mod its
-    # length, reaching the product of the fixed table in at most 13 primes
+    # each table: distinct primes P < 2^31 with P = 1 mod every length it
+    # serves, reaching the product of the fixed table in at most 13 primes
     small = np.array([d for d in range(2, 46341) if kernels._is_prime(d)])
     assert len(small) == 4792  # the primes below sqrt(2^31)
-    for ell, n, table in _ell_tables():
-        assert len(set(table)) == len(table) <= 13, n
-        assert math.prod(table) >= math.prod(primes), n
+    for ell, lengths, table in _ell_tables():
+        assert len(set(table)) == len(table) <= 13, ell
+        assert math.prod(table) >= math.prod(FIXED_TABLE), ell
+        assert list(table) == sorted(table, reverse=True), ell
         for p in table:
-            assert p < 1 << 31 and p % n == 1, (n, p)
-            assert np.all(p % small[small < p]), (n, p)
+            assert p < 1 << 31 and all(p % n == 1 for n in lengths), (ell, p)
+            assert np.all(p % small[small < p]), (ell, p)
+    # for ell = 2 the first eleven are the fixed table's, so every count
+    # that needs at most eleven primes does the same arithmetic
+    assert kernels._ntt_primes(2)[:11] == FIXED_TABLE[:11]
+
+
+def test_one_prime_table_per_field():
+    # every level of a field plans from the table of its residue prime
+    kernels._plan.cache_clear()
+    kernels._ntt_primes.cache_clear()
+    B = DiagonalForm(F3, [1, 1, 1])
+    for ell in range(1, 9):
+        count_level_histogram(B, F3.one(), ell)
+    assert kernels._ntt_primes.cache_info().currsize == 1
+    # and the padded axes of p > 127 from the table of 2
+    count_level_histogram(DiagonalForm(F131, [1]), F131.one(), 1)
+    assert kernels._ntt_primes.cache_info().currsize == 2
 
 
 def test_is_prime_is_exact_below_its_limit():
@@ -373,7 +405,7 @@ def test_square_terms_read_at_the_dual_of_multiplication(field):
     # the dual c*(f), slot for slot, on one axis and on two
     for level in range(5):
         ring = field.ring(level)
-        table = kernels._plan(ring.moduli, 1)[1]
+        table = kernels._ntt_primes(field.p)
         cs = _coefficients(field)
         for p in (table[0], table[-1]):
             ts = kernels._square_transform(ring, p)
@@ -390,7 +422,7 @@ def test_transposed_dual_fails_on_q4():
     # [[0, -1], [1, -1]], which is not symmetric: reading T(S) at the
     # transpose of the dual gives another transform
     ring = Q4.ring(2)
-    p = kernels._plan(ring.moduli, 1)[1][0]
+    p = kernels._plan(Q4.p, ring.moduli, 1, 0)[1][0]
     m = ring.moduli[0]
     f0, f1 = (-kernels._tables(p, m)[1] % m for _ in range(2))
     f0 = f0[:, None]
@@ -411,7 +443,7 @@ def test_square_transforms_kept_for_the_last_two_rings(monkeypatch):
     ring = Q4.ring(6)
     coeffs = [(1, 0), (1, 1), (2, 1)]
     first = kernels.primitive_zero_exists(ring, coeffs)
-    assert len(kernels._count_plan(ring, 3, 0)[1]) >= 2
+    assert len(kernels._plan(Q4.p, ring.moduli, 3, 0)[1]) >= 2
 
     def fail(*args, **kwargs):
         raise AssertionError("a transform of the squares was rebuilt")
@@ -430,7 +462,7 @@ def test_count_at_p_131_takes_the_padded_fallback():
     # 131 has no leaf up to 128: its axes are padded to a power of two
     for level, coeffs in ((1, [1, 2]), (1, [5]), (2, [1]), (2, [7])):
         ring = F131.ring(level)
-        lengths = kernels._plan(ring.moduli, len(coeffs))[0]
+        lengths = kernels._plan(F131.p, ring.moduli, len(coeffs), 0)[0]
         assert lengths[0] & (lengths[0] - 1) == 0 and lengths != ring.moduli
         cc = [(c,) for c in coeffs]
         for t in (0, 1, 2, 130, 131 * 5 + 3):
@@ -487,11 +519,11 @@ def test_form_histograms_refuse_long_axes_before_any_histogram(monkeypatch):
 
 def test_value_distribution_matches_brute_force():
     rng = np.random.default_rng(5)
-    for shape in ENGINE_SHAPES:
+    for p, shape in ENGINE_SHAPES:
         for n in (1, 2, 3):
             hists = [rng.integers(0, 50, shape) for _ in range(n)]
             want = brute_convolution(hists)
-            got = engine_distribution(hists)
+            got = engine_distribution(p, hists)
             for t in np.ndindex(shape):
                 assert got[t] == want[t], (shape, n, t)
             assert sum(got.ravel()) == sum(want.ravel())

@@ -5,15 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from qperiods.ratfunc import RF, IQv, AVv, VAR_AV, ratio_if_proportional
+from qperiods.ratfunc import RF, IQv, AVv, VAR_AV, VAR_Z, ratio_if_proportional
 from qperiods.closedforms import (PiecewiseGeometric, closed_profile,
                                   pi_geometric, zeta_Z, local_factor_chain)
 from qperiods import periods, qform
-from qperiods.periods import (chi1, mod4_character, primes_up_to, ZLFactor,
+from qperiods.periods import (mod4_character, primes_up_to, ZLFactor,
                               uncorrected_factors,
                               PeriodValue, table_row,
-                              verify_table_row, verify_rows,
-                              specialize_profile, evaluate_period,
+                              verify_table_row, evaluate_period,
                               constant_ratio_at_q2, local_factor_report,
                               _round_up_64, _enclosing_product, _row_base,
                               _row7_head, _entry_rf, _Z, _LogShiftedZ)
@@ -23,14 +22,12 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_chi1_values():
-    assert chi1(5) == 1
-    assert chi1(13) == 1
-    assert chi1(7) == -1
-    assert chi1(3) == -1
-    assert chi1(2) == 0
-    for bad in (9, 1, 0, -3, 15):
+    # chi1 on the odd primes is the mod-4 character; the Euler product
+    # skips the even prime, where chi1 vanishes
+    assert [mod4_character(p) for p in (5, 13, 7, 3)] == [1, 1, -1, -1]
+    for even in (2, 0, -4):
         with pytest.raises(ValueError):
-            chi1(bad)
+            mod4_character(even)
 
 
 def test_mod4_character():
@@ -43,8 +40,10 @@ def test_mod4_character():
     for a in odds:
         for b in odds:
             assert mod4_character(a * b) == mod4_character(a) * mod4_character(b)
-    for p in (3, 5, 7, 11, 13, 17, 19):
-        assert chi1(p) == mod4_character(p)
+    for p in (3, 7, 11, 19):
+        assert mod4_character(p) == -1
+    for p in (5, 13, 17):
+        assert mod4_character(p) == 1
 
 
 def test_primes_up_to():
@@ -195,9 +194,7 @@ def test_specialize_profile():
 
 
 def test_verify_rows_all_pass():
-    ok, reports = verify_rows()
-    assert ok
-    assert len(reports) == 16
+    reports = [verify_table_row(n) for n in range(3, 19)]
     for r in reports:
         assert r["pass"]
         for name in ("a", "b", "c"):
@@ -266,6 +263,17 @@ def _check_c_holds(spec, pi2, corr):
     target = target * corr
     return ratio_if_proportional(local2, target,
                                  constant_free_of=(VAR_AV,)) is not None
+
+
+def specialize_profile(prof: PiecewiseGeometric, k: int) -> PiecewiseGeometric:
+    """Substitute z -> q^-k (that is, beta = k) into a profile in (z, iq);
+    tail ratios z^a iq^b collapse to iq^(ak+b)."""
+    def sub(f):
+        return f.subst_monomial(VAR_Z, 1, (0, k, 0))
+    exc = {T: sub(val) for T, val in prof.exceptional.items()}
+    tail = [(sub(c), (0, ez * k + eiq)) for c, (ez, eiq) in prof.tail]
+    return PiecewiseGeometric(prof.n, prof.e, exc, prof.T0, tail,
+                              sub(prof.zero_value))
 
 
 def rejected_variants(n: int) -> dict:
@@ -379,7 +387,7 @@ def _sequential_period(n, alpha, p_max):
         if p == 2:
             continue
         for f in spec.uncorrected:
-            chi = 1 if f.kind == "zeta" else chi1(p)
+            chi = 1 if f.kind == "zeta" else mod4_character(p)
             base = 1 - Fraction(chi, p ** f.exponent(alpha))
             value *= Fraction(1) / base if f.power == 1 else base
     K = len(spec.uncorrected)
