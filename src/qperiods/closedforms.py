@@ -15,7 +15,7 @@ T-independent part of the tail.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .qform import anisotropic_representative, invariants, is_anisotropic
 from .ratfunc import (
@@ -435,10 +435,14 @@ def zeta_Z(alpha_mult: int = 1, shift: int = 0, extra: RF = None) -> RF:
     """1/(1 - av^alpha_mult q^-shift [extra]): the zeta factor at
     alpha_mult * alpha + shift, optionally with a rational-function ratio
     spliced into the argument."""
-    arg = RF.monomial(0, shift, alpha_mult)
-    if extra is not None:
-        arg = arg * extra
-    return ONE / (ONE - arg)
+    if extra is None:
+        return _zeta_Z(alpha_mult, shift)
+    return ONE / (ONE - RF.monomial(0, shift, alpha_mult) * extra)
+
+
+@lru_cache(maxsize=256)  # RF is never mutated, so a result can be shared
+def _zeta_Z(alpha_mult: int, shift: int) -> RF:
+    return ONE / (ONE - RF.monomial(0, shift, alpha_mult))
 
 
 def local_factor_chain(pi: RF, n: int, k: int) -> RF:

@@ -19,7 +19,7 @@ from itertools import compress
 import math
 from math import prod
 
-from .ratfunc import (RF, Poly, IQv, AVv, VAR_AV,
+from .ratfunc import (RF, IQv, AVv, VAR_AV,
                       ratio_if_proportional, pretty_rf)
 from .closedforms import (PiecewiseGeometric, closed_profile, pi_geometric,
                           zeta_Z, local_factor_chain)
@@ -74,11 +74,25 @@ def constant_ratio_at_q2(pairs):
     they match the assembled forms only once q is the number 2, not as
     rational functions in q.
     """
+    return _constant_ratio(((fv.numerator, fv.denominator),
+                            (gv.numerator, gv.denominator))
+                           for fv, gv in pairs)
+
+
+def _constant_ratio(pairs):
+    """constant_ratio_at_q2 on values given as unreduced integer pairs
+    ((fn, fd), (gn, gd)), denominators nonzero: fv = c gv is tested as
+    fv gv0 = fv0 gv by cross-multiplying, and only the ratio c = fv0/gv0
+    of the first pair with gv0 != 0 is reduced."""
     pairs = list(pairs)
-    c = next((fv / gv for fv, gv in pairs if gv != 0), None)
-    if c is None or any(fv != c * gv for fv, gv in pairs):
+    base = next((pair for pair in pairs if pair[1][0]), None)
+    if base is None:
         return None
-    return c
+    (fn0, fd0), (gn0, gd0) = base
+    a, b = gn0 * fd0, fn0 * gd0
+    if any(fn * gd * a != gn * fd * b for (fn, fd), (gn, gd) in pairs):
+        return None
+    return Fraction(b, a)
 
 
 def primes_up_to(N: int):
@@ -425,15 +439,34 @@ def _kernel_profile(wp) -> PiecewiseGeometric:
     return _KERNEL_PROFILES[key]
 
 
-def _values_at_q2(prof: PiecewiseGeometric, Ts, z=None):
-    """prof.value_at(T) at q = 2 and the given z for each T, with each
-    tail coefficient evaluated once: X(T) = sum_j c_j r_j^T from T0 on.
-    The profile must be free of av, and of z when z is None (ValueError
-    otherwise)."""
-    tail = [(c.value(z=z, iq=HALF), Poly.monomial(ez, eiq).value(z=z, iq=HALF))
-            for c, (ez, eiq) in prof.tail]
-    return [prof.exceptional[T].value(z=z, iq=HALF) if T < prof.T0
-            else sum(c * r ** T for c, r in tail) for T in Ts]
+def _values_at_q2(prof: PiecewiseGeometric, Ts, k=None):
+    """prof.value_at(T) at q = 2 and z = 2^-k for each T, as an unreduced
+    pair (numerator, denominator) of ints, with each tail coefficient
+    evaluated once.  From T0 on X(T) = sum_j c_j r_j^T with c_j = a_j/b_j
+    and r_j = 2^-e_j, so X(T) is an integer over prod_j b_j * 2^E with E
+    the largest e_j T (or 0): no gcd is taken.  The profile must be free
+    of av, and of z when k is None (ValueError otherwise)."""
+    z = None if k is None else HALF ** k
+    cs, es = [], []
+    for c, (ez, eiq) in prof.tail:
+        if ez and k is None:
+            raise ValueError("no value given for z in the ratio z^%d" % ez)
+        cs.append(c.value(z=z, iq=HALF))
+        es.append(ez * (k or 0) + eiq)
+    # a_j times the other coefficients' denominators
+    scaled = [c.numerator * prod(d.denominator for i, d in enumerate(cs)
+                                 if i != j) for j, c in enumerate(cs)]
+    den = prod(c.denominator for c in cs)
+    out = []
+    for T in Ts:
+        if T < prof.T0:
+            x = prof.exceptional[T].value(z=z, iq=HALF)
+            out.append((x.numerator, x.denominator))
+            continue
+        E = max([e * T for e in es] + [0])
+        out.append((sum(a << (E - e * T) for a, e in zip(scaled, es)),
+                    den << E))
+    return out
 
 
 def verify_table_row(n: int) -> dict:
@@ -453,8 +486,8 @@ def verify_table_row(n: int) -> dict:
     spec = table_row(n)
     wp, pi2 = spec.witt, spec.pi2
     # the kernel's X at beta = k, that is z = q^-k
-    ca = constant_ratio_at_q2(zip(
-        _values_at_q2(_kernel_profile(wp), range(4), z=HALF ** wp.k),
+    ca = _constant_ratio(zip(
+        _values_at_q2(_kernel_profile(wp), range(4), k=wp.k),
         _values_at_q2(spec.x1, range(4))))
     cb = ratio_if_proportional(pi_geometric(spec.x1), pi2,
                                constant_free_of=(VAR_AV,))
@@ -595,18 +628,25 @@ def _as_integer(alpha) -> int:
     raise ValueError("alpha must be an integer, got %r" % (alpha,))
 
 
-def _local_product(factors, p: int, alpha: int):
+def _prime_terms(factors, alpha: int):
+    """What _local_product reads of each factor, (s, is_zeta, power) with
+    s = exponent(alpha), computed once for every prime."""
+    return tuple((f.exponent(alpha), f.kind == "zeta", f.power)
+                 for f in factors)
+
+
+def _local_product(terms, p: int):
     """The product of the factors' local factors at the odd prime p as an
-    unreduced pair (numerator, denominator): p^s/(p^s - chi(p)) for each,
-    inverted when its power is -1, with chi trivial for zeta and the mod-4
-    character for L.  p must be prime and every s = exponent(alpha) >= 2,
-    as _check_alpha ensures."""
+    unreduced pair (numerator, denominator), the factors given by
+    _prime_terms: p^s/(p^s - chi(p)) for each, inverted when its power is
+    -1, with chi trivial for zeta and the mod-4 character for L.  p must
+    be prime and every s >= 2, as _check_alpha ensures."""
     chi = mod4_character(p)
     num = den = 1
-    for f in factors:
-        ps = p ** f.exponent(alpha)
-        d = ps - (1 if f.kind == "zeta" else chi)
-        num, den = (num * ps, den * d) if f.power == 1 else (num * d, den * ps)
+    for s, is_zeta, power in terms:
+        ps = p ** s
+        d = ps - (1 if is_zeta else chi)
+        num, den = (num * ps, den * d) if power == 1 else (num * d, den * ps)
     return num, den
 
 
@@ -684,8 +724,8 @@ def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
     # 1/2, so rho <= 4 len(primes) 2^-B |T| <= 2^-64 |T| rel.
     L = rel.denominator.bit_length() - rel.numerator.bit_length() + 1
     B = 66 + max(128, L) + len(primes).bit_length()
-    lo, hi = _enclosing_product(
-        (_local_product(spec.uncorrected, p, alpha) for p in primes), B)
+    terms = _prime_terms(spec.uncorrected, alpha)
+    lo, hi = _enclosing_product((_local_product(terms, p) for p in primes), B)
 
     value = c2 * Fraction(lo + hi, 1 << (B + 1))
     rho = abs(c2) * Fraction(hi - lo, 1 << (B + 1))

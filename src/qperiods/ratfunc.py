@@ -62,7 +62,7 @@ class Poly:
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls({ONE_MONO: _frac(c)})
+        return cls.monomial(coeff=c)
 
     @classmethod
     def var(cls, idx: int) -> "Poly":
@@ -72,7 +72,9 @@ class Poly:
 
     @classmethod
     def monomial(cls, ez: int = 0, eiq: int = 0, eav: int = 0, coeff=1) -> "Poly":
-        return cls({(ez, eiq, eav): _frac(coeff)})
+        if type(coeff) is int:  # already a numerator over 1
+            return _poly({(ez, eiq, eav): coeff} if coeff else {}, 1)
+        return cls({(ez, eiq, eav): coeff})
 
     @property
     def terms(self):
@@ -99,6 +101,11 @@ class Poly:
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
+        # both operands are in lowest terms, so adding zero gives the other
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
         g = math.gcd(self.den, other.den)
         fa, fb = other.den // g, self.den // g
         out = {m: c * fa for m, c in self.nums.items()}
@@ -128,6 +135,20 @@ class Poly:
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
+        # Poly is never mutated, so a product with 1 can be the other
+        # operand itself, and a one-term operand is a shift and a scale:
+        # the same fields the double loop gives
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
+        a, b = ((self, other) if len(self.nums) <= len(other.nums)
+                else (other, self))
+        if len(a.nums) == 1:
+            ((a0, a1, a2), c1), = a.nums.items()
+            return _reduced({(a0 + b0, a1 + b1, a2 + b2): c1 * c2
+                             for (b0, b1, b2), c2 in b.nums.items()},
+                            a.den * b.den)
         out = {}
         for (a0, a1, a2), c1 in self.nums.items():
             for (b0, b1, b2), c2 in other.nums.items():
@@ -258,6 +279,13 @@ def _poly(nums, den) -> Poly:
     return p
 
 
+_ONE_NUMS = {ONE_MONO: 1}
+
+
+def _is_one(p: Poly) -> bool:
+    return p.den == 1 and p.nums == _ONE_NUMS
+
+
 def _reduced(nums, den) -> Poly:
     """A Poly from nonzero integer numerators over den > 0, reduced."""
     g = math.gcd(den, *nums.values())
@@ -344,7 +372,8 @@ class RF:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        return RF(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _raw_rf(self.num * other.den + other.num * self.den,
+                       self.den * other.den)
 
     __radd__ = __add__
 
@@ -364,7 +393,7 @@ class RF:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        return RF(self.num * other.num, self.den * other.den)
+        return _raw_rf(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -374,7 +403,7 @@ class RF:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RF(self.num * other.den, self.den * other.num)
+        return _raw_rf(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = _coerce_rf(other)
@@ -457,6 +486,7 @@ class RF:
 
 
 def _raw_rf(num: Poly, den: Poly) -> RF:
+    """RF(num, den) for Polys with den nonzero, without the checks."""
     out = RF.__new__(RF)
     out.num, out.den = _normalize(num, den)
     return out
@@ -466,6 +496,9 @@ def _normalize(num: Poly, den: Poly):
     """Shift out negative exponents and make the pair primitive-ish."""
     if num.is_zero():
         return Poly(), Poly.const(1)
+    # over the constant 1 with no negative exponent nothing moves
+    if _is_one(den) and min(map(min, num.nums)) >= 0:
+        return num, den
     # the least exponent of each variable over both polynomials
     shift = tuple(max(-lo, 0) for lo in map(min, zip(*num.nums, *den.nums)))
     if any(shift):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -442,3 +444,31 @@ def test_ring_layer_matches_golden_file():
              for s in FIELD_SPELLINGS]
     path = Path(__file__).parent / "data" / "fields.jsonl"
     assert "".join(lines) == path.read_text()
+
+
+def slow_v(p: int, x: int):
+    """localfield._v as it was, one division per factor p: the oracle."""
+    if x == 0:
+        return math.inf
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 131])
+def test_valuation_matches_one_division_per_factor(p):
+    rng = random.Random(p)
+    assert localfield._v(p, 0) == math.inf
+    for k in list(range(0, 70)) + [127, 128, 129, 255, 256, 1000, 1999, 2000]:
+        for sign in (1, -1):
+            u = rng.randrange(1, 10 ** 6)
+            u += u % p == 0  # a unit
+            x = sign * p ** k * u
+            assert localfield._v(p, x) == slow_v(p, x) == k
+    for _ in range(500):
+        x = rng.randrange(-2 ** rng.randrange(1, 400), 2 ** 400)
+        assert localfield._v(p, x) == slow_v(p, x)
+    # int64 coordinates are read as ints
+    assert localfield._v(p, np.int64(-7 * p ** 3)) == 3

@@ -61,15 +61,17 @@ def test_zl_factor_values():
     assert f.exponent(5) == 2
 
     def at(f, p, alpha):
-        return Fraction(*periods._local_product([f], p, alpha))
+        return Fraction(*periods._local_product(
+            periods._prime_terms([f], alpha), p))
 
     assert at(f, 3, 5) == Fraction(9, 8)
     assert at(ZLFactor("zeta", 1, -3, power=-1), 3, 5) == Fraction(8, 9)
     # chi1(3) = -1 flips the sign inside the L factor
     assert at(ZLFactor("L", 1, 0), 3, 2) == Fraction(9, 10)
     assert at(ZLFactor("L", 1, 0), 5, 2) == Fraction(25, 24)
-    assert periods._local_product(
-        [f, ZLFactor("L", 1, 0, power=-1)], 3, 5) == (9 * 244, 8 * 243)
+    terms = periods._prime_terms([f, ZLFactor("L", 1, 0, power=-1)], 5)
+    assert terms == ((2, True, 1), (5, False, -1))
+    assert periods._local_product(terms, 3) == (9 * 244, 8 * 243)
 
 
 def test_zl_factor_dyadic_side():
@@ -542,4 +544,62 @@ def test_constant_ratio_at_q2_values():
     # no pair with gv != 0 leaves no constant to report
     assert constant_ratio_at_q2([(0, 0), (1, 0)]) is None
     assert constant_ratio_at_q2([]) is None
+
+
+def fraction_constant_ratio(pairs):
+    """constant_ratio_at_q2 as it was written on Fractions, the oracle of
+    the cross-multiplying integer version."""
+    pairs = list(pairs)
+    c = next((Fraction(fv) / gv for fv, gv in pairs if gv != 0), None)
+    if c is None or any(fv != c * gv for fv, gv in pairs):
+        return None
+    return c
+
+
+def test_integer_constant_ratio_matches_fraction_oracle():
+    rng = random.Random(24)
+
+    def unreduced(x):
+        # the pair of x scaled by a random nonzero factor, sign included
+        k = rng.choice([1, -1]) * rng.randrange(1, 50)
+        return (x.numerator * k, x.denominator * k)
+
+    def value():
+        return Fraction(rng.choice([0, 0, rng.randrange(-99, 100)]),
+                        rng.randrange(1, 30))
+
+    for _ in range(2000):
+        c = value()
+        gs = [value() for _ in range(rng.randrange(0, 5))]
+        # proportional, with one value sometimes perturbed
+        fs = [c * g for g in gs]
+        if fs and rng.random() < 0.5:
+            i = rng.randrange(len(fs))
+            fs[i] += rng.choice([value(), Fraction(1, 7)])
+        pairs = list(zip(fs, gs))
+        want = fraction_constant_ratio(pairs)
+        got = periods._constant_ratio(
+            (unreduced(f), unreduced(g)) for f, g in pairs)
+        assert got == want
+        assert constant_ratio_at_q2(pairs) == want
+        if want is not None:
+            assert type(got) is Fraction
+
+
+def test_values_at_q2_match_value_at():
+    # one kernel per Witt class (n mod 8), and each row's X entry
+    half = Fraction(1, 2)
+    for n in range(3, 11):
+        spec = table_row(n)
+        k = spec.witt.k
+        for prof, kk in ((periods._kernel_profile(spec.witt), k),
+                         (spec.x1, None)):
+            z = None if kk is None else half ** kk
+            got = periods._values_at_q2(prof, range(6), k=kk)
+            want = [prof.value_at(T).value(z=z, iq=half) for T in range(6)]
+            assert [Fraction(*pair) for pair in got] == want
+    # the kernels' ratios use z, so they need k
+    with pytest.raises(ValueError, match="no value given for z"):
+        periods._values_at_q2(periods._kernel_profile(table_row(5).witt),
+                              range(2))
 

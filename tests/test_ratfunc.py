@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qperiods.ratfunc import (Poly, RF, Zv, IQv, AVv, VAR_Z, VAR_IQ, VAR_AV,
                               ratio_if_proportional, pretty_rf,
-                              format_poly, geometric_inverse_factor)
+                              format_poly, geometric_inverse_factor,
+                              _normalize, _raw_rf, _reduced)
 
 from fraction_poly import FractionPoly, series_z as fraction_series_z
 
@@ -276,3 +277,100 @@ def test_rf_field_laws(a, b):
         assert same_rf((f / g) * g, f)
     assert same_rf(f * g, g * f)
     assert same_rf(f, g) == (f - g).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The fast paths of Poly.__mul__, Poly.__add__ and _normalize against the
+# general code they short-cut, kept here as oracles: every result must have
+# the same fields, not just compare equal, since RF is not gcd-reduced and
+# its printed form depends on them.
+# ---------------------------------------------------------------------------
+
+def slow_mul(p: Poly, q: Poly) -> Poly:
+    out = {}
+    for (a0, a1, a2), c1 in p.nums.items():
+        for (b0, b1, b2), c2 in q.nums.items():
+            m = (a0 + b0, a1 + b1, a2 + b2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return _reduced({m: c for m, c in out.items() if c}, p.den * q.den)
+
+
+def slow_add(p: Poly, q: Poly) -> Poly:
+    g = math.gcd(p.den, q.den)
+    fa, fb = q.den // g, p.den // g
+    out = {m: c * fa for m, c in p.nums.items()}
+    for m, c in q.nums.items():
+        s = out.get(m, 0) + c * fb
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return _reduced(out, p.den * fa)
+
+
+def slow_normalize(num: Poly, den: Poly):
+    if num.is_zero():
+        return Poly(), Poly.const(1)
+    shift = tuple(max(-lo, 0) for lo in map(min, zip(*num.nums, *den.nums)))
+    if any(shift):
+        num = num.shift(shift)
+        den = den.shift(shift)
+    lead = den.nums[min(den.nums)]
+    if lead != den.den:
+        s, t = (den.den, lead) if lead > 0 else (-den.den, -lead)
+        num = _reduced({m: c * s for m, c in num.nums.items()}, num.den * t)
+        den = _reduced({m: c * s for m, c in den.nums.items()}, den.den * t)
+    return num, den
+
+
+def same_fields(got: Poly, want: Poly):
+    assert (got.nums, got.den) == (want.nums, want.den)
+    assert_canonical(got)
+
+
+nonneg_monos = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+# operands that take each fast path: the constant 1, zero, one term (with
+# and without negative exponents), and general Laurent polynomials
+fast_path_polys = st.one_of(
+    st.just(Poly.const(1)), st.just(Poly()),
+    st.builds(lambda m, c: Poly({m: c}), monos, nonzero_fractions),
+    st.builds(lambda m, c: Poly({m: c}), nonneg_monos, st.integers(-5, 5)),
+    st.dictionaries(nonneg_monos, fractions, max_size=4).map(Poly),
+    laurent_terms().map(Poly))
+
+
+@given(fast_path_polys, fast_path_polys)
+@settings(max_examples=300, deadline=None)
+def test_poly_fast_paths_keep_the_fields(a, b):
+    same_fields(a * b, slow_mul(a, b))
+    same_fields(b * a, slow_mul(b, a))
+    same_fields(a + b, slow_add(a, b))
+    same_fields(b + a, slow_add(b, a))
+    if b:
+        for got, want in zip(_normalize(a, b), slow_normalize(a, b)):
+            same_fields(got, want)
+        # the RF operations chain the products and sums into _normalize
+        f, g = _raw_rf(a, b), _raw_rf(a + b, b)
+        ops = [(f + g, slow_add(slow_mul(f.num, g.den), slow_mul(g.num, f.den)),
+                slow_mul(f.den, g.den)),
+               (f * g, slow_mul(f.num, g.num), slow_mul(f.den, g.den))]
+        if g.num:
+            ops.append((f / g, slow_mul(f.num, g.den), slow_mul(f.den, g.num)))
+        for got, num, den in ops:
+            want = slow_normalize(num, den)
+            same_fields(got.num, want[0])
+            same_fields(got.den, want[1])
+            rebuilt = RF(num, den)
+            same_fields(got.num, rebuilt.num)
+            same_fields(got.den, rebuilt.den)
+
+
+@given(nonneg_monos, st.integers(-10 ** 30, 10 ** 30))
+@settings(max_examples=100, deadline=None)
+def test_int_constructors_keep_the_fields(mono, c):
+    want = Poly({mono: Fraction(c)})
+    same_fields(Poly.monomial(*mono, coeff=c), want)
+    same_fields(Poly.const(c), Poly({(0, 0, 0): Fraction(c)}))
+    # Fractions take the general path
+    same_fields(Poly.monomial(*mono, coeff=Fraction(c, 3)),
+                Poly({mono: Fraction(c, 3)}))
