@@ -328,7 +328,8 @@ def same_fields(got: Poly, want: Poly):
     assert_canonical(got)
 
 
-nonneg_monos = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+nonneg_monos = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                         st.integers(0, 2))
 # operands that take each fast path: the constant 1, zero, one term (with
 # and without negative exponents), and general Laurent polynomials
 fast_path_polys = st.one_of(
@@ -351,7 +352,8 @@ def test_poly_fast_paths_keep_the_fields(a, b):
             same_fields(got, want)
         # the RF operations chain the products and sums into _normalize
         f, g = _raw_rf(a, b), _raw_rf(a + b, b)
-        ops = [(f + g, slow_add(slow_mul(f.num, g.den), slow_mul(g.num, f.den)),
+        ops = [(f + g,
+                slow_add(slow_mul(f.num, g.den), slow_mul(g.num, f.den)),
                 slow_mul(f.den, g.den)),
                (f * g, slow_mul(f.num, g.num), slow_mul(f.den, g.den))]
         if g.num:
