@@ -5,26 +5,38 @@ convolution of the summands' histograms over the additive group of the
 ring.  One engine transforms the summands by number-theoretic transforms
 modulo as many primes as the count's bound (#x)^terms (#pairs)^planes
 needs, and joins residues by CRT; every count is an exact integer.
-_summand_transforms gives, for one prime, the transforms of a form's
-distinct summands with their multiplicities, and two readers use them:
-solution_count takes one entry by a dot product per prime, and
-ValueDistribution the whole convolution by one inverse transform per
-prime, so that every target at every coarser level is a coset sum of it.
+
+A count costs one plan per ring and one transform pass per CRT prime.
+_summands makes the plan, kept for the last two rings and shared by
+every prime: the transform lengths and primes, and the distinct summands
+with their multiplicities.  Coefficients are grouped by square class, since
+c and c u^2 (u a unit) have one histogram, and each class keeps the dual
+index described below, which does not depend on the prime.  Per prime,
+_transforms yields the transform of each distinct summand, and two readers
+take them: solution_count reads one entry by a dot product, and
+ValueDistribution reads the whole convolution by one inverse transform, so
+that every target at every coarser level is a coset sum of it.
+Multiplicities are raised by repeated squaring.
 
 One transform routine, a mixed-radix four-step NTT, serves every length
-ell^k: it cuts the axis into leaves ell^j <= 128, each one exact float64
-matrix product, with a twiddle multiplication between levels.  _plan
-alone decides the shape, from the ring's residue prime p: every axis has
-length p^k, so below 128 (Q2, Q4, Q3, Q9 and the ramified rings) each
-axis keeps its own length, modulo the primes P = 1 mod every power of p
-up to 2^23, one table per p that every level of the field shares.  There
-a square term has no histogram and no transform of its own: the
-transform of c x^2's histogram is T(S), the transform of the squares'
-histogram, read at the dual of multiplication by c (c f on one axis);
-T(S) is ring data, kept for the last two rings.  Only p > 127 pads: each
-term's histogram is transformed zero-padded to a power of two, with the
-table of p = 2, and the result is folded back.  No table is built at
-import time.
+ell^k.  It cuts the axis into leaves ell^j <= 128, and each leaf is one
+exact float64 matrix product, with a twiddle multiplication between
+levels.  The slot order (_slots) is the same modulo every prime.  _plan
+alone decides the shape, from the ring's residue prime p.  Every axis has
+length p^k, so below 128 (Q2, Q4, Q3, Q9 and the ramified rings) each axis
+keeps its own length, modulo the primes P = 1 mod every power of p up to
+2^23: one table per p, shared by every level of the field.  There a square
+term has no histogram and no transform of its own.  The transform of
+c x^2's histogram is T(S), the transform of the squares' histogram, read
+at the dual of multiplication by c (c f on one axis).  T(S) is ring data,
+kept for the last two rings.  Only p > 127 pads: each summand's histogram
+is transformed zero-padded to a power of two, with the table of p = 2,
+and the result is folded back.  No table is built at import time.
+
+Every reduction mod P is a floor division, x - (x // P) P (_mod).  numpy
+divides by a scalar through libdivide, several times faster than its
+remainder, and the floor also reduces the signed limb sums of a leaf
+product.
 
 Ring arithmetic is not repeated here: values come from the ResidueRing
 methods (coords, mul, add, ord_of, is_unit) applied to whole arrays of
@@ -33,9 +45,10 @@ elements, and histograms use the ring's flat layout (flat_index).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from math import log, prod
+from math import gcd, isqrt, log, prod
 from operator import mul
 
 import numpy as np
@@ -116,26 +129,31 @@ _CRT_REACH = 1 << 365
 
 
 # Below this bound no composite is a strong pseudoprime to all of the
-# first 13 prime bases (Sorenson and Webster, Math. Comp. 86 (2017))
+# first 13 prime bases (Sorenson and Webster, Math. Comp. 86 (2017)), and
+# below _SMALL_TEST_LIMIT none is one to the bases 2, 7 and 61 (G. Jaeschke,
+# Math. Comp. 61 (1993)), which decide every candidate of a prime table
 _PRIME_TEST_LIMIT = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_TEST_LIMIT = 4759123141
+_SMALL_BASES = (2, 7, 61)
+# a number sharing no factor with this product has no prime factor <= 41
+_BASE_PRODUCT = prod(_PRIME_BASES)
 
 
 def _is_prime(n) -> bool:
-    """Deterministic Miller-Rabin to the first 13 prime bases, exact
-    below _PRIME_TEST_LIMIT; ValueError past it."""
+    """Deterministic Miller-Rabin, exact below _PRIME_TEST_LIMIT;
+    ValueError past it."""
     if n >= _PRIME_TEST_LIMIT:
         raise ValueError("primality of %d is not decided: the test is exact "
                          "only below %d" % (n, _PRIME_TEST_LIMIT))
-    if n < 2:
-        return False
-    for b in _PRIME_BASES:
-        if n % b == 0:
-            return n == b
+    if gcd(n, _BASE_PRODUCT) > 1:
+        return n in _PRIME_BASES
+    if n < 43 * 43:  # no prime factor up to 41, none past it
+        return n > 1
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for b in _PRIME_BASES:
+    for b in _SMALL_BASES if n < _SMALL_TEST_LIMIT else _PRIME_BASES:
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -165,11 +183,13 @@ def _ntt_primes(ell):
     n = ell
     while n * ell <= 1 << 23:
         n *= ell
-    primes, P = [], (2 ** 31 - 2) // n * n + 1
-    while prod(primes) < _CRT_REACH and P > n:
-        if _is_prime(P):
+    primes, reach = [], 1
+    for P in range((2 ** 31 - 2) // n * n + 1, n, -n):
+        if reach >= _CRT_REACH:
+            break
+        if _is_prime(P):  # a gcd trial-divides it before Miller-Rabin
             primes.append(P)
-        P -= n
+            reach *= P
     return tuple(primes)
 
 
@@ -181,6 +201,17 @@ def _generator(p, ell):
     return next(c for c in range(2, p) if pow(c, (p - 1) // ell, p) != 1)
 
 
+def _root(p, n):
+    """The n-th root of unity mod p that is a power of _generator."""
+    return pow(_generator(p, _ell_k(n)[0]), (p - 1) // n, p)
+
+
+def _powers(w, count, p):
+    """[1, w, ..., w^(count - 1)] mod p, as Python ints."""
+    return list(accumulate(range(count - 1), lambda x, _: x * w % p,
+                           initial=1))
+
+
 @lru_cache(maxsize=64)
 def _limbs(p, L):
     """The length-L DFT matrix mod p as float limbs, L x 2L: a signed low
@@ -188,12 +219,12 @@ def _limbs(p, L):
     most p - 1 times a column sum of absolute limbs, below 2^53 for every
     P < 2^31 and L <= _LEAF (each limb is at most 2^15); ArithmeticError
     otherwise."""
-    ell = _ell_k(L)[0]
-    root = pow(_generator(p, ell), (p - 1) // L, p)
-    pw = np.array([pow(root, j, p) for j in range(L)], dtype=np.int64)
-    mat = pw[np.outer(np.arange(L), np.arange(L)) % L]
-    low = (mat + 0x8000 & 0xFFFF) - 0x8000
-    limbs = np.hstack([low, (mat - low) >> 16]).astype(float)
+    pw = np.array(_powers(_root(p, L), L, p), dtype=np.int64)
+    low = (pw + 0x8000 & 0xFFFF) - 0x8000
+    exps = _mod(np.multiply.outer(np.arange(L), np.arange(L)), L)
+    limbs = np.empty((L, 2 * L))
+    limbs[:, :L] = low.astype(float)[exps]
+    limbs[:, L:] = ((pw - low) >> 16).astype(float)[exps]
     if (p - 1) * int(np.abs(limbs).sum(axis=0).max()) >= 1 << 53:
         raise ArithmeticError("leaf products of length %d mod %d could "
                               "pass 2^53" % (L, p))
@@ -210,25 +241,46 @@ def _leaf_length(ell, k):
     return ell ** -(-k // -(-k // j))
 
 
-@lru_cache(maxsize=256)
-def _tables(p, n):
-    """Length-n tables mod p (n a prime power dividing p - 1), for the
-    n-th root of unity w that is a power of _generator, as every leaf root
-    is: the leaf length L, the negated frequency of each output slot of
-    _ntt, and either the twiddles w^(f1 i2) of the first level (n > L) or
-    the powers of w (n = L)."""
-    ell, k = _ell_k(n)
-    root = pow(_generator(p, ell), (p - 1) // n, p)
-    pw = np.ones(1, dtype=np.int64)
-    while len(pw) < n:
-        pw = np.concatenate([pw, pw * pow(root, len(pw), p) % p])
-    pw = pw[:n]
-    L = _leaf_length(ell, k) if n > 1 else 1
+@lru_cache(maxsize=64)
+def _slots(n):
+    """The first leaf L of a length-n _ntt and the frequency f that each
+    output slot holds, the same modulo every prime: frequency f1 + L f2
+    lands in slot (f1, slot of f2)."""
+    L = _leaf_length(*_ell_k(n)) if n > 1 else 1
     if L == n:
-        return L, -np.arange(n) % n, pw
-    m = n // L
-    freq = np.arange(L)[:, None] + L * (-_tables(p, m)[1] % m)
-    return L, -freq.ravel() % n, pw[np.outer(np.arange(L), np.arange(m))]
+        return L, np.arange(n)
+    return L, (np.arange(L)[:, None] + L * _slots(n // L)[1]).ravel()
+
+
+@lru_cache(maxsize=256)
+def _twiddles(p, n):
+    """The table of a length-n _ntt mod p (n a prime power dividing
+    p - 1, P < 2^31), for w = _root(p, n), a power of the leaf roots: the
+    twiddles w^(f1 i2) of its first level (n > L), or the powers of w
+    (n = L).  The powers of w are one outer product of the first b powers
+    and the powers of w^b, b^2 >= n."""
+    w = _root(p, n)
+    b = isqrt(n - 1) + 1
+    lo = _powers(w, b, p)
+    hi = _powers(lo[-1] * w % p, -(-n // b), p)
+    pw = _mod(np.multiply.outer(hi, lo), p).ravel()[:n]
+    L = _slots(n)[0]
+    if L == n:
+        return pw
+    return pw[np.outer(np.arange(L), np.arange(n // L))]
+
+
+def _mod(x, p):
+    """x mod p, in place, for an int64 array x.  Past about 1,000 entries
+    a floor division runs faster: numpy divides by a scalar through
+    libdivide, several times faster than its remainder, and x - (x // p) p
+    lies in [0, p) for negative x too.  Below that the one remainder call
+    costs less than the three of the floor division."""
+    if x.size < 1024:
+        x %= p
+    else:
+        x -= x // p * p
+    return x
 
 
 def _fold(p, n, t):
@@ -236,14 +288,14 @@ def _fold(p, n, t):
     length-n _ntt: the weights that read entry t back from a product of
     transforms.  Level by level, with u = -t = a (n / L) + b mod n,
     w^(u f1) = w^(f1 b) w_L^(f1 a) for the leaf root w_L = w^(n / L)."""
-    L, _, table = _tables(p, n)
+    L, table = _slots(n)[0], _twiddles(p, n)
     u = -t % n
     if L == n:
         return table[u * np.arange(n) % n]
     m = n // L
     a, b = divmod(u, m)
-    head = table[:, b] * _tables(p, L)[2][a * np.arange(L) % L] % p
-    return (head[:, None] * _fold(p, m, t % m) % p).ravel()
+    head = _mod(table[:, b] * _twiddles(p, L)[a * np.arange(L) % L], p)
+    return _mod(head[:, None] * _fold(p, m, t % m), p).ravel()
 
 
 def _leaf_product(x, p, limbs):
@@ -251,9 +303,6 @@ def _leaf_product(x, p, limbs):
     by the leaf matrix: float64 products with the limbs, exact because
     every partial sum stays below 2^53, recombined mod p."""
     B, L, M = x.shape
-    # a multiple of p past 2^37: shifted up by 16 bits it keeps every sum
-    # non-negative, where numpy's remainder runs several times faster
-    lift = -(-(1 << 37) // p) * p
     cols = min(M, max(1, _CHUNK // L))
     rows = max(1, _CHUNK // (L * cols))
     for r in range(0, B, rows):
@@ -265,16 +314,18 @@ def _leaf_product(x, p, limbs):
             else:
                 y = limbs.T @ v.astype(float)
             y = y.astype(np.int64)  # axis 1 holds the low, then high limbs
-            v[...] = (y[:, :L] + (y[:, L:] % p + lift << 16)) % p
+            low = y[:, :L]
+            low += _mod(y[:, L:], p) << 16
+            v[...] = _mod(low, p)
 
 
 def _ntt(a, p):
     """Forward NTT mod p, in place, along axis 1 of a C-contiguous 3-D
     array (B, n, C) of residues; slot s of that axis then holds the
-    frequency -negfreq[s] of _tables.
+    frequency _slots(n)[1][s].
 
     One mixed-radix four-step transform (D. H. Bailey, J. Supercomputing
-    4, 1990) serves every length n = ell^k: with the leaf L of _tables and
+    4, 1990) serves every length n = ell^k: with the leaf L of _slots and
     i = i1 (n / L) + i2, a leaf product transforms over i1 for each i2,
     the twiddles w^(f1 i2) multiply, and the length-n/L transform over i2
     runs the same way, so frequency f1 + L f2 lands in slot (f1, slot of
@@ -283,12 +334,12 @@ def _ntt(a, p):
     B, n, C = a.shape
     if n == 1:
         return
-    L, _, twiddles = _tables(p, n)
+    L = _slots(n)[0]
     _leaf_product(a.reshape(B, L, -1), p, _limbs(p, L))
     if L < n:
         x = a.reshape(B, L, n // L, C)
-        x *= twiddles[:, :, None]
-        x %= p
+        x *= _twiddles(p, n)[:, :, None]
+        _mod(x, p)
         _ntt(a.reshape(B * L, n // L, C), p)
 
 
@@ -328,59 +379,67 @@ def _plan(p, shape, terms, planes):
 def _forward(stack, lengths, p):
     """Each histogram of the stack, zero-padded to `lengths`, transformed
     mod p along every axis; slots hold frequencies as _ntt leaves them."""
-    shape = stack.shape[1:]
-    if shape == lengths:
-        a = stack % p
-    else:
-        a = np.zeros((len(stack),) + lengths, dtype=np.int64)
-        np.remainder(stack, p, out=a[(slice(None),) + tuple(map(slice, shape))])
+    a = np.zeros((len(stack),) + lengths, dtype=np.int64)
+    head = a[(slice(None),) + tuple(map(slice, stack.shape[1:]))]
+    head[...] = stack
+    _mod(head, p)
     for ax, n in enumerate(lengths):
         _ntt(a.reshape(len(stack) * prod(lengths[:ax]), n, -1), p)
     return a
 
 
 def _product(acc, a, mults, p):
-    """acc times each transform of a to its multiplicity, mod p, in place."""
-    for i, c in enumerate(mults):
-        for _ in range(c):
-            acc *= a[i]
-            acc %= p
+    """acc (int64, updated in place; None for 1) times each transform of
+    the iterable a to its multiplicity, mod p, by repeated squaring."""
+    for x, c in zip(a, mults):
+        while c:
+            if c & 1:
+                if acc is None:
+                    acc = x.astype(np.int64)  # a copy, as x may be squared
+                else:
+                    acc *= x
+                    _mod(acc, p)
+            c >>= 1
+            if c:
+                x = _mod(np.multiply(x, x, dtype=np.int64), p)
     return acc
 
 
-def _entry_mod(p, a, mults, shape, target):
+def _entry_mod(p, a, mults, lengths, shape, target):
     """The target entry mod p of the convolution whose distinct factors
-    have the transforms a (histograms of this shape, as _forward leaves
-    them) with these multiplicities, by one dot product with the weights
-    of _fold (summed over t, t + m, ... on a padded axis)."""
-    lengths = a.shape[1:]
+    have the transforms a (histograms of this shape, transformed at these
+    lengths as _forward leaves them) with these multiplicities, by one dot
+    product with the weights of _fold (summed over t, t + m, ... on a
+    padded axis)."""
     acc = None
     for ax, (n, m, t) in enumerate(zip(lengths, shape, target)):
         ws = range(int(t) % m, n, m)  # one w unless the axis is padded
         fold = sum(_fold(p, n, w) for w in ws) % p if len(ws) > 1 \
             else _fold(p, n, ws[0])
         fold = fold.reshape((n,) + (1,) * (len(lengths) - ax - 1))
-        acc = fold if acc is None else acc * fold % p
+        acc = fold if acc is None else _mod(acc * fold, p)
     acc = _product(acc, a, mults, p)
     return int(acc.sum()) * pow(prod(lengths), -1, p) % p
 
 
-def _distribution_mod(p, a, mults, shape):
+def _distribution_mod(p, a, mults, lengths, shape):
     """The whole convolution mod p, on the histogram shape, of the factors
     with the transforms a and multiplicities of _entry_mod."""
-    lengths = a.shape[1:]
-    acc = _product(np.ones(lengths, dtype=np.int64), a, mults, p)
+    acc = _product(None, a, mults, p)
+    if acc is None:
+        acc = np.ones(lengths, dtype=np.int64)
     # the inverse is the forward transform of the negated frequencies: put
     # frequency -f in natural slot f, transform, and read the result in the
     # slot order the transform leaves
     for ax, n in enumerate(lengths):
-        negfreq = _tables(p, n)[1]
+        freq = _slots(n)[1]
         x = acc.reshape(prod(lengths[:ax]), n, -1)
         b = np.empty_like(x)
-        b[:, negfreq] = x
+        b[:, -freq % n] = x
         _ntt(b, p)
-        x[:, -negfreq % n] = b
-    acc = acc * pow(prod(lengths), -1, p) % p
+        x[:, freq] = b
+    acc *= pow(prod(lengths), -1, p)
+    _mod(acc, p)
     # a padded axis holds the linear convolution: fold it back onto Z/m
     for ax, (n, m) in enumerate(zip(lengths, shape)):
         if n != m:
@@ -401,6 +460,17 @@ def _crt(residues, primes) -> int:
     return count
 
 
+# ---------------------------------------------------------------------------
+# Per-ring plans: square classes and their dual indices
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=2)  # the last two rings
+def _square_histogram(ring):
+    """S, the histogram of x^2 over the ring, in the ring's shape."""
+    h = np.bincount(ring.flat_index(_squares(ring)), minlength=ring.size)
+    return h.astype(np.int32).reshape(ring.moduli)  # counts up to 2^23
+
+
 # the last two rings: a primitive-zero search alternates o/pi^L and o/pi^(L-2)
 @lru_cache(maxsize=2)
 def _square_transforms(ring):
@@ -414,60 +484,113 @@ def _square_transform(ring, p):
     coefficient."""
     per_prime = _square_transforms(ring)
     if p not in per_prime:
-        s = np.bincount(ring.flat_index(_squares(ring)), minlength=ring.size)
-        a = _forward(s.reshape((1,) + ring.moduli), ring.moduli, p)[0]
+        a = _forward(_square_histogram(ring)[None], ring.moduli, p)[0]
         ts = np.empty(a.shape, dtype=np.int32)  # residues below P < 2^31
-        ts[np.ix_(*(-_tables(p, m)[1] % m for m in ring.moduli))] = a
+        ts[np.ix_(*(_slots(m)[1] for m in ring.moduli))] = a
         per_prime[p] = ts.ravel()
     return per_prime[p]
 
 
-def _dual_indices(ring, coeffs, p):
-    """For each c, the flat natural index of c*(f) for the frequency f of
-    every slot, so that T(H_c) = T(S)[index] for the histogram H_c of c x^2.
-    Slot f holds the character chi_f(x) = w^(sum_i f_i x_i M / m_i), w of
-    order M = max m, and chi_f(c x) = chi_c*(f)(x) for the dual c*(f)_j =
-    sum_i f_i (c e_j)_i (M / m_i) / (M / m_j) mod m_j, e_j the basis
-    vectors; on one axis c*(f) = c f mod n."""
+@lru_cache(maxsize=2)  # the last two rings
+def _unit_squares(ring):
+    """u^2 for the units u of the ring, each square once, as coordinates."""
+    sq = np.unravel_index(np.flatnonzero(_square_histogram(ring).ravel()),
+                          ring.moduli)
+    return tuple(v[ring.is_unit(sq)] for v in sq)
+
+
+def _square_classes(ring, coeffs):
+    """The distinct histograms of c x^2 for c in coeffs (reduced): one
+    representative coefficient of each and how many coeffs share it.  Two
+    coefficients share a histogram exactly when c' = c u^2 for a unit u:
+    the values of c x^2 of least ord are the c u^2.  So only coefficients
+    of one ord are compared, and each class's orbit c U^2 is built only
+    when a later coefficient needs the test."""
+    reps, ords, mults, orbits = [], [], [], []
+    for c in coeffs:
+        o = min(ring.field._ord(c), ring.level)
+        for i, rep in enumerate(reps):
+            if c == rep:
+                break
+            if o != ords[i]:
+                continue
+            if orbits[i] is None:
+                orbits[i] = np.zeros(ring.size, dtype=bool)
+                orbits[i][ring.flat_index(
+                    ring.mul(rep, _unit_squares(ring)))] = True
+            if orbits[i][ring.flat_index(c)]:
+                break
+        else:
+            reps.append(c)
+            ords.append(o)
+            mults.append(0)
+            orbits.append(None)
+            i = len(reps) - 1
+        mults[i] += 1
+    return reps, mults
+
+
+def _dual_index(ring, c):
+    """The flat natural index of c*(f) for the frequency f of every slot
+    (the same modulo every prime), so that T(H_c) = T(S)[index] for the
+    histogram H_c of c x^2.  Slot f holds the character chi_f(x) =
+    w^(sum_i f_i x_i M / m_i), w of order M = max m, and chi_f(c x) =
+    chi_c*(f)(x) for the dual c*(f)_j = sum_i f_i (c e_j)_i (M / m_i) /
+    (M / m_j) mod m_j, e_j the basis vectors; on one axis c*(f) = c f mod
+    n."""
     moduli = ring.moduli
     M, d = max(moduli), len(moduli)
-    freqs = [(-_tables(p, m)[1] % m).reshape((-1,) + (1,) * (d - i - 1))
+    freqs = [_slots(m)[1].reshape((-1,) + (1,) * (d - i - 1))
              for i, m in enumerate(moduli)]
-    for c in coeffs:
-        idx = None
-        for j, mj in enumerate(moduli):
-            ce = ring.mul(c, tuple(int(i == j) for i in range(d)))
-            terms = [f * (x * (M // mi))
-                     for f, x, mi in zip(freqs, ce, moduli) if x]
-            g = sum(terms[1:], terms[0]) if terms else 0
+    idx = np.zeros(moduli, dtype=np.int32)  # at most 2^23 classes
+    for j, mj in enumerate(moduli):
+        ce = ring.mul(c, tuple(int(i == j) for i in range(d)))
+        terms = [f * (x * (M // mi))
+                 for f, x, mi in zip(freqs, ce, moduli) if x]
+        if terms:
+            g = sum(terms[1:], terms[0])
             if M > mj:  # exact: x -> chi_f(c x) is a character
                 g //= M // mj
-            g %= mj
-            idx = g if idx is None else idx * mj + g
-        yield idx
+            idx = idx * mj + _mod(g, mj)
+        else:
+            idx *= mj
+    return idx.astype(np.int32)
 
 
-def _summand_transforms(ring, coeff_list, planes, p, lengths):
-    """The transforms mod p, as _forward leaves them, of the distinct
-    summands of sum c x^2 + planes * 2xy, stacked, and their
-    multiplicities.  On a natural shape a square term is T(S) read at the
-    dual of c; a padded one transforms the histogram of each term."""
-    cs = {}  # distinct coefficients mod the ring, with their multiplicities
-    for c in coeff_list:
-        c = ring.reduce(c)
-        cs[c] = cs.get(c, 0) + 1
-    mults = list(cs.values()) + [planes] * bool(planes)
-    plane = [plane_histogram(ring)] if planes else []
-    if lengths != ring.moduli:
-        hists = [*square_histograms(ring, list(cs)), *plane]
-        return _forward(np.array(hists), lengths, p), mults
-    a = np.empty((len(mults),) + lengths, dtype=np.int64)
+_Summands = namedtuple("_Summands", "lengths primes mults terms")
+
+
+@lru_cache(maxsize=2)  # the last two rings, as _square_transforms
+def _summands(ring, coeffs, planes):
+    """The plan of every count of sum c x^2 + planes * 2xy over the ring
+    (coeffs reduced), shared by every CRT prime: the transform lengths and
+    primes of _plan, and each distinct summand with its multiplicity, the
+    square classes first, then the plane.  On natural lengths the terms
+    are the dual indices of the classes; on padded ones the histograms of
+    every summand, stacked."""
+    lengths, primes = _plan(ring.field.p, ring.moduli, len(coeffs), planes)
+    reps, mults = _square_classes(ring, coeffs)
+    mults += [planes] * bool(planes)
+    if lengths == ring.moduli:
+        terms = [_dual_index(ring, c) for c in reps]
+    else:
+        plane = [plane_histogram(ring)] if planes else []
+        terms = np.array([*square_histograms(ring, reps), *plane])
+    return _Summands(lengths, primes, mults, terms)
+
+
+def _transforms(ring, plan, p):
+    """The transforms mod p of the plan's distinct summands, as _forward
+    leaves them, one at a time.  On natural lengths a square class is T(S)
+    read at its dual index and only the plane is transformed."""
+    if plan.lengths != ring.moduli:
+        yield from _forward(plan.terms, plan.lengths, p)
+        return
     ts = _square_transform(ring, p)
-    for i, idx in enumerate(_dual_indices(ring, cs, p)):
-        a[i] = ts[idx]
-    if planes:
-        a[-1] = _forward(plane[0][None], lengths, p)[0]
-    return a, mults
+    for idx in plan.terms:
+        yield ts.take(idx)
+    if len(plan.terms) < len(plan.mults):
+        yield _forward(plane_histogram(ring)[None], plan.lengths, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +610,11 @@ class ValueDistribution:
     __slots__ = ("primes", "residues")
 
     def __init__(self, ring, coeffs, planes=0):
-        lengths, self.primes = _plan(ring.field.p, ring.moduli,
-                                     len(coeffs), planes)
+        plan = _summands(ring, tuple(map(ring.reduce, coeffs)), planes)
+        self.primes = plan.primes
         self.residues = np.array([_distribution_mod(
-            p, *_summand_transforms(ring, coeffs, planes, p, lengths),
-            ring.moduli) for p in self.primes])
+            p, _transforms(ring, plan, p), plan.mults, plan.lengths,
+            ring.moduli) for p in plan.primes])
 
     def count(self, moduli, target) -> int:
         """The sum of N(v) over v = target mod moduli, where each modulus
@@ -509,11 +632,10 @@ def solution_count(ring, coeff_list, target_coords, planes=0) -> int:
     target = ring.reduce(target_coords)
     if not (coeff_list or planes):
         return 1 if all(c == 0 for c in target) else 0
-    lengths, primes = _plan(ring.field.p, ring.moduli, len(coeff_list),
-                            planes)
-    return _crt([_entry_mod(
-        p, *_summand_transforms(ring, coeff_list, planes, p, lengths),
-        ring.moduli, target) for p in primes], primes)
+    plan = _summands(ring, tuple(map(ring.reduce, coeff_list)), planes)
+    return _crt([_entry_mod(p, _transforms(ring, plan, p), plan.mults,
+                            plan.lengths, ring.moduli, target)
+                 for p in plan.primes], plan.primes)
 
 
 def primitive_zero_exists(ring, coeffs) -> bool:

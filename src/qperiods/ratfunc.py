@@ -20,6 +20,11 @@ VAR_NAMES = ("z", "iq", "av")
 
 Mono = tuple
 
+# Fraction(n, d) for coprime n and d > 0, without a gcd: a classmethod
+# from Python 3.12, a keyword before it
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda n, d: Fraction(n, d, _normalize=False))
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -259,7 +264,14 @@ class Poly:
                 if w is not None:
                     c *= w[t]
             total += c
-        return Fraction(total * sn, sd)
+        num = total * sn
+        if num and sd > 0 and sd & (sd - 1) == 0:
+            # a dyadic value, such as any at q = 2 and a = 2^-alpha: the
+            # common trailing zero bits are the gcd, which on numbers of
+            # 10^5 bits costs far more than the sum
+            k = min((num & -num).bit_length(), sd.bit_length()) - 1
+            return _coprime_fraction(num >> k, sd >> k)
+        return Fraction(num, sd)
 
     def uses_var(self, idx: int) -> bool:
         return any(m[idx] for m in self.nums)

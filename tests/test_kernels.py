@@ -107,8 +107,8 @@ def engine_entry(p, hists, target):
     engine's steps: _forward, _entry_mod per prime and CRT."""
     stack, shape, lengths, primes = _engine(p, hists)
     return kernels._crt([kernels._entry_mod(
-        p, kernels._forward(stack, lengths, p), [1] * len(hists), shape,
-        target) for p in primes], primes)
+        p, kernels._forward(stack, lengths, p), [1] * len(hists), lengths,
+        shape, target) for p in primes], primes)
 
 
 def engine_distribution(p, hists):
@@ -116,7 +116,7 @@ def engine_distribution(p, hists):
     per prime and CRT, as an array of exact ints."""
     stack, shape, lengths, primes = _engine(p, hists)
     res = [kernels._distribution_mod(p, kernels._forward(stack, lengths, p),
-                                     [1] * len(hists), shape)
+                                     [1] * len(hists), lengths, shape)
            for p in primes]
     out = np.empty(shape, dtype=object)
     for t in np.ndindex(shape):
@@ -194,7 +194,7 @@ def test_ntt_is_exact_at_extreme_residues():
         assert kernels._ell_k(n) == (ell, round(math.log(n, ell)))
         table = kernels._ntt_primes(ell)
         for p in (table[0], table[-1]):
-            freq = -kernels._tables(p, n)[1] % n
+            freq = kernels._slots(n)[1]
             w = pow(kernels._generator(p, ell), (p - 1) // n, p)
             x = np.full((2, n, 3), p - 1, dtype=np.int64)
             x[1, 1::2] -= 1
@@ -237,7 +237,7 @@ def test_leaf_products_stay_below_float_precision():
     for ell, n in ((2, 1 << 7), (3, 3 ** 4), (5, 5 ** 3), (7, 7 ** 2),
                    (11, 11 ** 2), (127, 127)):
         p = kernels._ntt_primes(ell)[0]
-        assert kernels._tables(p, n)[0] == n
+        assert kernels._slots(n)[0] == n
     # the bound is checked, not assumed
     with pytest.raises(ArithmeticError, match="2\\^53"):
         limbs((1 << 40) * 3 + 1, 4)
@@ -280,15 +280,19 @@ def test_one_prime_table_per_field():
 
 
 def test_is_prime_is_exact_below_its_limit():
-    # against a sieve, and on strong pseudoprimes to the bases 2..7 and to
-    # the bases 2..37 (the least one, Sorenson and Webster's psi_12)
+    # against a sieve, and on strong pseudoprimes to the bases 2..7, to
+    # 2, 7 and 61, and to the bases 2..37 (the least one, Sorenson and
+    # Webster's psi_12)
     N = 10 ** 5
     sieve = np.ones(N, dtype=bool)
     sieve[:2] = False
     for d in range(2, math.isqrt(N) + 1):
         sieve[d * d::d] = False
     assert [kernels._is_prime(n) for n in range(N)] == sieve.tolist()
+    # 4759123141 is the least strong pseudoprime to the bases 2, 7 and 61
+    # (Jaeschke), where the test switches to all 13 bases
     for n, want in ((3215031751, False), (318665857834031151167461, False),
+                    (kernels._SMALL_TEST_LIMIT, False), (4759123129, True),
                     (2 ** 61 - 1, True), (10 ** 24 + 7, True),
                     (kernels._PRIME_TEST_LIMIT - 1, False)):
         assert kernels._is_prime(n) == want, n
@@ -411,8 +415,8 @@ def test_square_terms_read_at_the_dual_of_multiplication(field):
             ts = kernels._square_transform(ring, p)
             hists = kernels.square_histograms(ring, cs)
             want = kernels._forward(hists, ring.moduli, p)
-            for c, w, idx in zip(cs, want,
-                                 kernels._dual_indices(ring, cs, p)):
+            for c, w in zip(cs, want):
+                idx = kernels._dual_index(ring, c)
                 got = np.broadcast_to(ts[idx], ring.moduli)
                 assert np.array_equal(got, w), (field, level, c)
 
@@ -424,7 +428,7 @@ def test_transposed_dual_fails_on_q4():
     ring = Q4.ring(2)
     p = kernels._plan(Q4.p, ring.moduli, 1, 0)[1][0]
     m = ring.moduli[0]
-    f0, f1 = (-kernels._tables(p, m)[1] % m for _ in range(2))
+    f0, f1 = (kernels._slots(m)[1] for _ in range(2))
     f0 = f0[:, None]
     c = (0, 1)
     cols = [ring.mul(c, e) for e in ((1, 0), (0, 1))]  # c e_j
@@ -571,3 +575,161 @@ def test_value_distribution_exact_past_two_primes():
             want = kernels.solution_count(low, cc, (t,), planes=1)
             assert dist.count(low.moduli, (t,)) \
                 == want * (ring.size // low.size) ** 7
+
+
+def _unfiltered_primes(ell, small):
+    """The prime table of ell as _ntt_primes defines it, every candidate
+    decided by trial division by all the primes below sqrt(2^31)."""
+    n = ell
+    while n * ell <= 1 << 23:
+        n *= ell
+    primes, P = [], (2 ** 31 - 2) // n * n + 1
+    while math.prod(primes) < kernels._CRT_REACH and P > n:
+        if np.all(P % small[small < P]):
+            primes.append(P)
+        P -= n
+    return tuple(primes)
+
+
+def test_prime_tables_equal_the_unfiltered_search():
+    # the gcd trial division and the three-base Miller-Rabin test drop no
+    # candidate and admit no composite, for every prime ell < 128
+    small = np.array([d for d in range(2, 46341) if kernels._is_prime(d)])
+    assert len(small) == 4792 and np.all(small % 2 + (small == 2))
+    for ell in filter(kernels._is_prime, range(2, kernels._LEAF)):
+        want = _unfiltered_primes(ell, small)
+        assert kernels._ntt_primes.__wrapped__(ell) == want, ell
+
+
+def test_leaf_products_exact_at_p_minus_1_on_the_longest_leaves():
+    # every residue p - 1 (or p - 1 and p - 2 alternating) drives the limb
+    # sums to their extremes, and the floor-division reductions must
+    # still give each entry of the defining sum, on the row branch (one
+    # column) and the column branch alike
+    for ell in (2, 3, 5, 7, 11, 127):
+        L = ell ** int(math.log(kernels._LEAF, ell) + 1e-9)
+        table = kernels._ntt_primes(ell)
+        for p in (table[0], table[-1]):
+            w = kernels._root(p, L)
+            mat = [[pow(w, f * i % L, p) for i in range(L)]
+                   for f in range(L)]
+            for cols in (1, 3):
+                x = np.full((2, L, cols), p - 1, dtype=np.int64)
+                x[1, 1::2] -= 1
+                got = x.copy()
+                kernels._leaf_product(got, p, kernels._limbs(p, L))
+                for b in range(2):
+                    for c in range(cols):
+                        col = [int(v) for v in x[b, :, c]]
+                        want = [sum(m * v for m, v in zip(row, col)) % p
+                                for row in mat]
+                        assert got[b, :, c].tolist() == want, (p, L, cols)
+
+
+def test_mod_is_a_floor_reduction():
+    p = kernels._ntt_primes(2)[0]
+    x = np.array([-(1 << 53) + 1, -p, -1, 0, p - 1, p, (1 << 53) - 1,
+                  (1 << 62) + 12345], dtype=np.int64)
+    want = [int(v) % p for v in x]
+    assert kernels._mod(x.copy(), p).tolist() == want
+
+
+ALL_FIELDS = (Q2, Q4, F3, F5, F7, Q9) + RAMIFIED
+ALL_IDS = ("q2", "q4", "q3", "q5", "q7", "q9", "ram(0,-2)", "ram(2,2)",
+           "ram(0,6)")
+
+
+def _class_inputs(field, level):
+    """Coefficients over o/pi^level: two units and each times a unit
+    square, a uniformizer multiple and its unit-square multiple, 0, and
+    a coefficient of ord >= level, as reduced coordinates."""
+    ring = field.ring(level)
+    pi = field.uniformizer()
+    u = next(field.elt(k) for k in (3, 2) if field.elt(k).is_unit())
+    v = field.elt(5 if field.p != 5 else 7)
+    base = [field.elt(1), field.elt(-1) if field.p != 2 else field.elt(-3),
+            pi]
+    coeffs = base + [c * u * u for c in base] + [base[0] * v * v]
+    coeffs += [field.zero(), pi ** level * field.elt(-1)]
+    return ring, [ring.reduce(c.coords) for c in coeffs]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
+def test_square_classes_group_by_histogram_on_every_field(field):
+    # one class per distinct histogram of c x^2, each with the number of
+    # coefficients sharing it: c and c u^2 together, 0 and ord >= level
+    # together, nothing else merged
+    for level in range(4):
+        ring, coeffs = _class_inputs(field, level)
+        hists = kernels.square_histograms(ring, coeffs)
+        keys = [h.tobytes() for h in hists]
+        reps, mults = kernels._square_classes(ring, coeffs)
+        rep_keys = [keys[coeffs.index(r)] for r in reps]
+        assert sorted(rep_keys) == sorted(set(keys)), (field, level)
+        assert mults == [keys.count(k) for k in rep_keys], (field, level)
+        if level:
+            assert len(reps) < len(coeffs)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
+def test_grouped_counts_match_naive_on_every_field(field):
+    # repeated classes, zero and ord >= level coefficients, with and
+    # without a plane, against the enumeration
+    for level in (1, 2):
+        ring, coeffs = _class_inputs(field, level)
+        c, cu, pi, zero, deep = (coeffs[0], coeffs[3], coeffs[2], coeffs[7],
+                                 coeffs[8])
+        for cc, planes in (([c, cu], 0), ([c, cu, c], 0), ([zero, deep], 0),
+                           ([pi, coeffs[5], zero], 0), ([c, cu], 1),
+                           ([deep], 1)):
+            if ring.size ** (len(cc) + 2 * planes) > 1 << 16:
+                continue
+            for t in ((0,) * len(ring.moduli), coeffs[0], coeffs[2]):
+                got = kernels.solution_count(ring, cc, t, planes=planes)
+                want = kernels.naive_count(ring, cc, t, planes=planes)
+                assert got == want, (field, level, cc, planes, t)
+
+
+def test_padded_path_groups_classes_and_planes():
+    # p = 131 pads each class's histogram: c and c u^2, 0 and 131 (ord 1
+    # at level 1) share one; with a plane, and the whole distribution
+    ring = F131.ring(1)
+    reps, mults = kernels._square_classes(
+        ring, [(5,), (5 * 49 % 131,), (0,), (131 % 131,)])
+    assert mults == [2, 2]
+    for cc in ([(5,), (5 * 49,)], [(5,), (0,), (131,)], [(3,)]):
+        for t in ((0,), (1,), (77,)):
+            want = kernels.naive_count(ring, cc, t)
+            assert kernels.solution_count(ring, cc, t) == want, (cc, t)
+    # a repeated class with a plane is past the enumeration's budget:
+    # against the convolution of the histograms, shift by shift
+    cc = [(3,), (3 * 4,)]
+    want = brute_convolution([*kernels.square_histograms(ring, cc),
+                              kernels.plane_histogram(ring)])
+    for t in (0, 1, 77, 130):
+        assert kernels.solution_count(ring, cc, (t,), planes=1) == want[t]
+    dist = kernels.ValueDistribution(ring, [(5,), (5 * 49,), (0,)])
+    for t in range(0, 131, 13):
+        want = kernels.naive_count(ring, [(5,), (5 * 49,), (0,)], (t,))
+        assert dist.count(ring.moduli, (t,)) == want
+
+
+def test_one_plan_per_ring_shared_by_every_prime(monkeypatch):
+    # four coefficients in two square classes over o/2^12, counted with
+    # two or more primes: two dual indices in all, and a second count on
+    # the ring builds none
+    ring = Q2.ring(12)
+    coeffs = [(1,), (9,), (-3 % 4096,), (-3 * 25 % 4096,)]
+    kernels._summands.cache_clear()
+    calls = []
+    dual = kernels._dual_index
+    monkeypatch.setattr(kernels, "_dual_index",
+                        lambda ring, c: calls.append(c) or dual(ring, c))
+    got = kernels.solution_count(ring, coeffs, (1,))
+    plan = kernels._summands(ring, tuple(coeffs), 0)
+    assert len(plan.primes) >= 2 and plan.mults == [2, 2]
+    assert calls == [(1,), (4093,)]
+    assert kernels.solution_count(ring, coeffs, (5,)) >= 0
+    assert len(calls) == 2
+    assert got == closed_profile(DiagonalForm(Q2, [1, 1, -3, -3])) \
+        .series_at(0, 2, 11)[11] * ring.size ** 4

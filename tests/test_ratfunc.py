@@ -248,6 +248,37 @@ def test_value_matches_fraction_oracle(a, b, point):
         assert f.value(z=z, iq=iq, av=av) == oracle_value(a, point) / den
 
 
+dyadics = st.builds(lambda n, k: Fraction(n) * Fraction(2) ** k,
+                    st.integers(-9, 9), st.integers(-6, 6))
+
+
+@given(st.dictionaries(monos, dyadics, max_size=5),
+       st.tuples(*[dyadics.filter(bool)] * 3))
+@settings(max_examples=150, deadline=None)
+def test_dyadic_value_matches_the_fraction_path(terms, point):
+    # dyadic coefficients at dyadic points: the value is reduced by its
+    # trailing zero bits, not a gcd, and must equal the Fraction in both
+    # fields, so the printed value stays the same
+    z, iq, av = point
+    got = Poly(terms).value(z=z, iq=iq, av=av)
+    want = oracle_value(terms, point)
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+
+
+def test_dyadic_value_of_large_powers_matches_the_fraction_path():
+    # the shape of localfactor's value at q = 2, a = 2^-alpha, at a
+    # smaller alpha: exponents of 10^4 over a power-of-two denominator
+    half = Fraction(1, 2)
+    p = Poly({(0, 20000, 3): 1, (0, 25000, 2): -1, (0, 30000, 1): -3,
+              (0, 35000, 0): Fraction(5, 8)})
+    for av in (half ** 10002, Fraction(3, 1 << 10002), Fraction(1, 3)):
+        got = p.value(iq=half, av=av)
+        want = oracle_value(dict(p.terms), (None, half, av))
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+
+
 def test_value_needs_every_variable_used_and_refuses_poles():
     p = Poly.monomial(2, -1, 0, 3) + Poly.const(1)
     assert p.value(z=Fraction(1, 2), iq=Fraction(2, 3)) == Fraction(17, 8)
