@@ -333,6 +333,8 @@ def cmd_verify(args) -> int:
     from . import checks  # loaded here only: no other command needs it
     subsets = [s for s in checks.SUBSETS if getattr(args, s)] or checks.SUBSETS
     ns = parse_n_range(args.n) if args.n else range(3, 19)
+    if ns.start < 3:  # as localfactor and period refuse such an n
+        raise UsageError("need n >= 3 (smaller targets are anisotropic)")
     results = checks.run_checks(subsets, ns, args.quick)
     ok = all(p for _, p, _ in results)
     obj = {"pass": ok, "checks": [{"name": n, "pass": p, "detail": d}

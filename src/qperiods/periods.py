@@ -629,25 +629,31 @@ def _as_integer(alpha) -> int:
 
 
 def _prime_terms(factors, alpha: int):
-    """What _local_product reads of each factor, (s, is_zeta, power) with
+    """What _local_products reads of each factor, (s, is_zeta, power) with
     s = exponent(alpha), computed once for every prime."""
     return tuple((f.exponent(alpha), f.kind == "zeta", f.power)
                  for f in factors)
 
 
-def _local_product(terms, p: int):
-    """The product of the factors' local factors at the odd prime p as an
-    unreduced pair (numerator, denominator), the factors given by
-    _prime_terms: p^s/(p^s - chi(p)) for each, inverted when its power is
-    -1, with chi trivial for zeta and the mod-4 character for L.  p must
-    be prime and every s >= 2, as _check_alpha ensures."""
-    chi = mod4_character(p)
-    num = den = 1
-    for s, is_zeta, power in terms:
-        ps = p ** s
-        d = ps - (1 if is_zeta else chi)
-        num, den = (num * ps, den * d) if power == 1 else (num * d, den * ps)
-    return num, den
+def _local_products(terms, primes):
+    """For each odd prime p of primes, the product of the factors' local
+    factors at p as an unreduced pair (numerator, denominator), the factors
+    given by _prime_terms: p^s/(p^s - chi(p)) for each, inverted when its
+    power is -1, with chi trivial for zeta and the mod-4 character for L.
+    Every s must be >= 2, as _check_alpha ensures."""
+    for p in primes:
+        chi = 1 if p & 3 == 1 else -1  # mod4_character(p), without its checks
+        num = den = 1
+        for s, is_zeta, power in terms:
+            ps = p ** s
+            d = ps - (1 if is_zeta else chi)
+            if power == 1:
+                num *= ps
+                den *= d
+            else:
+                num *= d
+                den *= ps
+        yield num, den
 
 
 def _enclosing_product(pairs, B: int):
@@ -725,7 +731,7 @@ def evaluate_period(n: int, alpha, p_max: int) -> PeriodValue:
     L = rel.denominator.bit_length() - rel.numerator.bit_length() + 1
     B = 66 + max(128, L) + len(primes).bit_length()
     terms = _prime_terms(spec.uncorrected, alpha)
-    lo, hi = _enclosing_product((_local_product(terms, p) for p in primes), B)
+    lo, hi = _enclosing_product(_local_products(terms, primes), B)
 
     value = c2 * Fraction(lo + hi, 1 << (B + 1))
     rho = abs(c2) * Fraction(hi - lo, 1 << (B + 1))

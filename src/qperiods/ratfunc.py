@@ -14,7 +14,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
-NVARS = 3
 VAR_Z, VAR_IQ, VAR_AV = 0, 1, 2
 VAR_NAMES = ("z", "iq", "av")
 
@@ -77,8 +76,14 @@ class Poly:
 
     @classmethod
     def monomial(cls, ez: int = 0, eiq: int = 0, eav: int = 0, coeff=1) -> "Poly":
-        if type(coeff) is int:  # already a numerator over 1
+        # an int is a numerator over 1, and a Fraction is in lowest terms
+        # with a positive denominator
+        if type(coeff) is int:
             return _poly({(ez, eiq, eav): coeff} if coeff else {}, 1)
+        if type(coeff) is Fraction:
+            if not coeff:
+                return _poly({}, 1)
+            return _poly({(ez, eiq, eav): coeff.numerator}, coeff.denominator)
         return cls({(ez, eiq, eav): coeff})
 
     @property
@@ -93,26 +98,41 @@ class Poly:
     def __bool__(self):
         return bool(self.nums)
 
+    # The operations test `type(other) is Poly` before coercing anything:
+    # nearly every operand is a Poly already.
+
     def __eq__(self, other):
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Poly:
+            other = _coerce_poly(other)
+            if other is None:
+                return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
     def __neg__(self) -> "Poly":
         return _poly({m: -c for m, c in self.nums.items()}, self.den)
 
     def __add__(self, other) -> "Poly":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Poly:
+            other = _coerce_poly(other)
+            if other is None:
+                return NotImplemented
         # both operands are in lowest terms, so adding zero gives the other
         if not other.nums:
             return self
         if not self.nums:
             return other
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g
+        d = self.den
+        if d == other.den:  # nothing to rescale
+            out = self.nums.copy()
+            for m, c in other.nums.items():
+                s = out.get(m, 0) + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+            return _reduced(out, d)
+        g = math.gcd(d, other.den)
+        fa, fb = other.den // g, d // g
         out = {m: c * fa for m, c in self.nums.items()}
         for m, c in other.nums.items():
             s = out.get(m, 0) + c * fb
@@ -120,14 +140,15 @@ class Poly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return _reduced(out, self.den * fa)
+        return _reduced(out, d * fa)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Poly:
+            other = _coerce_poly(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -137,28 +158,32 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        # Poly is never mutated, so a product with 1 can be the other
+        if type(other) is not Poly:
+            other = _coerce_poly(other)
+            if other is None:
+                return NotImplemented
+        # Poly is never mutated, so a product with zero or 1 can be an
         # operand itself, and a one-term operand is a shift and a scale:
         # the same fields the double loop gives
-        if _is_one(other):
-            return self
-        if _is_one(self):
-            return other
         a, b = ((self, other) if len(self.nums) <= len(other.nums)
                 else (other, self))
         if len(a.nums) == 1:
-            ((a0, a1, a2), c1), = a.nums.items()
+            (m, c1), = a.nums.items()
+            if c1 == 1 and a.den == 1 and m == ONE_MONO:
+                return b
+            a0, a1, a2 = m
             return _reduced({(a0 + b0, a1 + b1, a2 + b2): c1 * c2
                              for (b0, b1, b2), c2 in b.nums.items()},
                             a.den * b.den)
+        if not a.nums:
+            return a
         out = {}
+        get = out.get
+        bn = other.nums.items()
         for (a0, a1, a2), c1 in self.nums.items():
-            for (b0, b1, b2), c2 in other.nums.items():
+            for (b0, b1, b2), c2 in bn:
                 m = (a0 + b0, a1 + b1, a2 + b2)
-                out[m] = out.get(m, 0) + c1 * c2
+                out[m] = get(m, 0) + c1 * c2
         return _reduced({m: c for m, c in out.items() if c},
                         self.den * other.den)
 
@@ -192,23 +217,34 @@ class Poly:
             raise ValueError("substitution coefficient must be nonzero")
         if not self.nums:
             return self
-        # coeff^t = a^(t - lo) b^(hi - t) * a^lo / b^hi for coeff = a/b and
-        # lo <= t <= hi: integer weights times one common scale
+        # a term with exponent t of the variable moves by t * (d0, d1, d2)
+        d0, d1, d2 = (e - (i == idx) for i, e in enumerate(mono))
+        out = {}
+        get = out.get
         a, b = coeff.numerator, coeff.denominator
+        if a == b == 1:  # no weights and no scale
+            for m, c in self.nums.items():
+                t = m[idx]
+                new = (m[0] + t * d0, m[1] + t * d1, m[2] + t * d2)
+                out[new] = get(new, 0) + c
+            if len(out) == len(self.nums):  # no terms met: self's numerators
+                return _poly(out, self.den)
+            return _reduced({m: c for m, c in out.items() if c}, self.den)
+        # coeff^t = a^(t - lo) b^(hi - t) * a^lo / b^hi for coeff = a/b and
+        # lo <= t <= hi: integer weights times one common scale sn/sd
         ts = {m[idx] for m in self.nums}
         lo, hi = min(ts), max(ts)
         weight = {t: a ** (t - lo) * b ** (hi - t) for t in ts}
-        scale = Fraction(a) ** lo / Fraction(b) ** hi
-        out = {}
         for m, c in self.nums.items():
             t = m[idx]
-            rest = list(m)
-            rest[idx] = 0
-            new = _mono_mul(tuple(rest), tuple(e * t for e in mono))
-            out[new] = out.get(new, 0) + c * weight[t]
-        sn = scale.numerator
+            new = (m[0] + t * d0, m[1] + t * d1, m[2] + t * d2)
+            out[new] = get(new, 0) + c * weight[t]
+        sn = a ** max(lo, 0) * b ** max(-hi, 0)
+        sd = b ** max(hi, 0) * a ** max(-lo, 0)
+        if sd < 0:
+            sn, sd = -sn, -sd
         return _reduced({m: c * sn for m, c in out.items() if c},
-                        self.den * scale.denominator)
+                        self.den * sd)
 
     def eval_partial(self, z=None, iq=None, av=None) -> "Poly":
         p = self
@@ -291,19 +327,13 @@ def _poly(nums, den) -> Poly:
     return p
 
 
-_ONE_NUMS = {ONE_MONO: 1}
-
-
-def _is_one(p: Poly) -> bool:
-    return p.den == 1 and p.nums == _ONE_NUMS
-
-
 def _reduced(nums, den) -> Poly:
     """A Poly from nonzero integer numerators over den > 0, reduced."""
-    g = math.gcd(den, *nums.values())
-    if g != 1:
-        nums = {m: c // g for m, c in nums.items()}
-        den //= g
+    if den != 1:  # over 1 it is in lowest terms already
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
     return _poly(nums, den)
 
 
@@ -313,6 +343,11 @@ def _coerce_poly(x) -> Optional[Poly]:
     if isinstance(x, (int, Fraction)):
         return Poly.const(x)
     return None
+
+
+# shared by the RFs that need them: Poly is never mutated
+_ZERO_POLY = _poly({}, 1)
+_ONE_POLY = _poly({ONE_MONO: 1}, 1)
 
 
 def format_poly(p: Poly, names=VAR_NAMES) -> str:
@@ -343,13 +378,23 @@ def format_poly(p: Poly, names=VAR_NAMES) -> str:
 
 
 class RF:
-    """Quotient of two Laurent polynomials; equality by cross-multiplication."""
+    """Quotient of two Laurent polynomials; equality by cross-multiplication.
+
+    The pair is normalized, not gcd-reduced: no exponent of either part is
+    negative, and the lex-least term of `den` has coefficient 1 (zero is
+    0/1).  Products and sums of normalized pairs keep both properties: the
+    least exponent of a product in each variable is the sum of its
+    operands', and its lex-least term the product of theirs.  So the
+    operations skip `_normalize`, and only a quotient rescales, by the
+    lead of the divisor's numerator; the fields are those `_normalize`
+    gives.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
-        den = Poly.const(1) if den is None else _coerce_poly(den)
+        den = _ONE_POLY if den is None else _coerce_poly(den)
         if den is None or num is None:
             raise TypeError("RF expects Poly/int/Fraction arguments")
         if den.is_zero():
@@ -358,7 +403,7 @@ class RF:
 
     @classmethod
     def const(cls, c) -> "RF":
-        return cls(Poly.const(c))
+        return _kept_rf(Poly.const(c), _ONE_POLY)
 
     @classmethod
     def var(cls, idx: int) -> "RF":
@@ -366,33 +411,42 @@ class RF:
 
     @classmethod
     def monomial(cls, ez=0, eiq=0, eav=0, coeff=1) -> "RF":
-        return cls(Poly.monomial(ez, eiq, eav, coeff))
+        # a negative exponent moves to the denominator, as _normalize's
+        # shift moves it
+        num = Poly.monomial(max(ez, 0), max(eiq, 0), max(eav, 0), coeff)
+        if ez >= 0 and eiq >= 0 and eav >= 0:
+            return _kept_rf(num, _ONE_POLY)
+        return _kept_rf(num, Poly.monomial(max(-ez, 0), max(-eiq, 0),
+                                           max(-eav, 0)))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __eq__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RF:
+            other = _coerce_rf(other)
+            if other is None:
+                return NotImplemented
         return self.num * other.den == other.num * self.den
 
     def __neg__(self):
-        return _raw_rf(-self.num, self.den)
+        return _kept_rf(-self.num, self.den)
 
     def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return _raw_rf(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        if type(other) is not RF:
+            other = _coerce_rf(other)
+            if other is None:
+                return NotImplemented
+        return _kept_rf(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RF:
+            other = _coerce_rf(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -402,20 +456,23 @@ class RF:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return _raw_rf(self.num * other.num, self.den * other.den)
+        if type(other) is not RF:
+            other = _coerce_rf(other)
+            if other is None:
+                return NotImplemented
+        return _kept_rf(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RF:
+            other = _coerce_rf(other)
+            if other is None:
+                return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return _raw_rf(self.num * other.den, self.den * other.num)
+        return _kept_rf(*_lead_one(self.num * other.den,
+                                   self.den * other.num, other.num))
 
     def __rtruediv__(self, other):
         other = _coerce_rf(other)
@@ -425,7 +482,7 @@ class RF:
 
     def __pow__(self, k: int):
         if k >= 0:
-            return _raw_rf(self.num ** k, self.den ** k)
+            return _kept_rf(self.num ** k, self.den ** k)
         if self.num.is_zero():
             raise ZeroDivisionError("negative power of zero")
         return _raw_rf(self.den ** (-k), self.num ** (-k))
@@ -504,21 +561,38 @@ def _raw_rf(num: Poly, den: Poly) -> RF:
     return out
 
 
+def _kept_rf(num: Poly, den: Poly) -> RF:
+    """RF(num, den) for a pair that _normalize leaves as it is, unless num
+    is zero."""
+    out = RF.__new__(RF)
+    if num.nums:
+        out.num, out.den = num, den
+    else:
+        out.num, out.den = _ZERO_POLY, _ONE_POLY
+    return out
+
+
 def _normalize(num: Poly, den: Poly):
     """Shift out negative exponents and make the pair primitive-ish."""
     if num.is_zero():
-        return Poly(), Poly.const(1)
-    # over the constant 1 with no negative exponent nothing moves
-    if _is_one(den) and min(map(min, num.nums)) >= 0:
-        return num, den
-    # the least exponent of each variable over both polynomials
-    shift = tuple(max(-lo, 0) for lo in map(min, zip(*num.nums, *den.nums)))
-    if any(shift):
+        return _ZERO_POLY, _ONE_POLY
+    # the least exponent of each variable over both polynomials, read only
+    # when some exponent is negative
+    if min(map(min, num.nums)) < 0 or min(map(min, den.nums)) < 0:
+        shift = tuple(max(-lo, 0)
+                      for lo in map(min, zip(*num.nums, *den.nums)))
         num = num.shift(shift)
         den = den.shift(shift)
-    lead = den.nums[min(den.nums)]
-    if lead != den.den:  # scale both by den.den / lead, making the lead 1
-        s, t = (den.den, lead) if lead > 0 else (-den.den, -lead)
+    return _lead_one(num, den, den)
+
+
+def _lead_one(num: Poly, den: Poly, by: Poly):
+    """num and den scaled alike so that den's lex-least term has
+    coefficient 1.  den is by times a Poly whose lex-least coefficient is
+    1, so by's lex-least coefficient is den's."""
+    lead = by.nums[min(by.nums)]
+    if lead != by.den:  # scale both by by.den / lead
+        s, t = (by.den, lead) if lead > 0 else (-by.den, -lead)
         num = _reduced({m: c * s for m, c in num.nums.items()}, num.den * t)
         den = _reduced({m: c * s for m, c in den.nums.items()}, den.den * t)
     return num, den
@@ -553,28 +627,31 @@ def ratio_if_proportional(f: RF, g: RF, constant_free_of=(VAR_Z, VAR_IQ, VAR_AV)
     P = f.num * g.den
     Q = g.num * f.den
     banned = tuple(constant_free_of)
+    bz, biq, bav = VAR_Z in banned, VAR_IQ in banned, VAR_AV in banned
 
     def grouped(poly):
+        # a term's key keeps the banned exponents, its rest the others
         groups = {}
         for m, c in poly.nums.items():
-            key = tuple(m[i] if i in banned else 0 for i in range(NVARS))
-            rest = tuple(0 if i in banned else m[i] for i in range(NVARS))
+            e0, e1, e2 = m
+            key = (e0 if bz else 0, e1 if biq else 0, e2 if bav else 0)
+            rest = (0 if bz else e0, 0 if biq else e1, 0 if bav else e2)
             groups.setdefault(key, {})[rest] = c
         return {k: _reduced(v, poly.den) for k, v in groups.items()}
 
     gp, gq = grouped(P), grouped(Q)
     keys = sorted(set(gp) | set(gq))
-    polys = [(gp.get(k, Poly()), gq.get(k, Poly())) for k in keys]
+    polys = [(gp.get(k, _ZERO_POLY), gq.get(k, _ZERO_POLY)) for k in keys]
     base = None
-    for pk, qk in polys:
-        if not qk.is_zero():
-            base = (pk, qk)
+    for i, (pk, qk) in enumerate(polys):
+        if qk.nums:
+            base = i
             break
     if base is None:
         return None
-    p0, q0 = base
-    for pk, qk in polys:
-        if not (pk * q0 - p0 * qk).is_zero():
+    p0, q0 = polys[base]
+    for i, (pk, qk) in enumerate(polys):
+        if i != base and pk * q0 != p0 * qk:
             return None
     c = _raw_rf(p0, q0)
     if any(c.uses_var(i) for i in banned):

@@ -229,6 +229,21 @@ def test_verify_bad_range(capsys):
     assert run(capsys, "verify", "--tables", "--n", "6..3")[0] == 2
 
 
+@pytest.mark.parametrize("text", ["0", "2..4"])
+def test_verify_rows_below_3_are_a_usage_error(capsys, text):
+    # as for localfactor --n 2: nothing on stdout, the reason on stderr
+    code, out, err = run(capsys, "verify", "--tables", "--n", text)
+    assert (code, out) == (2, "")
+    assert err == "error: need n >= 3 (smaller targets are anisotropic)\n"
+    assert run(capsys, "localfactor", "--n", "2")[1:] == ("", err)
+
+
+def test_verify_rows_from_3_run(capsys):
+    code, out, _ = run(capsys, "verify", "--tables", "--n", "3")
+    assert (code, out) == (0, "ok   tables n=3  (a:ok b:ok c:ok)\n"
+                              "verify: 1/1 checks passed\n")
+
+
 def test_localfactor_json_matches_golden_file(capsys):
     # tests/data/localfactor.jsonl is `localfactor --json` for n = 3..18,
     # without and with --alpha n+3, pinned when the verdict moved out of the

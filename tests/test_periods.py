@@ -61,8 +61,9 @@ def test_zl_factor_values():
     assert f.exponent(5) == 2
 
     def at(f, p, alpha):
-        return Fraction(*periods._local_product(
-            periods._prime_terms([f], alpha), p))
+        (pair,) = periods._local_products(periods._prime_terms([f], alpha),
+                                          [p])
+        return Fraction(*pair)
 
     assert at(f, 3, 5) == Fraction(9, 8)
     assert at(ZLFactor("zeta", 1, -3, power=-1), 3, 5) == Fraction(8, 9)
@@ -71,7 +72,7 @@ def test_zl_factor_values():
     assert at(ZLFactor("L", 1, 0), 5, 2) == Fraction(25, 24)
     terms = periods._prime_terms([f, ZLFactor("L", 1, 0, power=-1)], 5)
     assert terms == ((2, True, 1), (5, False, -1))
-    assert periods._local_product(terms, 3) == (9 * 244, 8 * 243)
+    assert list(periods._local_products(terms, [3])) == [(9 * 244, 8 * 243)]
 
 
 def test_zl_factor_dyadic_side():
@@ -435,6 +436,29 @@ def test_enclosing_product_rounds_outward():
     pairs = [(p ** 3, p ** 3 - 1) for p in primes_up_to(1000)[1:]]
     lo, hi = _enclosing_product(pairs, 64)
     assert hi - lo <= 4 * len(pairs)
+
+
+def slow_local_product(terms, p):
+    """The per-prime leaf _local_products replaced, kept as an oracle."""
+    chi = mod4_character(p)
+    num = den = 1
+    for s, is_zeta, power in terms:
+        ps = p ** s
+        d = ps - (1 if is_zeta else chi)
+        num, den = (num * ps, den * d) if power == 1 else (num * d, den * ps)
+    return num, den
+
+
+@pytest.mark.parametrize("n", [3, 6, 66])
+@pytest.mark.parametrize("p_max", [1000, 30000])
+def test_local_products_keep_every_leaf_and_both_ends(n, p_max):
+    terms = periods._prime_terms(table_row(n).uncorrected, n + 3)
+    primes = primes_up_to(p_max)[1:]
+    want = [slow_local_product(terms, p) for p in primes]
+    assert list(periods._local_products(terms, primes)) == want
+    B = 66 + 128 + len(primes).bit_length()
+    assert (_enclosing_product(periods._local_products(terms, primes), B)
+            == _enclosing_product(want, B))
 
 
 def test_tail_bound_covers_the_rounding_radius(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qperiods.ratfunc import (Poly, RF, Zv, IQv, AVv, VAR_Z, VAR_IQ, VAR_AV,
                               ratio_if_proportional, pretty_rf,
                               format_poly, geometric_inverse_factor,
-                              _normalize, _raw_rf, _reduced)
+                              _normalize, _raw_rf)
 
 from fraction_poly import FractionPoly, series_z as fraction_series_z
 
@@ -197,9 +197,10 @@ def test_poly_matches_fraction_oracle(a, b, k):
 @settings(max_examples=150, deadline=None)
 def test_substitution_matches_fraction_oracle(a, idx, c, mono, point):
     pa, oa = Poly(a), FractionPoly(a)
-    got = pa.subst_monomial(idx, c, mono)
-    assert_canonical(got)
-    assert got.terms == oa.subst_monomial(idx, c, mono).terms
+    for coeff in (c, 1):  # 1 takes a path without weights
+        got = pa.subst_monomial(idx, coeff, mono)
+        assert_canonical(got)
+        assert got.terms == oa.subst_monomial(idx, coeff, mono).terms
     z, iq, av = point
     got = pa.eval_partial(z=z, iq=iq, av=av)
     assert_canonical(got)
@@ -317,13 +318,23 @@ def test_rf_field_laws(a, b):
 # its printed form depends on them.
 # ---------------------------------------------------------------------------
 
+def slow_reduced(nums, den) -> Poly:
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        nums = {m: c // g for m, c in nums.items()}
+        den //= g
+    p = Poly.__new__(Poly)
+    p.nums, p.den = nums, den
+    return p
+
+
 def slow_mul(p: Poly, q: Poly) -> Poly:
     out = {}
     for (a0, a1, a2), c1 in p.nums.items():
         for (b0, b1, b2), c2 in q.nums.items():
             m = (a0 + b0, a1 + b1, a2 + b2)
             out[m] = out.get(m, 0) + c1 * c2
-    return _reduced({m: c for m, c in out.items() if c}, p.den * q.den)
+    return slow_reduced({m: c for m, c in out.items() if c}, p.den * q.den)
 
 
 def slow_add(p: Poly, q: Poly) -> Poly:
@@ -336,7 +347,7 @@ def slow_add(p: Poly, q: Poly) -> Poly:
             out[m] = s
         else:
             out.pop(m, None)
-    return _reduced(out, p.den * fa)
+    return slow_reduced(out, p.den * fa)
 
 
 def slow_normalize(num: Poly, den: Poly):
@@ -349,8 +360,10 @@ def slow_normalize(num: Poly, den: Poly):
     lead = den.nums[min(den.nums)]
     if lead != den.den:
         s, t = (den.den, lead) if lead > 0 else (-den.den, -lead)
-        num = _reduced({m: c * s for m, c in num.nums.items()}, num.den * t)
-        den = _reduced({m: c * s for m, c in den.nums.items()}, den.den * t)
+        num = slow_reduced({m: c * s for m, c in num.nums.items()},
+                           num.den * t)
+        den = slow_reduced({m: c * s for m, c in den.nums.items()},
+                           den.den * t)
     return num, den
 
 
@@ -371,9 +384,32 @@ fast_path_polys = st.one_of(
     laurent_terms().map(Poly))
 
 
-@given(fast_path_polys, fast_path_polys)
-@settings(max_examples=300, deadline=None)
-def test_poly_fast_paths_keep_the_fields(a, b):
+@st.composite
+def over_den(draw, d):
+    """A Poly whose lowest-terms denominator is d: integer numerators over
+    d, one of them 1."""
+    nums = draw(st.dictionaries(monos, st.integers(-9, 9), max_size=4))
+    nums[draw(monos)] = 1
+    return Poly({m: Fraction(c, d) for m, c in nums.items()})
+
+
+@st.composite
+def fast_path_pairs(draw):
+    """Two operands, independent or over one common denominator: 1, as
+    the integer polynomials are, or some d > 1."""
+    kind = draw(st.sampled_from(("any", "over 1", "over d")))
+    if kind == "any":
+        return draw(fast_path_polys), draw(fast_path_polys)
+    d = 1 if kind == "over 1" else draw(st.integers(2, 12))
+    a, b = draw(over_den(d)), draw(over_den(d))
+    assert a.den == b.den == d
+    return a, b
+
+
+@given(fast_path_pairs())
+@settings(max_examples=400, deadline=None)
+def test_poly_fast_paths_keep_the_fields(pair):
+    a, b = pair
     same_fields(a * b, slow_mul(a, b))
     same_fields(b * a, slow_mul(b, a))
     same_fields(a + b, slow_add(a, b))
@@ -396,6 +432,17 @@ def test_poly_fast_paths_keep_the_fields(a, b):
             rebuilt = RF(num, den)
             same_fields(got.num, rebuilt.num)
             same_fields(got.den, rebuilt.den)
+        # negation and powers of a normalized pair
+        for got, (num, den) in ((-f, (-f.num, f.den)),
+                                (f - g, (slow_add(slow_mul(f.num, g.den),
+                                                  slow_mul(-g.num, f.den)),
+                                         slow_mul(f.den, g.den))),
+                                (f ** 2, (slow_mul(f.num, f.num),
+                                          slow_mul(f.den, f.den))),
+                                (f ** 0, (Poly.const(1), Poly.const(1)))):
+            want = slow_normalize(num, den)
+            same_fields(got.num, want[0])
+            same_fields(got.den, want[1])
 
 
 @given(nonneg_monos, st.integers(-10 ** 30, 10 ** 30))
@@ -407,3 +454,124 @@ def test_int_constructors_keep_the_fields(mono, c):
     # Fractions take the general path
     same_fields(Poly.monomial(*mono, coeff=Fraction(c, 3)),
                 Poly({mono: Fraction(c, 3)}))
+
+
+scalars = st.one_of(st.integers(-6, 6), fractions)
+
+
+def as_rf(x) -> RF:
+    """x as an RF, through the general constructor."""
+    return RF(x) if isinstance(x, Poly) else RF(Poly({(0, 0, 0): x}))
+
+
+@given(fast_path_polys, fast_path_polys, scalars)
+@settings(max_examples=300, deadline=None)
+def test_scalar_operands_keep_the_fields(a, b, x):
+    c = Poly({(0, 0, 0): x})
+    for got, want in ((a + x, slow_add(a, c)), (x + a, slow_add(c, a)),
+                      (a - x, slow_add(a, -c)), (x - a, slow_add(c, -a)),
+                      (a * x, slow_mul(a, c)), (x * a, slow_mul(c, a))):
+        same_fields(got, want)
+    if not b:
+        return
+    f = _raw_rf(a, b)
+    cases = [(f + x, f + as_rf(x)), (x + f, as_rf(x) + f),
+             (f - x, f - as_rf(x)), (x - f, as_rf(x) - f),
+             (f * x, f * as_rf(x)), (x * f, as_rf(x) * f),
+             (f * a, f * as_rf(a)), (a * f, as_rf(a) * f)]
+    if x:
+        cases.append((f / x, f / as_rf(x)))
+    if a:
+        cases.append((x / f, as_rf(x) / f))
+    for got, want in cases:
+        # the RF-with-RF operations are held to _normalize above
+        same_fields(got.num, want.num)
+        same_fields(got.den, want.den)
+    assert (f == x) == (f == as_rf(x))
+
+
+@given(monos, st.one_of(st.integers(-10 ** 20, 10 ** 20), fractions))
+@settings(max_examples=200, deadline=None)
+def test_raw_rf_constructors_keep_the_fields(mono, c):
+    # each raw-built RF against the general constructor and the oracle
+    cases = [(RF.monomial(*mono, coeff=c), Poly.monomial(*mono, coeff=c)),
+             (RF.const(c), Poly.const(c)),
+             (RF.monomial(*mono), Poly.monomial(*mono))]
+    for got, p in cases:
+        for want in (RF(p), _raw_rf(p, Poly.const(1))):
+            same_fields(got.num, want.num)
+            same_fields(got.den, want.den)
+        want = slow_normalize(p, Poly.const(1))
+        same_fields(got.num, want[0])
+        same_fields(got.den, want[1])
+
+
+def slow_ratio(f: RF, g: RF, constant_free_of=(VAR_Z, VAR_IQ, VAR_AV)):
+    """ratio_if_proportional as it was before its direct grouping and
+    equality test, kept as an oracle: the fields (num, den) of the ratio,
+    or None."""
+    if f.is_zero() and g.is_zero():
+        return Poly.const(1), Poly.const(1)
+    if f.is_zero() or g.is_zero():
+        return None
+    P = slow_mul(f.num, g.den)
+    Q = slow_mul(g.num, f.den)
+    banned = tuple(constant_free_of)
+
+    def grouped(poly):
+        groups = {}
+        for m, c in poly.nums.items():
+            key = tuple(m[i] if i in banned else 0 for i in range(3))
+            rest = tuple(0 if i in banned else m[i] for i in range(3))
+            groups.setdefault(key, {})[rest] = c
+        return {k: slow_reduced(v, poly.den) for k, v in groups.items()}
+
+    gp, gq = grouped(P), grouped(Q)
+    keys = sorted(set(gp) | set(gq))
+    polys = [(gp.get(k, Poly()), gq.get(k, Poly())) for k in keys]
+    base = None
+    for pk, qk in polys:
+        if not qk.is_zero():
+            base = (pk, qk)
+            break
+    if base is None:
+        return None
+    p0, q0 = base
+    for pk, qk in polys:
+        if not slow_add(slow_mul(pk, q0), -slow_mul(p0, qk)).is_zero():
+            return None
+    num, den = slow_normalize(p0, q0)
+    if any(num.uses_var(i) or den.uses_var(i) for i in banned):
+        return None
+    return num, den
+
+
+BANNED_SUBSETS = [(), (VAR_Z,), (VAR_IQ,), (VAR_AV,), (VAR_Z, VAR_IQ),
+                  (VAR_Z, VAR_AV), (VAR_IQ, VAR_AV), (VAR_Z, VAR_IQ, VAR_AV)]
+
+
+@given(fast_path_polys, fast_path_polys.filter(bool), fast_path_polys,
+       st.sampled_from(["random", "proportional", "zero"]),
+       st.sampled_from([(), (VAR_Z,), (VAR_IQ,), (VAR_AV,), (VAR_Z, VAR_IQ)]))
+@settings(max_examples=300, deadline=None)
+def test_ratio_keeps_the_fields_for_every_banned_subset(a, b, c, kind, free):
+    g = _raw_rf(a, b)
+    if kind == "random":
+        f = _raw_rf(c, b + 1) if b + 1 else _raw_rf(c, b)
+    elif kind == "proportional":
+        # c free of the variables in `free`, so some banned subsets accept
+        k = Poly({m: v for m, v in c.terms.items()
+                  if not any(m[i] for i in free)})
+        f = g * _raw_rf(k, Poly.const(1)) if k else g
+    else:  # f = 0, against g = 0 when a is zero
+        f = RF.const(0)
+        if not a:
+            g = RF.const(0)
+    for banned in BANNED_SUBSETS:
+        got = ratio_if_proportional(f, g, banned)
+        want = slow_ratio(f, g, banned)
+        if want is None:
+            assert got is None, banned
+            continue
+        same_fields(got.num, want[0])
+        same_fields(got.den, want[1])
