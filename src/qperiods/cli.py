@@ -70,7 +70,17 @@ def parse_field(text: str):
         raise UsageError(str(ex))
 
 
-_ELT = re.compile(r"(?P<sign>-)?(?:(?P<c>\d+)\*?)?(?:w(?:\^(?P<k>\d+))?)?")
+_ELT = re.compile(r"(?P<sign>-)?(?:(?P<c>\d+)\*?)?(?:(?P<w>w)(?:\^(?P<k>\d+))?)?")
+
+
+def _coefficient(m, negative, field):
+    """(-1 if negative) c w^k from the groups c, w and k of a match of _ELT
+    or _TERM; c defaults to 1, and k to 1 when w is there."""
+    c = int(m.group("c") or 1)
+    val = field.elt(-c if negative else c)
+    if m.group("w"):
+        val = val * field.uniformizer() ** int(m.group("k") or 1)
+    return val
 
 
 def parse_element(text, field):
@@ -84,16 +94,9 @@ def parse_element(text, field):
             raise UsageError("pair syntax needs a two-coordinate field")
         return field.elt(int(m.group(1)), int(m.group(2)))
     m = _ELT.fullmatch(s)
-    if not s or not m or (m.group("c") is None and "w" not in s):
+    if not s or not m or (m.group("c") is None and not m.group("w")):
         raise UsageError("cannot parse element %r" % text)
-    c = int(m.group("c")) if m.group("c") is not None else 1
-    if m.group("sign"):
-        c = -c
-    val = field.elt(c)
-    if "w" in s:
-        k = int(m.group("k")) if m.group("k") else 1
-        val = val * field.uniformizer() ** k
-    return val
+    return _coefficient(m, m.group("sign"), field)
 
 
 _TERM = re.compile(r"(?:(?P<c>\d+)\*?)?(?:(?P<w>w)(?:\^(?P<k>\d+))?\*?)?"
@@ -117,14 +120,7 @@ def parse_form(text, field):
         m = _TERM.fullmatch(tok[1:])
         if not m:
             raise UsageError("cannot parse term %r" % tok)
-        c = int(m.group("c")) if m.group("c") else 1
-        if tok[0] == "-":
-            c = -c
-        val = field.elt(c)
-        if m.group("w"):
-            k = int(m.group("k")) if m.group("k") else 1
-            val = val * field.uniformizer() ** k
-        coeffs.append(val)
+        coeffs.append(_coefficient(m, tok[0] == "-", field))
     return coeffs
 
 

@@ -66,11 +66,7 @@ class TruncatedSeries:
 
 
 def _as_element(field, rho):
-    if rho is None:
-        return field.zero()
-    if isinstance(rho, int):
-        return field.elt(rho)
-    return rho
+    return field.zero() if rho is None else field.elt(rho)
 
 
 def _coeff_coords(B: DiagonalForm):

@@ -1,13 +1,17 @@
 """Supported local fields and exact arithmetic in their residue rings o/pi^L.
 
-Every field is one ring of integers o = W[pi]: W = Z_p[g] is the Galois
-ring of residue degree f, and pi is a root of an Eisenstein polynomial of
-degree e0 over W.  Coordinate (i, j) of an element is the integer
-coefficient of g^i pi^j, taken mod p^ceil((L - j)/e0) in o/pi^L, and a
-product is one bilinear sum over structure constants built from the two
-polynomials.  make_field's spellings are (f, e0) = (1, 1), Q_p with
-pi = p; (2, 1), the unramified quadratic extension with g^2 = -c1*g - c0;
-and (1, 2), for p = 2 the ramified quadratic extension by x^2 + c1*x + c0.
+A field is its two polynomials.  Its ring of integers is o = W[pi]: W =
+Z_p[g] is the Galois ring cut out by a Galois polynomial of degree f, and
+pi is a root of an Eisenstein polynomial of degree e0 over W, and
+LocalField(p, gal, eis, label) builds every table from those two alone.
+Coordinate (i, j) of an element is the integer coefficient of g^i pi^j,
+taken mod p^ceil((L - j)/e0) in o/pi^L, and a product is one bilinear sum
+over structure constants built from the two polynomials.  make_field is
+the one place that maps a spelling to its polynomials: (f, e0) = (1, 1),
+Q_p with pi = p; (2, 1), the unramified quadratic extension; and (1, 2),
+for p = 2 the ramified quadratic extension by x^2 + c1*x + c0.  Every
+element enters through field.elt, which reads integers exactly and
+refuses an element of another field.
 
 Elements carry exact integer coordinates, so valuations are exact and all
 measures come out as Fractions.  On top of the ring layer sit the
@@ -31,6 +35,7 @@ nondegeneracy, (x, -x) = 1 and the unit4 pairing (SquareClasses.gram).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -96,28 +101,21 @@ def _reduce(terms, gal, eis):
 
 
 class LocalField:
-    """Descriptor for one supported field; use make_field to construct.
-    variant, c1 and c0 only label the spelling; the ring is read from gal
-    and eis, the Galois and Eisenstein polynomials (see _reduce)."""
+    """One field, given by its ring of integers o = W[pi]: gal is the Galois
+    polynomial of W over Z_p and eis the Eisenstein polynomial of pi over
+    W, as coefficient tuples (see _reduce), so f and e0 are their degrees.
+    label is make_field's spelling of the field; only __repr__ and to_json
+    read it.  Use make_field to construct."""
 
-    def __init__(self, p, f, variant, c1=None, c0=None):
+    def __init__(self, p, gal, eis, label):
         self.p = p
-        self.f = f
-        self.variant = variant  # "base" | "unramified" | "ramified"
-        self.q = p ** f
-        self.c1, self.c0 = c1, c0  # None but for "ramified"
-        if variant == "ramified":
-            gal, eis = (-1,), ((c0,), (c1,))
-        elif variant == "unramified":
-            # g^2 = -g - 1 for p = 2, else g^2 = r, the least nonresidue
-            gal = (1, 1) if p == 2 else (-_smallest_nonresidue(p), 0)
-            eis = ((-p, 0),)
-        else:
-            gal, eis = (-1,), ((-p,),)
+        self.f = len(gal)
         self.e0 = len(eis)
-        self.ncoords = self.e0 * f
+        self.q = p ** self.f
+        self.label = label
+        self.ncoords = self.e0 * self.f
         self.e = self.e0 if p == 2 else 0  # ord 2, and 0 (tame) for odd p
-        basis = [(k % f, k // f) for k in range(self.ncoords)]  # g^i pi^j
+        basis = [(k % self.f, k // self.f) for k in range(self.ncoords)]  # g^i pi^j
         self._pi_exps = tuple(j for _, j in basis)
         # each coordinate's monomial as printed: g^i w^j, w the uniformizer
         self._names = tuple(("g^%d" % i if i > 1 else "g" * i)
@@ -146,7 +144,7 @@ class LocalField:
             if src.field is not self:
                 raise ValueError("element belongs to a different field")
             return src
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(operator.index, coords))
         if len(coords) > self.ncoords:
             raise ValueError("too many coordinates for this field")
         coords = coords + (0,) * (self.ncoords - len(coords))
@@ -196,28 +194,37 @@ class LocalField:
     # -- identity / serialization ---------------------------------------------
 
     def __repr__(self):
-        if self.variant == "ramified":
-            return "LocalField(p=2, ramified x^2%+dx%+d)" % (self.c1, self.c0)
-        return "LocalField(p=%d, f=%d, %s)" % (self.p, self.f, self.variant)
+        variant, c1, c0 = self.label
+        if variant == "ramified":
+            return "LocalField(p=2, ramified x^2%+dx%+d)" % (c1, c0)
+        return "LocalField(p=%d, f=%d, %s)" % (self.p, self.f, variant)
 
     def to_json(self):
-        return {"p": self.p, "f": self.f, "variant": self.variant,
-                "c1": self.c1, "c0": self.c0}
+        variant, c1, c0 = self.label
+        return {"p": self.p, "f": self.f, "variant": variant,
+                "c1": c1, "c0": c0}
 
 
-@lru_cache(maxsize=None)
-def _field_cached(p, f, variant, c1, c0):
-    return LocalField(p, f, variant, c1, c0)
+_field_cached = lru_cache(maxsize=None)(LocalField)
+
+
+def _integer(name, x):
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, x)) from None
 
 
 def make_field(p: int, f: int = 1, variant: str = "base",
                c1: int = None, c0: int = None) -> LocalField:
-    """Build a field descriptor.
-
-    variant is "base", "unramified" (requires f = 2), or "ramified"
-    (p = 2, f = 1 only, with Eisenstein data x^2 + c1 x + c0).  p must be
-    below kernels._PRIME_TEST_LIMIT, where primality is decided exactly.
+    """The field of one spelling, with its defining polynomials: "base" is
+    Q_p, pi = p; "unramified" (f = 2 only) has g^2 = -g - 1 for p = 2 and
+    g^2 = r, the least nonresidue, for odd p; "ramified" (p = 2, f = 1
+    only) has pi^2 + c1 pi + c0 = 0, which must be Eisenstein.  p, f, c1
+    and c0 must be integers, and p below kernels._PRIME_TEST_LIMIT, where
+    primality is decided exactly.  One spelling gives one object.
     """
+    p, f = _integer("p", p), _integer("f", f)
     if not kernels._is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
     if f not in (1, 2):
@@ -225,20 +232,21 @@ def make_field(p: int, f: int = 1, variant: str = "base",
     if variant == "base":
         if f != 1:
             raise ValueError("base variant has f = 1; use variant='unramified'")
-        return _field_cached(p, 1, "base", None, None)
+        return _field_cached(p, (-1,), ((-p,),), ("base", None, None))
     if variant == "unramified":
         if f != 2:
             raise ValueError("unramified quadratic variant needs f = 2")
-        return _field_cached(p, 2, "unramified", None, None)
+        gal = (1, 1) if p == 2 else (-_smallest_nonresidue(p), 0)
+        return _field_cached(p, gal, ((-p, 0),), ("unramified", None, None))
     if variant == "ramified":
         if p != 2 or f != 1:
             raise ValueError("ramified quadratic support is p = 2, f = 1 only")
         if c1 is None or c0 is None:
             raise ValueError("ramified variant needs Eisenstein c1, c0")
-        c1, c0 = int(c1), int(c0)
+        c1, c0 = _integer("c1", c1), _integer("c0", c0)
         if c1 % 2 != 0 or c0 % 2 != 0 or (c0 // 2) % 2 == 0:
             raise ValueError("need ord c1 >= 1 and ord c0 = 1 (c0 = 2 mod 4)")
-        return _field_cached(2, 1, "ramified", c1, c0)
+        return _field_cached(2, (-1,), ((c0,), (c1,)), ("ramified", c1, c0))
     raise ValueError("unknown variant %r" % (variant,))
 
 
@@ -437,7 +445,7 @@ def unit_part(field: LocalField, x):
     exact coordinate arithmetic: with pi pi' = N the Eisenstein constant,
     u = x (pi' N/p)^o / p^o = (x / pi^o) (N/p)^(2o), and p^o divides
     every coordinate."""
-    x = field.elt(x) if isinstance(x, int) else x
+    x = field.elt(x)
     if x.is_zero():
         raise ValueError("zero has no square class")
     o = int(x.ord())
@@ -535,7 +543,7 @@ def quadratic_defect(field: LocalField, rho) -> DefectResult:
     With rho = pi^o u: for odd o that is o itself; for even o it is o
     plus the defect of u's class, and rho is a square when u's class is.
     """
-    rho = field.elt(rho) if isinstance(rho, int) else rho
+    rho = field.elt(rho)
     if rho.is_zero():
         raise ValueError("quadratic defect of 0 is undefined here")
     hit = field._defect_cache.get(rho.coords)
@@ -555,7 +563,7 @@ def is_square(field: LocalField, rho) -> bool:
 
 def unit_defect_kind(field: LocalField, rho):
     """("square", None) | ("unit4", 2e) | ("unitd", odd d) for a unit rho."""
-    rho = field.elt(rho) if isinstance(rho, int) else rho
+    rho = field.elt(rho)
     if not rho.is_unit():
         raise ValueError("unit expected")
     return square_class_kind(field, rho)
@@ -648,7 +656,7 @@ def hilbert_symbol(field: LocalField, a, b) -> int:
 
 def count_square_roots(field: LocalField, rho, ell: int) -> Fraction:
     """Exact measure of square roots of rho modulo pi^ell, meas(o) = 1."""
-    rho = field.elt(rho) if isinstance(rho, int) else rho
+    rho = field.elt(rho)
     if ell < 0:
         raise ValueError("negative modulus exponent")
     if ell == 0:

@@ -34,7 +34,7 @@ class DiagonalForm:
         self.planes = int(planes)
         if self.planes < 0:
             raise ValueError("negative plane count")
-        given = tuple(field.elt(c) if isinstance(c, int) else c for c in coeffs)
+        given = tuple(field.elt(c) for c in coeffs)
         for a in given:
             if a.is_zero():
                 raise ValueError("zero coefficient")
@@ -170,7 +170,6 @@ def _unit_with_symbol(field, delta, sign):
 
 def _resolve_disc(field, disc, disc_kind, d):
     if disc is not None:
-        disc = field.elt(disc) if isinstance(disc, int) else disc
         return square_class_rep(field, disc)
     # only the odd defects tell classes of one kind apart
     rep = first_class_of_kind(field, disc_kind,
@@ -265,7 +264,7 @@ def anisotropic_representative(field: LocalField, m: int, disc=None,
                         "no ternary representative found for %r" % (delta,))
         return _check_request(form, delta, need, m)
     # m == 4
-    if disc is not None and not is_square(field, field.elt(disc) if isinstance(disc, int) else disc):
+    if disc is not None and not is_square(field, disc):
         raise ValueError("quaternary anisotropic forms have square discriminant")
     if disc_kind not in (None, "square"):
         raise ValueError("quaternary anisotropic forms have square discriminant")

@@ -18,7 +18,9 @@ from qperiods.localfield import (make_field, quadratic_defect, is_square,
                                  InternalConsistencyError, LocalField,
                                  _symbol_by_search)
 from qperiods.cli import parse_field
-from qperiods.qform import invariants, _quaternary_template, _normalize_coeff
+from qperiods.qform import (DiagonalForm, invariants, _quaternary_template,
+                            _normalize_coeff)
+from qperiods.counting import count_level_histogram, x_series
 
 Q2 = make_field(2)
 Q4 = make_field(2, 2, "unramified")
@@ -45,6 +47,13 @@ def test_make_field_validation():
         make_field(2, 1, "ramified", c1=0, c0=-4)  # ord c0 = 2, not Eisenstein
     with pytest.raises(ValueError):
         make_field(2, 1, "ramified")  # coefficients missing
+    # a non-integer is refused, not truncated (c1 = 0.5, c0 = 2.9 to x^2 + 2)
+    for args, kwargs, name in [((2, 1, "ramified"), dict(c1=0.5, c0=2.9), "c1"),
+                               ((2, 1, "ramified"), dict(c1=0, c0=2.9), "c0"),
+                               ((2.0,), {}, "p"),
+                               ((2, 2.0, "unramified"), {}, "f")]:
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            make_field(*args, **kwargs)
 
 
 def test_make_field_is_cached():
@@ -85,6 +94,28 @@ def test_elt_ord_and_arithmetic():
     assert F3.elt(0).is_zero()
     with pytest.raises(ValueError):
         Q2.elt(1) + F3.elt(1)
+    with pytest.raises(TypeError):
+        Q2.elt(Fraction(3, 2))  # not truncated to 1
+
+
+_Q2_FORM = DiagonalForm(Q2, [1, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: DiagonalForm(Q2, [x]),
+    lambda x: count_level_histogram(_Q2_FORM, x, 3),
+    lambda x: x_series(_Q2_FORM, x, 3),
+    lambda x: quadratic_defect(Q2, x),
+    lambda x: localfield.unit_part(Q2, x),
+    lambda x: count_square_roots(Q2, x, 3),
+    lambda x: hilbert_symbol(Q2, x, 3),
+], ids=["DiagonalForm", "count_level_histogram", "x_series",
+        "quadratic_defect", "unit_part", "count_square_roots",
+        "hilbert_symbol"])
+@pytest.mark.parametrize("foreign", [Q4.elt(1, 1), F3.elt(5)], ids=["q4", "q3"])
+def test_an_element_of_another_field_is_refused(call, foreign):
+    with pytest.raises(ValueError, match="different field"):
+        call(foreign)
 
 
 def test_dyadic_unit_defects():
@@ -316,8 +347,9 @@ TAME_FIELDS = [F3, F5, make_field(7), F9]
 
 def _cli_name(field):
     """The field as the command line spells it, for test ids."""
-    if field.variant == "ramified":
-        return "ram(%d,%d)" % (field.c1, field.c0)
+    variant, c1, c0 = field.label
+    if variant == "ramified":
+        return "ram(%d,%d)" % (c1, c0)
     return "q%d" % field.q
 
 
@@ -350,7 +382,7 @@ def test_quaternary_template_symbol_product_is_minus_symbol_of_minus_ones(
 
 def test_gram_build_refuses_an_entry_that_breaks_a_law(monkeypatch):
     # (pi, pi) flipped on a fresh Q2: then (pi, -pi) = -1
-    field = LocalField(2, 1, "base")
+    field = LocalField(2, (-1,), ((-2,),), ("base", None, None))
     pi = field.uniformizer()
 
     def lying_search(f, a, b):
