@@ -430,10 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# options whose value may start with "-" and a letter, as the element -w and
+# the form -x1^2+x2^2 do: argparse would take such a word for an option, so
+# each of these options is joined to the word after it, --a -w to --a=-w
+_VALUE_OPTIONS = frozenset(("--value", "--a", "--b", "--rho", "--form"))
+
+
+def _join_values(argv):
+    words, out = iter(argv), []
+    for word in words:
+        if word in _VALUE_OPTIONS:
+            value = next(words, None)
+            if value is not None:
+                word += "=" + value
+        out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as ex:
         code = ex.code
         return code if isinstance(code, int) else 2

@@ -29,9 +29,17 @@ keeps its own length, modulo the primes P = 1 mod every power of p up to
 term has no histogram and no transform of its own.  The transform of
 c x^2's histogram is T(S), the transform of the squares' histogram, read
 at the dual of multiplication by c (c f on one axis).  T(S) is ring data,
-kept for the last two rings.  Only p > 127 pads: each summand's histogram
-is transformed zero-padded to a power of two, with the table of p = 2,
-and the result is folded back.  No table is built at import time.
+kept for the last two rings.  On one axis, Z/m with m = ell^L for the
+base field Q_ell, T(S)(f) = sum_x w^(f x^2) is a quadratic Gauss sum, and
+_gauss_sums builds it in O(m) from the closed forms (B. C. Berndt, R. J.
+Evans and K. S. Williams, Gauss and Jacobi Sums, 1998, ch. 1): ell^k
+G_j(a) at f = ell^k a, j = L - k, with G_j(a) = ell^(j/2) or ell^((j-1)/2)
+(a/ell) g for odd ell, and 0, 2^(j/2) (1 + i^a) or 2^((j+1)/2) zeta^a for
+ell = 2.  Rings of two axes (Q4, Q9 and the ramified rings) still take
+T(S) from the NTT of S, and the plane is always transformed.  Only p > 127
+pads: each summand's histogram is transformed zero-padded to a power of
+two, with the table of p = 2, and the result is folded back.  No table
+is built at import time.
 
 Every reduction mod P is a floor division, x - (x // P) P (_mod).  numpy
 divides by a scalar through libdivide, several times faster than its
@@ -478,16 +486,60 @@ def _square_transforms(ring):
     return {}
 
 
+def _gauss_sums(m, p):
+    """T(S) mod p on Z/m, m = ell^L, flat in natural frequency order: the
+    quadratic Gauss sums T(S)(f) = sum over x mod m of w^(f x^2), w =
+    _root(p, m), in closed form (B. C. Berndt, R. J. Evans and K. S.
+    Williams, Gauss and Jacobi Sums, Wiley 1998, ch. 1).  T(S)(0) = m, and
+    f = ell^k a with ell not dividing a and j = L - k >= 1 gives ell^k
+    G_j(a), where
+    - for odd ell, G_j(a) = ell^(j/2) for even j and ell^((j-1)/2) (a/ell)
+      g for odd j, with g = sum over x mod ell of u^(x^2), u = w^(m/ell);
+    - for ell = 2, G_1 = 0, G_j(a) = 2^(j/2) (1 + i^a) for even j and
+      2^((j+1)/2) zeta^a for odd j >= 3, with i = w^(m/4), zeta = w^(m/8).
+    These are identities in a primitive m-th root of unity, so they hold
+    mod every P = 1 mod m.  G_j(a) has period ell, 4 or 8 in a: level k
+    tiles one period over the multiples of ell^k, and the next level
+    overwrites those of ell^(k+1), so the whole costs O(m)."""
+    w = _root(p, m)
+    ell, L = _ell_k(m)
+    if ell == 2:  # G_j(a) / 2^(j // 2) over a period, for odd and even j
+        odd = [2 * z for z in _powers(pow(w, m // 8, p), 8, p)] if m >= 8 \
+            else []
+        even = [1 + i for i in _powers(pow(w, m // 4, p), 4, p)] if m >= 4 \
+            else []
+    else:
+        u = _powers(pow(w, m // ell, p), ell, p)
+        g = sum(u[x * x % ell] for x in range(ell))
+        squares = {x * x % ell for x in range(1, ell)}
+        odd = [0] + [g if a in squares else -g for a in range(1, ell)]
+        even = [1]
+    ts = np.empty(m, dtype=np.int32)  # residues below P < 2^31
+    for k in range(L):
+        j = L - k
+        period = [0] if ell == 2 and j == 1 else odd if j % 2 else even
+        scale = ell ** (k + j // 2)
+        ts[::ell ** k] = np.tile([scale * x % p for x in period],
+                                 ell ** j // len(period))
+    ts[0] = m
+    return ts
+
+
 def _square_transform(ring, p):
     """T(S) mod p, flat in natural frequency order, for the histogram S of
     x^2 over a ring at its own lengths: ring data that serves every
-    coefficient."""
+    coefficient.  A one-axis ring Z/ell^L (the base field Q_ell, ell <
+    _LEAF) takes the closed form of _gauss_sums; a ring of two axes (Q4, Q9
+    and the ramified rings) transforms S by _forward."""
     per_prime = _square_transforms(ring)
     if p not in per_prime:
-        a = _forward(_square_histogram(ring)[None], ring.moduli, p)[0]
-        ts = np.empty(a.shape, dtype=np.int32)  # residues below P < 2^31
-        ts[np.ix_(*(_slots(m)[1] for m in ring.moduli))] = a
-        per_prime[p] = ts.ravel()
+        if len(ring.moduli) == 1:
+            per_prime[p] = _gauss_sums(ring.moduli[0], p)
+        else:
+            a = _forward(_square_histogram(ring)[None], ring.moduli, p)[0]
+            ts = np.empty(a.shape, dtype=np.int32)  # residues below P < 2^31
+            ts[np.ix_(*(_slots(m)[1] for m in ring.moduli))] = a
+            per_prime[p] = ts.ravel()
     return per_prime[p]
 
 

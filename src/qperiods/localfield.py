@@ -220,15 +220,22 @@ def make_field(p: int, f: int = 1, variant: str = "base",
     """The field of one spelling, with its defining polynomials: "base" is
     Q_p, pi = p; "unramified" (f = 2 only) has g^2 = -g - 1 for p = 2 and
     g^2 = r, the least nonresidue, for odd p; "ramified" (p = 2, f = 1
-    only) has pi^2 + c1 pi + c0 = 0, which must be Eisenstein.  p, f, c1
-    and c0 must be integers, and p below kernels._PRIME_TEST_LIMIT, where
-    primality is decided exactly.  One spelling gives one object.
+    only) has pi^2 + c1 pi + c0 = 0, which must be Eisenstein, and no other
+    variant takes c1 or c0.  p, f, c1 and c0 must be integers, and p below
+    kernels._PRIME_TEST_LIMIT, where primality is decided exactly.  One
+    spelling gives one object.
     """
     p, f = _integer("p", p), _integer("f", f)
     if not kernels._is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
     if f not in (1, 2):
         raise ValueError("residue degree f must be 1 or 2")
+    if variant in ("base", "unramified"):
+        for name, c in (("c1", c1), ("c0", c0)):
+            if c is not None:
+                raise ValueError("%s = %r is given, but only the ramified "
+                                 "variant has Eisenstein coefficients"
+                                 % (name, c))
     if variant == "base":
         if f != 1:
             raise ValueError("base variant has f = 1; use variant='unramified'")

@@ -393,6 +393,23 @@ def test_usage_errors_exit_2(capsys):
                "--T", "0", "--L", "4", "--closed")[0] == 2
 
 
+@pytest.mark.parametrize("option, value, rest", [
+    ("--a", "-w", ("hilbert", "--field", "q2", "--b", "w")),
+    ("--b", "-w^3", ("hilbert", "--field", "q4", "--a", "w")),
+    ("--value", "-w", ("defect", "--field", "q2")),
+    ("--rho", "-w", ("count", "--field", "q2", "--form", "x1^2+x2^2",
+                     "--ell", "4")),
+    ("--form", "-x1^2+w*x2^2", ("classify", "--field", "q2")),
+], ids=["a", "b", "value", "rho", "form"])
+def test_a_value_starting_with_minus_and_a_letter_is_read(capsys, option,
+                                                          value, rest):
+    # argparse takes a separate word "-w" for an option; these options take
+    # it as their value, as they do with --a=-w
+    want = run(capsys, *rest, "%s=%s" % (option, value))
+    assert want[0] == 0, want[2]
+    assert run(capsys, *rest, option, value) == want
+
+
 @pytest.mark.parametrize("argv, want", [
     (("hilbert", "--field", "1009", "--a", "3", "--b", "5"), "(3, 5) = +1\n"),
     (("hilbert", "--field", "10007", "--a", "3", "--b", "5"), "(3, 5) = +1\n"),

@@ -421,6 +421,49 @@ def test_square_terms_read_at_the_dual_of_multiplication(field):
                 assert np.array_equal(got, w), (field, level, c)
 
 
+def test_square_transform_on_one_axis_is_the_gauss_sums():
+    # the closed form equals the NTT of the squares' histogram exactly, for
+    # every prime ell below the leaf bound and every level up to 2^16
+    for ell in filter(kernels._is_prime, range(2, kernels._LEAF)):
+        field, level = make_field(ell), 0
+        while ell ** level <= 1 << 16:
+            ring = field.ring(level)
+            (m,) = ring.moduli
+            table = kernels._ntt_primes(ell)
+            for p in (table[0], table[-1]):
+                a = kernels._forward(kernels._square_histogram(ring)[None],
+                                     ring.moduli, p)[0]
+                want = np.empty(m, dtype=np.int64)
+                want[kernels._slots(m)[1]] = a
+                got = kernels._square_transform(ring, p)
+                assert np.array_equal(got, want), (ell, level, p)
+            level += 1
+
+
+def test_one_axis_counts_build_no_transform_of_the_squares(monkeypatch):
+    # T(S) on Z/ell^L comes from the Gauss sums: a count or a distribution
+    # without planes runs no forward transform; two axes, a plane and a
+    # padded axis still do
+    kernels._square_transforms.cache_clear()
+    cases = [(F3.ring(4), [(1,), (2,), (3,)], (5,)),
+             (Q2.ring(5), [(1,), (3,), (5,), (2,)], (6,)),
+             (F7.ring(2), [(1,), (3,)], (0,))]
+    want = [kernels.naive_count(*case) for case in cases]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a forward transform was built")
+    monkeypatch.setattr(kernels, "_forward", fail)
+    for (ring, coeffs, target), n in zip(cases, want):
+        assert kernels.solution_count(ring, coeffs, target) == n
+        dist = kernels.ValueDistribution(ring, coeffs)
+        assert dist.count(ring.moduli, target) == n
+    for ring, coeffs, target, planes in ((Q4.ring(2), [(1, 0)], (1, 0), 0),
+                                         (F3.ring(3), [(1,)], (1,), 1),
+                                         (F131.ring(1), [(1,)], (1,), 0)):
+        with pytest.raises(AssertionError, match="forward transform"):
+            kernels.solution_count(ring, coeffs, target, planes)
+
+
 def test_transposed_dual_fails_on_q4():
     # multiplication by g (g^2 = -g - 1) on Q4 has the matrix
     # [[0, -1], [1, -1]], which is not symmetric: reading T(S) at the

@@ -54,6 +54,13 @@ def test_make_field_validation():
                                ((2, 2.0, "unramified"), {}, "f")]:
         with pytest.raises(ValueError, match="%s must be an integer" % name):
             make_field(*args, **kwargs)
+    # c1 and c0 belong to the ramified variant only, and are not ignored
+    for args, kwargs in [((2, 1, "base"), dict(c1=0.5, c0="x")),
+                         ((3, 2, "unramified"), dict(c1=7))]:
+        with pytest.raises(ValueError, match="c1 = .* only the ramified"):
+            make_field(*args, **kwargs)
+    with pytest.raises(ValueError, match="c0 = -2 is given"):
+        make_field(2, 1, "base", c0=-2)
 
 
 def test_make_field_is_cached():
