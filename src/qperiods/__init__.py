@@ -22,7 +22,7 @@ from .counting import (TruncatedSeries, count_level_naive,
                        count_level_histogram, x_series, x_series_at,
                        pi_truncated, conic_measure,
                        residually_anisotropic_pair)
-from .kernels import EnumBudgetError, PrimeBoundError
+from .kernels import EnumBudgetError
 from .ratfunc import RF, Poly, pretty_rf, ratio_if_proportional
 from .closedforms import (ClosedFormCase, PiecewiseGeometric, UnsupportedCase,
                           CASE_TAGS, case_for_form, x_closed, closed_profile,
@@ -42,7 +42,7 @@ __all__ = [
     "TruncatedSeries", "count_level_naive", "count_level_histogram",
     "x_series", "x_series_at", "pi_truncated", "conic_measure",
     "residually_anisotropic_pair",
-    "EnumBudgetError", "PrimeBoundError",
+    "EnumBudgetError",
     "RF", "Poly", "pretty_rf", "ratio_if_proportional",
     "ClosedFormCase", "PiecewiseGeometric", "UnsupportedCase", "CASE_TAGS",
     "case_for_form", "x_closed", "closed_profile", "x_from_levels",

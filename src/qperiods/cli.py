@@ -430,20 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# options whose value may start with "-" and a letter, as the element -w and
-# the form -x1^2+x2^2 do: argparse would take such a word for an option, so
-# each of these options is joined to the word after it, --a -w to --a=-w
-_VALUE_OPTIONS = frozenset(("--value", "--a", "--b", "--rho", "--form"))
-
-
+# a value may start with "-", as the element -w, the form -x1^2+x2^2 and
+# the element -3*w do, and argparse would take such a word for an option:
+# a word "-..." after a long option is joined to it, --a -w to --a=-w, so
+# that argparse reads it as the value of the option it resolves, an
+# abbreviation such as --val included.  -h stays the help flag, and a flag
+# joined to a value is refused, as the separate word was.
 def _join_values(argv):
-    words, out = iter(argv), []
-    for word in words:
-        if word in _VALUE_OPTIONS:
-            value = next(words, None)
-            if value is not None:
-                word += "=" + value
-        out.append(word)
+    out = []
+    for word in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and word.startswith("-") and not word.startswith("--")
+                and word not in ("-", "-h")):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
     return out
 
 

@@ -1,12 +1,14 @@
 """Ground-truth solution-measure oracles.
 
 X_ell(rho) is the measure of {a in o^n : B(a) = rho mod 2 pi^ell},
-computed exactly: by honest enumeration, by the histogram-convolution
-kernel, or (past the stabilization level) by the Hensel scaling laws.
-count_level_histogram counts one level and target on its own;
-x_series_many reads every level of several targets from one value
-distribution of the form, and x_series is its one-target case.
-Everything returns Fractions; nothing here is symbolic.
+computed exactly: by honest enumeration, by the kernel's Gauss-sum
+formula (kernels.solution_count: an integer sum of one term per frequency
+valuation, after T. Yang, J. Number Theory 72 (1998) and 108 (2004)), or
+(past the stabilization level) by the Hensel scaling laws.
+count_level_histogram counts one level and target; x_series_many counts
+every level of several targets, one solution_count per (target, level),
+and x_series is its one-target case.  Everything returns Fractions;
+nothing here is symbolic.
 
 The stabilized mode of an anisotropic form counts only the zero target
 and the targets with ord rho < 2e + 2.  A deeper target comes from the
@@ -94,8 +96,10 @@ def count_level_naive(B: DiagonalForm, rho, ell: int,
 
 
 def count_level_histogram(B: DiagonalForm, rho, ell: int) -> Fraction:
-    """Same measure through per-coordinate value histograms convolved over
-    the additive group of o/2 pi^ell."""
+    """Same measure through the kernel's Gauss-sum count over o/2 pi^ell,
+    refused past the kernel's bound before the ring is built."""
+    level = ell + B.field.e
+    kernels.check_count_bits(B.field, B.n, level, level)
     return _level_measure(B, rho, ell, partial(
         kernels.solution_count, planes=B.planes))
 
@@ -130,12 +134,8 @@ def _down(field, rho):
 
 def x_series_many(B: DiagonalForm, rhos, L: int,
                   direct: bool = False) -> list:
-    """x_series(B, rho, L, direct=direct) for every rho in rhos, all read
-    from one value distribution of B over the deepest ring they count.
-
-    A level-l measure is a coset sum of that distribution: reduction to a
-    lower level is componentwise, and every tuple over the deep ring
-    covers (deep size / level size)^n tuples over o/2 pi^l.
+    """x_series(B, rho, L, direct=direct) for every rho in rhos: each
+    counted level of each counted target is one solution_count.
 
     The stabilized mode counts only the zero target and the targets with
     ord rho < 2e + 2; a deeper target is derived from the ring two levels
@@ -146,8 +146,7 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
     the hypothesis of the zero-target law X_(e+2) = X_e / q^n as well, so
     the recursion assumes nothing more.  Each derived target's rho / pi^2
     is found once per call, so a chain such as T = 3 -> 2 -> 1 stops at a
-    target already walked, and the deep ring is sized from the counted
-    targets only.
+    target already walked, and a derived target is never counted.
     """
     if L < 0:
         raise ValueError("negative truncation order")
@@ -165,14 +164,13 @@ def x_series_many(B: DiagonalForm, rhos, L: int,
         bases.add(field.zero())
     counted = {rho: L if direct else min(L, _cutoff(field, rho))
                for rho in bases}
-    deep = field.ring(max(counted.values(), default=0) + field.e)
-    dist = kernels.ValueDistribution(
-        deep, _coeff_coords(B), B.planes) if B.n else None
-
-    def count(ring, coeffs, target):
-        return (dist.count(ring.moduli, target)
-                // (deep.size // ring.size) ** B.n)
-
+    # each target's series is bounded on its own, as one x_series call
+    # would be: its levels l + e of o/2 pi^l, l = 0..k, sum to
+    # (k + 1)(k + 2e) / 2, largest at the deepest counted target
+    k = max(counted.values(), default=0)
+    kernels.check_count_bits(field, B.n, (k + 1) * (k + 2 * field.e) // 2,
+                             k + field.e)
+    count = partial(kernels.solution_count, planes=B.planes)
     done = {}
     for rho, k in counted.items():
         vals = [_level_measure(B, rho, l, count) for l in range(k + 1)]

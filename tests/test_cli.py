@@ -400,7 +400,12 @@ def test_usage_errors_exit_2(capsys):
     ("--rho", "-w", ("count", "--field", "q2", "--form", "x1^2+x2^2",
                      "--ell", "4")),
     ("--form", "-x1^2+w*x2^2", ("classify", "--field", "q2")),
-], ids=["a", "b", "value", "rho", "form"])
+    # argparse resolves an abbreviation, and the value is joined to it
+    ("--val", "-w", ("defect", "--field", "q2")),
+    ("--rh", "-3*w", ("count", "--field", "q2", "--form", "x1^2+x2^2",
+                      "--ell", "4")),
+], ids=["a", "b", "value", "rho", "form", "value-abbreviated",
+        "rho-abbreviated"])
 def test_a_value_starting_with_minus_and_a_letter_is_read(capsys, option,
                                                           value, rest):
     # argparse takes a separate word "-w" for an option; these options take
@@ -735,20 +740,42 @@ def test_xseries_closed_negative_L_exits_2(capsys):
 
 
 def test_count_past_the_prime_table_exits_2_before_allocating(capsys):
-    # o/pi^31 has 2^31 classes: its histogram alone would take 16 GiB.
-    # Over Q4, o/pi^23 has 2^46 classes on two axes of 2^23 each.
+    # the Gauss-sum count needs no prime table, transform or array of the
+    # ring's size: the inputs the NTT refused answer, each value derived by
+    # hand from the roots of a unit.  x^2 = 1 mod pi^L with L > 2e has the
+    # roots x = +-1 mod pi^(L-e), a measure 2 q^-(L-e) at level ell = L - e;
+    # at p = 10^9 + 7 = 3 mod 4, x^2 + y^2 = 1 has p + 1 points over F_p
+    p = 1000000007
+    for field, form, ell, want in (
+            ("q2", "x^2", "30", "X_30 = 1/%d" % 2 ** 29),
+            ("q4", "x^2", "22", "X_22 = 1/%d" % 2 ** 43),
+            ("1000000007", "x^2", "1", "X_1 = 2/%d" % p),
+            ("1000000007", "x1^2+x2^2", "1", "X_1 = %d/%d" % (p + 1, p ** 2)),
+            ("131", "x^2", "34", "X_34 = 2/%d" % 131 ** 34),
+            ("131", "x^2", "1000", "X_1000 = 2/%d" % 131 ** 1000)):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "count", "--field", field, "--form",
+                             form, "--rho", "1", "--ell", ell)
+        assert perf_counter() - t0 < 2.0
+        assert (code, out) == (0, want + "\n"), err
+    # past the bound on a count's bits, L n ceil(log2 q) with L = ell + e,
+    # the count is refused before any work
     for field, ell, message in (
-            ("q2", "30", "axis length 2^31 is beyond the prime table"),
-            ("q4", "22", "axis lengths (8388608, 8388608) give a transform "
-                         "of 70368744177664 entries, beyond 2^23"),
-            # Z/p with p past every leaf is padded to a power of two
-            ("1000000007", "1", "axis length 1000000007^1, padded to 2^30, "
-                                "is beyond the prime table"),
-            ("131", "34", "axis length 131^34, padded to 2^240, is beyond "
-                          "the prime table"),
-            # the axis is named from the field's own p, with no factoring
-            ("131", "1000", "axis length 131^1000, padded to 2^7034, is "
-                            "beyond the prime table")):
+            ("q2", "32768", "counts over o/pi^L, L <= 32769, with q = 2 and "
+                            "n + 2 planes = 1 take up to 32769 bits, beyond "
+                            "the bound of 32768 bits"),
+            ("131", "10000", "counts over o/pi^L, L <= 10000, with q = 131 "
+                             "and n + 2 planes = 1 take up to 80000 bits, "
+                             "beyond the bound of 32768 bits"),
+            ("1000000007", "2000", "counts over o/pi^L, L <= 2000, with q = "
+                                   "1000000007 and n + 2 planes = 1 take up "
+                                   "to 60000 bits, beyond the bound of 32768 "
+                                   "bits"),
+            # refused before o/pi^L, with 2^L classes, is built
+            ("q2", "100000000", "counts over o/pi^L, L <= 100000001, with "
+                                "q = 2 and n + 2 planes = 1 take up to "
+                                "100000001 bits, beyond the bound of 32768 "
+                                "bits")):
         t0 = perf_counter()
         code, out, err = run(capsys, "count", "--field", field, "--form",
                              "x^2", "--rho", "1", "--ell", ell)
