@@ -476,22 +476,46 @@ def test_gauss_sum_recursion_holds_from_level_2e_plus_2(field, top):
         assert np.array_equal(lo, hi) == (j >= 2 * field.e + 2), (field, j)
 
 
-def test_count_refuses_past_its_bit_bound_before_any_work(monkeypatch):
-    # past COUNT_BITS the count is refused before a coefficient is split or
-    # a head is built: through solution_count, a level measure and a
-    # series counted level by level
+def _refuse_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work done before the bound was checked")
     monkeypatch.setattr(kernels, "_split", fail)
+
+
+def test_convolution_entry_refuses_bound_past_prime_table():
+    # a count's bound, L nvars ceil(log2 q) bits, is refused past
+    # COUNT_BITS: 19 squares over o/2^1725 take 32,775 bits, one level less
+    # 32,756.  19 squares over o/2^20, whose bound of 2^380 passed the CRT
+    # prime table the formula replaced, answer, and their count at a unit
+    # target lifts by 2^18 a level, as it does from level 3 on
+    with pytest.raises(kernels.EnumBudgetError, match="bits"):
+        kernels.solution_count(Q2.ring(1725), [(1,)] * 19, (1,))
+    assert kernels.solution_count(Q2.ring(1724), [(1,)] * 19, (1,)) > 0
+    n19 = kernels.solution_count(Q2.ring(19), [(1,)] * 19, (1,))
+    assert kernels.solution_count(Q2.ring(20), [(1,)] * 19, (1,)) \
+        == 2 ** 18 * n19 > 1 << 360
+
+
+def test_solution_count_refuses_long_axes_before_any_histogram(monkeypatch):
+    # past COUNT_BITS the count is refused before a coefficient is split or
+    # a head is built, on rings of one and two axes, with planes, and past
+    # p = 127
+    _refuse_work(monkeypatch)
     for ring, n, planes in ((Q2.ring(40000), 1, 0), (F3.ring(4100), 4, 0),
                             (Q4.ring(8200), 0, 1), (F131.ring(4100), 1, 0)):
         with pytest.raises(kernels.EnumBudgetError, match="bits"):
             kernels.solution_count(ring, [(1,)] * n, (1,), planes)
+
+
+def test_form_histograms_refuse_long_axes_before_any_histogram(monkeypatch):
+    # the same refusal for a form's level measure and for a series counted
+    # level by level
+    _refuse_work(monkeypatch)
     B = DiagonalForm(Q2, [1, 1])
     with pytest.raises(kernels.EnumBudgetError, match="bits"):
         count_level_histogram(B, Q2.one(), 20000)
-    # a series counted level by level: its counts pass the bound together
-    # at level 180, each of them far below it
+    # a series' counts pass the bound together at level 180, each of them
+    # far below it
     with pytest.raises(kernels.EnumBudgetError, match="bits"):
         x_series(B, 1, 180, direct=True)
     monkeypatch.undo()
@@ -522,14 +546,36 @@ def test_odd_head_answers_at_any_residue_field_size():
         assert kernels.solution_count(field.ring(1), [one] * 3, zero) == q * q
 
 
-def test_head_tables_are_kept_per_field():
-    # a second count with the same coefficient classes builds no head
-    ring = Q4.ring(9)
-    coeffs = [(1, 0), (1, 1), (2, 1), (0, 2)]
+def test_one_plan_per_ring_shared_by_every_prime():
+    # four coefficients in two square classes over o/2^12: a second count
+    # on the ring, at another target, builds no head table
+    ring = Q2.ring(12)
+    coeffs = [(1,), (9,), (-3 % 4096,), (-3 * 25 % 4096,)]
     kernels._head_counts.cache_clear()
-    first = kernels.solution_count(ring, coeffs, (0, 0))
+    got = kernels.solution_count(ring, coeffs, (1,))
     built = kernels._head_counts.cache_info().misses
     assert built > 0
-    assert kernels.solution_count(ring, coeffs, (0, 0)) == first
+    assert kernels.solution_count(ring, coeffs, (5,)) >= 0
+    assert kernels._head_counts.cache_info().misses == built
+    assert got == closed_profile(DiagonalForm(Q2, [1, 1, -3, -3])) \
+        .series_at(0, 2, 11)[11] * ring.size ** 4
+
+
+def test_square_transforms_kept_for_the_last_two_rings():
+    # primitive_zero_exists on Q4 counts o/pi^6 and o/pi^4: a second call
+    # builds no head table, and neither does a count with the same
+    # coefficient classes in another order, nor, since the tables are kept
+    # per field, a call after a count over a third ring
+    ring = Q4.ring(6)
+    coeffs = [(1, 0), (1, 1), (2, 1), (0, 2)]
+    kernels._head_counts.cache_clear()
+    first = kernels.primitive_zero_exists(ring, coeffs)
+    built = kernels._head_counts.cache_info().misses
+    assert built > 0
+    assert kernels.primitive_zero_exists(ring, coeffs) == first
     kernels.solution_count(ring, coeffs[::-1], (4, 0))
+    assert kernels._head_counts.cache_info().misses == built
+    kernels.solution_count(Q4.ring(5), coeffs, (0, 0))
+    built = kernels._head_counts.cache_info().misses
+    assert kernels.primitive_zero_exists(ring, coeffs) == first
     assert kernels._head_counts.cache_info().misses == built
